@@ -24,19 +24,7 @@ from .holism import (
     marginal_entropy,
     product_commutator_norm,
 )
-from .linalg import (
-    SystemDims,
-    adjoint,
-    as_matrix,
-    eigh,
-    frob,
-    hs_inner,
-    kron,
-    matmul,
-    partial_trace,
-    svd,
-    transpose_canonical,
-)
+from .linalg import SystemDims, as_matrix, frob, ginibre, hs_inner, kron, partial_trace
 from .properties import (
     Property,
     PropertyCheck,
@@ -58,7 +46,6 @@ from .search import (
     bloch_projectors,
     brute_force_grid_d2,
     density_scan,
-    ginibre,
     minimize,
     objective,
     objective_value_and_grad,
@@ -96,7 +83,6 @@ __all__ = [
     "Tolerances",
     "Verdict",
     "active_tolerances",
-    "adjoint",
     "apply_local",
     "as_matrix",
     "bloch_projectors",
@@ -106,7 +92,6 @@ __all__ = [
     "compatible",
     "compose",
     "density_scan",
-    "eigh",
     "extract_property",
     "frob",
     "from_property",
@@ -121,7 +106,6 @@ __all__ = [
     "lattice_amplitudes",
     "make_holistic",
     "marginal_entropy",
-    "matmul",
     "minimize",
     "mutually_exclusive",
     "objective",
@@ -132,10 +116,8 @@ __all__ = [
     "product_if_property",
     "property_from_span",
     "random_product_pair",
-    "svd",
     "swap_operator",
     "symmetric_projector",
-    "transpose_canonical",
     "unvec",
     "vec",
     "__version__",

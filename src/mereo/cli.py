@@ -200,14 +200,17 @@ def cmd_lattice(args, tols: Tolerances) -> dict:
         args.convention if args.convention != "bothreport" else "atleastone"
     )
     props = [make_holistic(m, tols=tols) for m in members]
-    n = len(props)
-    comm = np.zeros((n, n))
-    prod = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            a, b = props[i].matrix, props[j].matrix
-            comm[i, j] = frob(a @ b - b @ a)
-            prod[i, j] = frob(a @ b)
+    # members are unit vectors v_i, so with g_ij = <v_i, v_j> the projector
+    # norms follow from one Gram row each: ||P_i P_j|| = |g_ij| and
+    # ||[P_i, P_j]|| = sqrt(2) |g_ij| ||v_j - g_ij v_i||, which unlike
+    # sqrt(2 |g|^2 (1 - |g|^2)) does not cancel on the diagonal
+    vecs = np.array([m.matrix.reshape(-1) for m in members])
+    comm = np.empty((len(members), len(members)))
+    prod = np.empty_like(comm)
+    for i, v in enumerate(vecs):
+        g = vecs @ v.conj()
+        prod[i] = np.abs(g)
+        comm[i] = np.sqrt(2.0) * prod[i] * np.linalg.norm(vecs - g[:, None] * v, axis=1)
     total = sum(p.matrix for p in props)
     member_records = []
     for m, p in zip(members, props):
@@ -390,12 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    tols = active_tolerances()
-    if getattr(args, "tol_rank", None) is not None:
-        tols = replace(tols, tol_rank=float(args.tol_rank))
-
-    t_start = time.perf_counter()
     try:
+        tols = active_tolerances()
+        if getattr(args, "tol_rank", None) is not None:
+            tols = replace(tols, tol_rank=float(args.tol_rank))
+        t_start = time.perf_counter()
         results = args.func(args, tols)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ quote a single tolerance record.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -31,6 +32,11 @@ class Tolerances:
     tol_rank: float = 1e-7     # singular values counted as nonzero
     tol_compat: float = 1e-9   # commutator and product norms
     tol_support: float = 1e-9  # state support inclusion
+
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {name} must be finite and > 0, got {value!r}")
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -61,4 +67,10 @@ def active_tolerances() -> Tolerances:
     unknown = set(fields) - set(base.as_dict())
     if unknown:
         raise ValueError(f"{ENV_OVERRIDE} has unknown keys: {sorted(unknown)}")
-    return replace(base, **{key: float(value) for key, value in fields.items()})
+    values = {}
+    for key, value in fields.items():
+        try:
+            values[key] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{ENV_OVERRIDE}: {key} must be a number, got {value!r}") from exc
+    return replace(base, **values)

@@ -13,6 +13,10 @@ witnesses.  A joint property with no nontrivial co-occurring witness is
 reported as holistic; whether "nontrivial" means one or both factors is a
 first-class parameter, since the two readings part ways on rectangular
 amplitude matrices.
+
+Witnesses are replayed on the matrix side only, through
+``(P (x) Q) vec(amp) == vec(P @ amp @ Q.T)``; no operator on the joint space
+is formed.  The composite-space route is kept as a conformance test.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .config import InvariantViolation, Tolerances, active_tolerances
 from .doubleket import AmplitudeMatrix, vec
-from .linalg import SystemDims, as_matrix, frob, hs_inner, kron
+from .linalg import SystemDims, as_matrix, frob, ginibre, hs_inner
 from .properties import Property, is_nontrivial
 
 
@@ -95,10 +99,16 @@ def product_commutator_norm(
 ) -> float:
     """Frobenius norm of the commutator of ``p (x) q`` with the joint dyad.
 
-    Computed twice: directly on the composite space, and through the
-    matrix-side route where the commutator of Hermitian operators is twice
-    the imaginary part of their product.  Disagreement beyond 1e-10 raises,
-    since it would mean the vectorization conventions have come unglued.
+    Computed on the matrix side, without forming any ``d_a d_b``-square
+    operator: ``(p (x) q) vec(amp) = vec(W)`` with ``W = p @ amp @ q.T``, and
+    with ``c = <amp, W>_HS`` and ``R = W - c amp`` (orthogonal to ``amp``)
+    the commutator splits into three orthogonal parts, so
+
+        ||[p (x) q, dyad]||_F^2 = 2 ||R||_F^2 + 4 (Im c)^2
+
+    exactly for unit-norm ``amp``.  Unlike ``2 ||W||^2 - 2 Re(c^2)`` this
+    form does not cancel, so it resolves norms far below ``tol_compat``.
+    ``tols`` is accepted for signature stability; no threshold applies.
 
     Accepts a bare ``(p, q)`` tuple as well, since the norm is defined for
     trivial pairs too.
@@ -109,18 +119,9 @@ def product_commutator_norm(
         raise ValueError(
             f"pair dims ({p.dim}, {q.dim}) do not match amplitude dims ({d_a}, {d_b})"
         )
-    pi = make_holistic(amp, tols=tols).matrix
-    joint = kron(p.matrix, q.matrix)
-    direct = frob(joint @ pi - pi @ joint)
-
     w = p.matrix @ amp.matrix @ q.matrix.T
-    outer = np.outer(w.reshape(-1), vec(amp).vector.conj())
-    via_imag = frob(outer - outer.conj().T)  # == ||2 Im(outer)||_F
-    if abs(direct - via_imag) > 1e-10:
-        raise InvariantViolation(
-            f"commutator routes disagree: direct={direct!r} vs imag-part={via_imag!r}"
-        )
-    return direct
+    c = complex(np.vdot(amp.matrix, w))
+    return float(np.sqrt(2.0 * frob(w - c * amp.matrix) ** 2 + 4.0 * c.imag * c.imag))
 
 
 def certify_rank1(
@@ -144,8 +145,9 @@ def certify_rank1(
       project onto it on the right and onto the image's orthogonal
       complement on the left.
 
-    Every reported witness is replayed through the commutator; a replay
-    above ``tol_compat`` raises :class:`InvariantViolation`.
+    Every reported witness is replayed through
+    :func:`product_commutator_norm`; a replay above ``tol_compat`` raises
+    :class:`InvariantViolation`.
     """
     tols = tols or active_tolerances()
     d_a, d_b = amp.dims
@@ -214,6 +216,17 @@ def _exclusive_witness(
     return ProductProperty(Property(p, tols=tols), Property(q, tols=tols), convention)
 
 
+def _project_out(residual: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+    """Remove the HS components along an orthonormal ``basis``.
+
+    Two passes, so orthogonality holds at machine precision.
+    """
+    for _ in range(2):
+        for b in basis:
+            residual = residual - hs_inner(b, residual) * b
+    return residual
+
+
 def gram_schmidt_hs(
     candidates, dims: SystemDims, *, tols: Tolerances | None = None
 ) -> list[AmplitudeMatrix]:
@@ -230,10 +243,7 @@ def gram_schmidt_hs(
         m = as_matrix(cand, name="seed matrix")
         if m.shape != (d_a, d_b):
             raise ValueError(f"seed matrix has shape {m.shape}, expected ({d_a}, {d_b})")
-        residual = m.astype(complex)
-        for _ in range(2):  # second pass keeps orthogonality at machine precision
-            for b in basis:
-                residual = residual - hs_inner(b, residual) * b
+        residual = _project_out(m.astype(complex), basis)
         norm = frob(residual)
         if norm <= tols.tol_rank * max(1.0, frob(m)):
             dropped += 1
@@ -262,11 +272,7 @@ def lattice_amplitudes(
     rng = np.random.default_rng(rng_seed)
     family: list[np.ndarray] = [amp.matrix.astype(complex)]
     while len(family) < k:
-        cand = (rng.standard_normal((d_a, d_b)) + 1j * rng.standard_normal((d_a, d_b))) / np.sqrt(2)
-        residual = cand
-        for _ in range(2):
-            for b in family:
-                residual = residual - hs_inner(b, residual) * b
+        residual = _project_out(ginibre(amp.dims, rng), family)
         norm = frob(residual)
         if norm > 1e-6:  # dependent draws are measure zero; redraw otherwise
             family.append(residual / norm)

@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .doubleket import AmplitudeMatrix
-from .linalg import SystemDims, as_matrix
-from .search import ginibre
+from .linalg import SystemDims, as_matrix, ginibre
 
 PRESET_NAMES = ("bell2", "product2", "maxent3")
 

@@ -13,8 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Tolerances, active_tolerances
-
 
 class SystemDims(NamedTuple):
     """Dimensions of the two tensor factors of a bipartite system."""
@@ -42,24 +40,6 @@ def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a, name="a")
-    b = as_matrix(b, name="b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def transpose_canonical(a) -> np.ndarray:
-    """Entry-wise transpose in the canonical basis, without conjugation."""
-    return as_matrix(a).T.copy()
-
-
 def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a, name="a"), as_matrix(b, name="b"))
 
@@ -83,33 +63,6 @@ def partial_trace(m, dims: SystemDims, which: str = "first") -> np.ndarray:
     raise ValueError("which must be 'first' or 'second'")
 
 
-def eigh(h, *, tols: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition, eigenvalues ascending.
-
-    Rejects inputs whose anti-Hermitian part exceeds ``tol_herm``; the
-    decomposition itself runs on the symmetrized matrix.
-    """
-    tols = tols or active_tolerances()
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"eigh needs a square matrix, got {h.shape}")
-    if frob(h - h.conj().T) > tols.tol_herm:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return w, v
-
-
-def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition ``a = u @ diag(s) @ v.conj().T``.
-
-    Singular values are non-negative and descending; ``u`` and ``v`` have
-    orthonormal columns.
-    """
-    a = as_matrix(a)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return u, s, vh.conj().T
-
-
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product ``Tr(a^dag b)``."""
     a = as_matrix(a, name="a")
@@ -117,3 +70,9 @@ def hs_inner(a, b) -> complex:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))
+
+
+def ginibre(dims: SystemDims, rng: np.random.Generator) -> np.ndarray:
+    """Matrix of i.i.d. standard complex Gaussian entries."""
+    d_a, d_b = int(dims[0]), int(dims[1])
+    return (rng.standard_normal((d_a, d_b)) + 1j * rng.standard_normal((d_a, d_b))) / np.sqrt(2.0)

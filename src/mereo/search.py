@@ -26,9 +26,9 @@ from .holism import (
     NontrivialityConvention,
     ProductProperty,
     certify_rank1,
-    make_holistic,
+    product_commutator_norm,
 )
-from .linalg import SystemDims, frob
+from .linalg import SystemDims, frob, ginibre
 from .properties import Property
 
 EXCLUDE_FLOOR = 0.05  # well above tolerances, well below typical co-occurrence weights
@@ -198,8 +198,9 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig, *, tols: Tolerances | None
     Step control is plain halving on non-decrease with mild growth on
     acceptance; restarts are seeded independently by index, so enlarging
     ``cfg.restarts`` only ever adds candidates.  ``min_value`` is the
-    commutator norm recomputed directly on the best pair, so results replay
-    by construction.
+    commutator norm of the best pair from :func:`product_commutator_norm`,
+    not the square root of the objective, whose cancellation hides norms
+    below about 1e-8; results replay by construction.
     """
     d_a, d_b = amp.dims
     if not 0 < cfg.rank_p < d_a:
@@ -243,9 +244,7 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig, *, tols: Tolerances | None
     assert best_params is not None  # restarts >= 1 by construction
     p = parametrize_projector(best_params[: d_a * d_a], d_a, cfg.rank_p, tols=tols)
     q = parametrize_projector(best_params[d_a * d_a :], d_b, cfg.rank_q, tols=tols)
-    pi = make_holistic(amp, tols=tols).matrix
-    joint = np.kron(p.matrix, q.matrix)
-    min_value = frob(joint @ pi - pi @ joint)
+    min_value = product_commutator_norm(amp, (p, q))
     weight = frob(p.matrix @ amp.matrix @ q.matrix.T)
     return SearchResult(
         min_value=min_value,
@@ -319,12 +318,6 @@ def brute_force_grid_d2(
     a_idx, b_idx = best_idx
     angles = (float(tg[a_idx]), float(pg[a_idx]), float(tg[b_idx]), float(pg[b_idx]))
     return best_comm, angles
-
-
-def ginibre(dims: SystemDims, rng: np.random.Generator) -> np.ndarray:
-    """Matrix of i.i.d. standard complex Gaussian entries."""
-    d_a, d_b = int(dims[0]), int(dims[1])
-    return (rng.standard_normal((d_a, d_b)) + 1j * rng.standard_normal((d_a, d_b))) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ matrices, which is exactly input-independent equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -56,9 +56,10 @@ class ChoiMatrix:
     matrix: np.ndarray
     d_in: int
     d_out: int
+    tols: InitVar[Tolerances | None] = None
 
-    def __post_init__(self):
-        tols = active_tolerances()
+    def __post_init__(self, tols: Tolerances | None):
+        tols = tols or active_tolerances()
         m = as_matrix(self.matrix, name="Choi matrix")
         n = self.d_in * self.d_out
         if m.shape != (n, n):
@@ -73,13 +74,13 @@ class ChoiMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-def choi(t: QuantumTransformation) -> ChoiMatrix:
+def choi(t: QuantumTransformation, *, tols: Tolerances | None = None) -> ChoiMatrix:
     n = t.d_out * t.d_in
     total = np.zeros((n, n), dtype=complex)
     for k in t.kraus:
         v = k.reshape(-1)
         total += np.outer(v, v.conj())
-    return ChoiMatrix(total, d_in=t.d_in, d_out=t.d_out)
+    return ChoiMatrix(total, d_in=t.d_in, d_out=t.d_out, tols=tols)
 
 
 def compose(t1: QuantumTransformation, t2: QuantumTransformation,
@@ -100,7 +101,7 @@ def is_repeatable(t: QuantumTransformation, *, tols: Tolerances | None = None) -
     if t.d_in != t.d_out:
         raise ValueError("repeatability is only defined for square maps")
     twice = compose(t, t, tols=tols)
-    return frob(choi(twice).matrix - choi(t).matrix) <= tols.tol_compat
+    return frob(choi(twice, tols=tols).matrix - choi(t, tols=tols).matrix) <= tols.tol_compat
 
 
 def from_property(p: Property, *, tols: Tolerances | None = None) -> QuantumTransformation:

@@ -205,6 +205,23 @@ class TestReportShape:
         assert report["version"]
         assert "total_s" in report["timings"]
 
+    @pytest.mark.parametrize("env, flags, names", [
+        ("{bad", [], "MEREO_TOL_OVERRIDE"),
+        (None, ["--tol-rank", "nan"], "tol_rank"),
+        (None, ["--tol-rank", "0"], "tol_rank"),
+    ])
+    def test_bad_tolerances_are_input_errors(self, capsys, monkeypatch, env, flags, names):
+        if env is None:
+            monkeypatch.delenv("MEREO_TOL_OVERRIDE", raising=False)
+        else:
+            monkeypatch.setenv("MEREO_TOL_OVERRIDE", env)
+        code = cli.main(["certify", "--preset", "bell2", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:") and names in lines[0]
+
     def test_tol_rank_override_is_echoed(self, capsys):
         code, report = run_cli(
             ["certify", "--preset", "bell2", "--tol-rank", "1e-5"], capsys

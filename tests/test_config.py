@@ -40,3 +40,17 @@ class TestEnvOverride:
         monkeypatch.setenv(ENV_OVERRIDE, "[1, 2]")
         with pytest.raises(ValueError):
             active_tolerances()
+
+    @pytest.mark.parametrize("raw", ['{"tol_rank": "abc"}', '{"tol_rank": [1]}', '{"tol_rank": 0}'])
+    def test_bad_values_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv(ENV_OVERRIDE, raw)
+        with pytest.raises(ValueError, match="tol_rank"):
+            active_tolerances()
+
+
+class TestValidation:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-9])
+    def test_rejects_non_finite_or_non_positive(self, value):
+        for field in Tolerances().as_dict():
+            with pytest.raises(ValueError, match=field):
+                Tolerances(**{field: value})

@@ -163,6 +163,18 @@ class TestAmplitudeMatrix:
         with pytest.raises(ValueError):
             AmplitudeMatrix.normalized(np.zeros((2, 2)))
 
+    def test_cached_factors_reconstruct(self):
+        # matrix == u @ diag(s) @ v^dag with unitary u, v, s descending
+        rng = np.random.default_rng(11)
+        amp = random_amp(rng, 3, 5)
+        u, s, v = amp.svd()
+        sigma = np.zeros((3, 5))
+        sigma[:3, :3] = np.diag(s)
+        assert frob(u @ sigma @ v.conj().T - amp.matrix) <= 1e-12
+        assert frob(u.conj().T @ u - np.eye(3)) <= 1e-12
+        assert frob(v.conj().T @ v - np.eye(5)) <= 1e-12
+        assert np.all(np.diff(s) <= 0.0)
+
     def test_cached_singular_values_match_fresh_svd(self):
         rng = np.random.default_rng(8)
         amp = random_amp(rng, 3, 2)

@@ -3,93 +3,13 @@
 import numpy as np
 import pytest
 
-from mereo import (
-    SystemDims,
-    adjoint,
-    eigh,
-    frob,
-    hs_inner,
-    kron,
-    matmul,
-    partial_trace,
-    svd,
-    swap_operator,
-    transpose_canonical,
-)
+from mereo import SystemDims, frob, hs_inner, kron, partial_trace, swap_operator
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def triple_loop_matmul(a, b):
-    """Brute-force reference product."""
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(1)
-        x = random_complex(rng, (2, 2))
-        assert np.allclose(matmul(np.eye(2), x), x)
-
-    def test_basis_swap_involution(self):
-        s = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert np.allclose(matmul(s, s), np.eye(2))
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(2)
-        a = random_complex(rng, (3, 3))
-        b = random_complex(rng, (3, 3))
-        assert frob(matmul(a, b) - triple_loop_matmul(a, b)) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(2), np.eye(3))
-
-
-class TestAdjointTranspose:
-    def test_hermitian_fixed_point(self):
-        h = np.array([[1, 2 + 1j], [2 - 1j, 3]], dtype=complex)
-        assert np.allclose(adjoint(h), h)
-
-    def test_adjoint_by_definition(self):
-        m = np.array([[0, 1j], [0, 0]], dtype=complex)
-        assert np.allclose(adjoint(m), np.array([[0, 0], [-1j, 0]]))
-
-    def test_adjoint_involution(self):
-        rng = np.random.default_rng(3)
-        a = random_complex(rng, (4, 4))
-        assert np.allclose(adjoint(adjoint(a)), a)
-
-    def test_symmetric_fixed_point(self):
-        s = np.array([[1.0, 2.0], [2.0, 5.0]])
-        assert np.allclose(transpose_canonical(s), s)
-
-    def test_transpose_of_dyad(self):
-        # transpose (no conjugation) swaps the dyad's vectors and conjugates
-        # them: (|phi><psi|)^T == |psi*><phi*|, entry by entry
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            phi = random_complex(rng, 3)
-            psi = random_complex(rng, 3)
-            dyad = np.outer(phi, psi.conj())
-            expected = np.outer(psi.conj(), phi)
-            assert frob(transpose_canonical(dyad) - expected) <= 1e-12
-            # while the conjugated dyad keeps the order: conj == |phi*><psi*|
-            assert frob(dyad.conj() - np.outer(phi.conj(), psi)) <= 1e-12
-
-    def test_transpose_involution(self):
-        rng = np.random.default_rng(5)
-        a = random_complex(rng, (3, 4))
-        assert np.allclose(transpose_canonical(transpose_canonical(a)), a)
 
 
 class TestKron:
@@ -145,65 +65,6 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(4), SystemDims(2, 3), "first")
-
-
-class TestEigh:
-    def test_diagonal_input(self):
-        w, _ = eigh(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1.0, 2.0, 3.0])
-
-    def test_pauli_x(self):
-        w, v = eigh(PAULI_X)
-        assert np.allclose(w, [-1.0, 1.0])
-        minus = np.array([1.0, -1.0]) / np.sqrt(2)
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        assert abs(abs(np.vdot(minus, v[:, 0])) - 1.0) <= 1e-10
-        assert abs(abs(np.vdot(plus, v[:, 1])) - 1.0) <= 1e-10
-
-    def test_reconstruction_and_unitarity(self):
-        rng = np.random.default_rng(9)
-        g = random_complex(rng, (8, 8))
-        h = g + g.conj().T
-        w, v = eigh(h)
-        assert frob(v @ np.diag(w) @ v.conj().T - h) <= 1e-10
-        assert frob(v.conj().T @ v - np.eye(8)) <= 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eigh(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-class TestSvd:
-    def test_scaled_identity(self):
-        _, s, _ = svd(np.eye(2) / np.sqrt(2))
-        assert np.allclose(s, [1 / np.sqrt(2)] * 2)
-
-    def test_dyad(self):
-        _, s, _ = svd(np.diag([1.0, 0.0]))
-        assert np.allclose(s, [1.0, 0.0])
-
-    def test_singular_values_match_eigh_oracle(self):
-        rng = np.random.default_rng(10)
-        a = random_complex(rng, (4, 4))
-        _, s, _ = svd(a)
-        w, _ = eigh(a.conj().T @ a)
-        assert np.allclose(np.sort(s), np.sqrt(np.clip(np.sort(w), 0, None)), atol=1e-10)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(11)
-        a = random_complex(rng, (3, 5))
-        u, s, v = svd(a)
-        sigma = np.zeros((3, 5))
-        sigma[:3, :3] = np.diag(s)
-        assert frob(u @ sigma @ v.conj().T - a) <= 1e-10
-
-    def test_agrees_with_eigh_on_psd(self):
-        rng = np.random.default_rng(12)
-        g = random_complex(rng, (4, 4))
-        h = g @ g.conj().T
-        _, s, _ = svd(h)
-        w, _ = eigh(h)
-        assert np.allclose(np.sort(s)[::-1], np.sort(w)[::-1], atol=1e-10)
 
 
 class TestHsInner:

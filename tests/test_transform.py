@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from mereo import (
+    ENV_OVERRIDE,
+    ChoiMatrix,
     Property,
     QuantumTransformation,
     SystemDims,
+    Tolerances,
     choi,
     compose,
     extract_property,
@@ -59,6 +62,20 @@ class TestChoi:
         assert same12 and not same13
         assert frob(choi(t1).matrix - choi(t2).matrix) <= 1e-12
         assert frob(choi(t1).matrix - choi(t3).matrix) > 1e-3
+
+    def test_psd_check_uses_callers_tolerances(self):
+        slightly_negative = np.diag([1.0, -1e-8, 0.0, 0.0])
+        ChoiMatrix(slightly_negative, d_in=2, d_out=2, tols=Tolerances())
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            ChoiMatrix(slightly_negative, d_in=2, d_out=2, tols=Tolerances(tol_rank=1e-9))
+
+    def test_callers_tolerances_skip_the_environment(self, monkeypatch):
+        monkeypatch.setenv(ENV_OVERRIDE, "{bad")
+        tols = Tolerances()
+        p = Property(np.diag([1.0, 0.0]), tols=tols)
+        t = from_property(p, tols=tols)
+        assert is_repeatable(t, tols=tols)
+        assert frob(extract_property(t, tols=tols).matrix - p.matrix) <= 1e-12
 
 
 class TestCompose:
