@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -147,6 +147,7 @@ def cmd_search(args, tols: Tolerances) -> dict:
         "cooccurrence_weight": result.cooccurrence_weight,
         "iterations_used": result.iterations_used,
         "converged": result.converged,
+        "restart_trace": [asdict(t) for t in result.restart_trace],
         "argmin_p": _property_dict(result.argmin_p),
         "argmin_q": _property_dict(result.argmin_q),
         "grid_oracle": None,
@@ -195,7 +196,7 @@ def cmd_density(args, tols: Tolerances) -> dict:
 
 def cmd_lattice(args, tols: Tolerances) -> dict:
     amp, source = _resolve_amplitude(args)
-    members = lattice_amplitudes(amp, args.k, args.seed, tols=tols)
+    members = lattice_amplitudes(amp, args.k, args.seed)
     conv = NontrivialityConvention.from_flag(
         args.convention if args.convention != "bothreport" else "atleastone"
     )

@@ -256,15 +256,12 @@ def gram_schmidt_hs(
     return [AmplitudeMatrix(b) for b in basis]
 
 
-def lattice_amplitudes(
-    amp: AmplitudeMatrix, k: int, rng_seed: int, *, tols: Tolerances | None = None
-) -> list[AmplitudeMatrix]:
+def lattice_amplitudes(amp: AmplitudeMatrix, k: int, rng_seed: int) -> list[AmplitudeMatrix]:
     """Extend ``amp`` to ``k`` HS-orthonormal amplitude matrices.
 
     The completion is a seeded random draw, orthogonalized against the
     family built so far; results are reproducible given ``rng_seed``.
     """
-    tols = tols or active_tolerances()
     d_a, d_b = amp.dims
     total = d_a * d_b
     if not 1 <= k <= total:
@@ -289,7 +286,7 @@ def holistic_lattice(
     """
     return [
         make_holistic(member, tols=tols)
-        for member in lattice_amplitudes(amp, k, rng_seed, tols=tols)
+        for member in lattice_amplitudes(amp, k, rng_seed)
     ]
 
 

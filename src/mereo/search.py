@@ -4,9 +4,12 @@ Independent cross-check for the analytic certifier: minimize the squared
 commutator norm of ``P (x) Q`` with the joint dyad over unitarily
 parametrized projectors of fixed rank.  Projectors are generated as
 ``U diag(1_rank, 0) U^dag`` with ``U = exp(i H(params))``, so the search
-runs in an unconstrained real parameter space; gradients go through the
-divided-difference (Daleckii-Krein) differential of the matrix exponential
-and are validated against central finite differences.
+runs in an unconstrained real parameter space.  The gradient pulls the
+cotangent ``L`` of each projector back to its generator in O(d^3): with
+``H = V diag(w) V^dag`` and ``G`` the divided differences (Daleckii-Krein)
+of ``exp(ix)`` on ``w``, ``M = E U^dag (L + L^dag)`` maps to
+``N = V ((V^dag M V) o G^T) V^dag``, whose entries are the gradient.  The
+kernel works row by row on stacked parameters, so restarts run as one stack.
 
 With ``exclude_exclusive`` a hinge penalty keeps the search away from the
 always-present exclusive solutions (``P @ amp @ Q.T == 0``), so the
@@ -16,7 +19,6 @@ restricted minimum probes the co-occurring branch only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +33,12 @@ from .holism import (
 from .linalg import SystemDims, frob, ginibre
 from .properties import Property
 
-EXCLUDE_FLOOR = 0.05  # well above tolerances, well below typical co-occurrence weights
+# Well above tolerances, well below typical co-occurrence weights.  It also
+# sets the restricted minimum at ranks (1, 1), where the objective is
+# 2x^2 - 2x^4 + (EXCLUDE_FLOOR - x)^2 in x = ||P amp Q^T||: least near
+# x = EXCLUDE_FLOOR / 3, at norm sqrt(2) x sqrt(1 - x^2) = 0.0235757 for any
+# amplitude whose top singular value stays below 0.9995.
+EXCLUDE_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -47,6 +54,15 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
+class RestartTrace:
+    """How one restart ended; ``stop_reason`` is grad_tol, step_underflow or max_iters."""
+
+    objective: float
+    iterations: int
+    stop_reason: str
+
+
+@dataclass(frozen=True)
 class SearchResult:
     """Best pair found; ``min_value`` is the commutator norm at the argmin."""
 
@@ -56,88 +72,88 @@ class SearchResult:
     iterations_used: int
     converged: bool
     cooccurrence_weight: float
+    restart_trace: tuple[RestartTrace, ...]
 
 
-@lru_cache(maxsize=None)
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Real-parameter basis of d x d Hermitian matrices, shape (d*d, d, d).
-
-    Layout: d diagonal units first, then (real, imaginary) pairs for each
-    off-diagonal position i < j in lexicographic order.
-    """
-    mats = []
-    for i in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[i, i] = 1.0
-        mats.append(m)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = 1.0
-            m[j, i] = 1.0
-            mats.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = 1.0j
-            m[j, i] = -1.0j
-            mats.append(m)
-    out = np.stack(mats)
-    out.setflags(write=False)
-    return out
+def _adj(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitian_from_params(params, d: int) -> np.ndarray:
-    """Assemble the Hermitian generator from a real parameter vector."""
-    params = np.asarray(params, dtype=float).reshape(-1)
-    if params.size != d * d:
-        raise ValueError(f"expected {d * d} parameters for dimension {d}, got {params.size}")
-    return np.tensordot(params, _hermitian_basis(d), axes=(0, 0))
+    """Hermitian generators from real parameters of shape ``(..., d*d)``.
+
+    Layout: d diagonal entries first, then the (real, imaginary) parts of
+    ``H[i, j]`` for each off-diagonal position i < j in lexicographic order.
+    """
+    params = np.asarray(params, dtype=float)
+    if params.ndim == 0 or params.shape[-1] != d * d:
+        raise ValueError(f"expected {d * d} parameters for dimension {d}, got {params.shape[-1:] or 1}")
+    h = np.zeros(params.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    i, j = np.triu_indices(d, 1)
+    h.real[..., diag, diag] = params[..., :d]
+    h.real[..., i, j] = h.real[..., j, i] = params[..., d::2]
+    h.imag[..., i, j] = params[..., d + 1 :: 2]
+    h.imag[..., j, i] = -params[..., d + 1 :: 2]
+    return h
+
+
+def _exp_i(params: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues ``w`` and eigenvectors ``V`` of ``H(params)``, and ``U = exp(i H)``."""
+    w, v = np.linalg.eigh(hermitian_from_params(params, d))
+    return w, v, (v * np.exp(1j * w)[..., None, :]) @ _adj(v)
 
 
 def parametrize_projector(params, d: int, rank: int, *, tols: Tolerances | None = None) -> Property:
     """Rank-``rank`` projector ``U diag(1_rank, 0) U^dag`` with ``U = exp(i H(params))``."""
     if not 0 <= rank <= d:
         raise ValueError(f"rank must be between 0 and {d}, got {rank}")
-    h = hermitian_from_params(params, d)
-    w, vmat = np.linalg.eigh(h)
-    u = (vmat * np.exp(1j * w)) @ vmat.conj().T
-    ur = u[:, :rank]
+    ur = _exp_i(np.asarray(params, dtype=float).reshape(-1), d)[2][:, :rank]
     return Property(ur @ ur.conj().T, tols=tols)
 
 
-def _projector_and_tangents(params: np.ndarray, d: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Projector plus its derivative against every parameter, shape (d*d, d, d)."""
-    basis = _hermitian_basis(d)
-    h = np.tensordot(params, basis, axes=(0, 0))
-    w, vmat = np.linalg.eigh(h)
+def _pullback(w: np.ndarray, v: np.ndarray, ur: np.ndarray, lmat: np.ndarray) -> np.ndarray:
+    """Gradient of ``Re Tr[L dP]`` in the generator parameters of ``P = U_r U_r^dag``.
+
+    ``dP = dU E U^dag + h.c.`` gives ``Re Tr[M dU]``; ``M = E U^dag (L + L^dag)``
+    vanishes from row ``rank`` on, so ``V^dag M = V_r^dag U_r^dag (L + L^dag)``
+    with ``V_r`` the first ``rank`` rows of ``V``.  ``Re Tr[N dH]`` then reads
+    ``Re N_ii`` on a diagonal unit and ``Re(N_ij + N_ji)``, ``Im(N_ij - N_ji)``
+    on the off-diagonal pair of :func:`hermitian_from_params`.
+    """
+    d, rank = w.shape[-1], ur.shape[-1]
     phase = np.exp(1j * w)
     # divided differences of x -> exp(ix) on the spectrum; the confluent
     # limit handles (near-)degenerate eigenvalue pairs
-    dw = w[:, None] - w[None, :]
-    confluent = 1j * np.exp(1j * (w[:, None] + w[None, :]) / 2.0)
+    dw = w[..., :, None] - w[..., None, :]
+    confluent = 1j * np.exp(1j * (w[..., :, None] + w[..., None, :]) / 2.0)
     near = np.abs(dw) < 1e-9
-    g = np.where(near, confluent, (phase[:, None] - phase[None, :]) / np.where(near, 1.0, dw))
-    u = (vmat * phase) @ vmat.conj().T
-    ur = u[:, :rank]
-    proj = ur @ ur.conj().T
-    m = np.einsum("ij,pjk,kl->pil", vmat.conj().T, basis, vmat)
-    du = np.einsum("ij,pjk,kl->pil", vmat, g[None, :, :] * m, vmat.conj().T)
-    dur = du[:, :, :rank]
-    dproj = np.einsum("pik,jk->pij", dur, ur.conj()) + np.einsum("ik,pjk->pij", ur, dur.conj())
-    return proj, dproj
+    g = np.where(near, confluent, (phase[..., :, None] - phase[..., None, :]) / np.where(near, 1.0, dw))
+    vmv = _adj(v[..., :rank, :]) @ (_adj(ur) @ (lmat + _adj(lmat))) @ v
+    n = v @ (vmv * g.swapaxes(-1, -2)) @ _adj(v)
+    i, j = np.triu_indices(d, 1)
+    grad = np.empty(w.shape[:-1] + (d * d,))
+    grad[..., :d] = np.diagonal(n, axis1=-2, axis2=-1).real
+    grad[..., d::2] = (n[..., i, j] + n[..., j, i]).real
+    grad[..., d + 1 :: 2] = (n[..., i, j] - n[..., j, i]).imag
+    return grad
 
 
-def _pair_objective(amp_matrix: np.ndarray, proj_p: np.ndarray, proj_q: np.ndarray,
-                    exclude_exclusive: bool) -> float:
-    """Squared commutator norm, via the matrix-side identity, plus hinge."""
-    w = proj_p @ amp_matrix @ proj_q.T
-    n2 = float(np.vdot(w, w).real)
-    c = complex(np.vdot(amp_matrix, w))
-    f = 2.0 * n2 - 2.0 * (c.real * c.real - c.imag * c.imag)
+def _objective_terms(
+    amp_matrix: np.ndarray, w: np.ndarray, exclude_exclusive: bool
+) -> tuple[np.ndarray, ...]:
+    """``(objective, comm2, n2, c)`` of stacked ``W = P amp Q^T``, per leading index.
+
+    ``comm2 = 2 n2 - 2 Re(c^2)`` is the squared commutator norm, ``n2 = ||W||^2``,
+    ``c = <amp, W>_HS``; the objective adds the hinge when ``exclude_exclusive``.
+    """
+    n2 = np.einsum("...ik,...ik->...", w.conj(), w).real
+    c = np.einsum("ik,...ik->...", amp_matrix.conj(), w)
+    comm2 = 2.0 * n2 - 2.0 * (c.real**2 - c.imag**2)
+    obj = comm2
     if exclude_exclusive:
-        gap = EXCLUDE_FLOOR - np.sqrt(n2)
-        if gap > 0.0:
-            f += gap * gap
-    return f
+        obj = comm2 + np.maximum(0.0, EXCLUDE_FLOOR - np.sqrt(n2)) ** 2
+    return obj, comm2, n2, c
 
 
 def objective(amp: AmplitudeMatrix, p: Property, q: Property, cfg: SearchConfig) -> float:
@@ -149,58 +165,63 @@ def objective(amp: AmplitudeMatrix, p: Property, q: Property, cfg: SearchConfig)
     d_a, d_b = amp.dims
     if p.dim != d_a or q.dim != d_b:
         raise ValueError(f"pair dims ({p.dim}, {q.dim}) do not match amplitude dims ({d_a}, {d_b})")
-    return _pair_objective(amp.matrix, p.matrix, q.matrix, cfg.exclude_exclusive)
+    w = p.matrix @ amp.matrix @ q.matrix.T
+    return float(_objective_terms(amp.matrix, w, cfg.exclude_exclusive)[0])
 
 
 def objective_value_and_grad(
     amp: AmplitudeMatrix, params: np.ndarray, cfg: SearchConfig
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Objective and its analytic gradient in the joint parameter vector.
 
     Parameters concatenate the generator of ``P`` (length ``d_a^2``) and of
-    ``Q`` (length ``d_b^2``).
+    ``Q`` (length ``d_b^2``).  Leading axes stack pairs, computed row by row so
+    that a row's result does not depend on the stack; 1-D gives ``(float, grad)``.
     """
     d_a, d_b = amp.dims
     n_p = d_a * d_a
-    params = np.asarray(params, dtype=float).reshape(-1)
-    if params.size != n_p + d_b * d_b:
-        raise ValueError(f"expected {n_p + d_b * d_b} parameters, got {params.size}")
-    proj_p, dp = _projector_and_tangents(params[:n_p], d_a, cfg.rank_p)
-    proj_q, dq = _projector_and_tangents(params[n_p:], d_b, cfg.rank_q)
+    params = np.asarray(params, dtype=float)
+    if params.ndim == 0 or params.shape[-1] != n_p + d_b * d_b:
+        raise ValueError(f"expected {n_p + d_b * d_b} parameters, got {params.shape[-1:] or 1}")
+    x = params.reshape(-1, params.shape[-1])
+    w_p, v_p, u_p = _exp_i(x[:, :n_p], d_a)
+    w_q, v_q, u_q = _exp_i(x[:, n_p:], d_b)
+    ur_p, ur_q = u_p[..., : cfg.rank_p], u_q[..., : cfg.rank_q]
+    proj_p, proj_q_t = ur_p @ _adj(ur_p), (ur_q @ _adj(ur_q)).swapaxes(-1, -2)
 
     am = amp.matrix
-    w = proj_p @ am @ proj_q.T
-    n2 = float(np.vdot(w, w).real)
-    c = complex(np.vdot(am, w))
-    f = 2.0 * n2 - 2.0 * (c.real * c.real - c.imag * c.imag)
-    k = 4.0 * (w - np.conj(c) * am)
+    w = proj_p @ am @ proj_q_t
+    f, _, n2, c = _objective_terms(am, w, cfg.exclude_exclusive)
+    k = 4.0 * (w - np.conj(c)[:, None, None] * am)
     if cfg.exclude_exclusive:
         nw = np.sqrt(n2)
         gap = EXCLUDE_FLOOR - nw
-        if gap > 0.0:
-            f += gap * gap
-            if nw > 1e-12:
-                k = k - (2.0 * gap / nw) * w
+        hinged = (gap > 0.0) & (nw > 1e-12)
+        k = k - np.where(hinged, 2.0 * gap / np.where(hinged, nw, 1.0), 0.0)[:, None, None] * w
 
-    # d f = Re Tr[K^dag dW] with dW = dP @ (amp Q^T) resp. (P amp) @ dQ^T
-    gq = am @ proj_q.T
-    lp = gq @ k.conj().T
-    grad_p = np.real(np.einsum("ij,pji->p", lp, dp))
-    pg = proj_p @ am
-    y = k.conj().T @ pg
-    grad_q = np.real(np.einsum("ij,pij->p", y, dq))
-    return f, np.concatenate([grad_p, grad_q])
+    # d f = Re Tr[K^dag dW] with dW = dP (amp Q^T), so L_P = amp Q^T K^dag;
+    # resp. dW = (P amp) dQ^T, so L_Q = (K^dag P amp)^T
+    grad_p = _pullback(w_p, v_p, ur_p, am @ proj_q_t @ _adj(k))
+    grad_q = _pullback(w_q, v_q, ur_q, (_adj(k) @ proj_p @ am).swapaxes(-1, -2))
+    grad = np.concatenate([grad_p, grad_q], axis=-1).reshape(params.shape)
+    if params.ndim == 1:
+        return float(f[0]), grad
+    return f.reshape(params.shape[:-1]), grad
 
 
 def minimize(amp: AmplitudeMatrix, cfg: SearchConfig, *, tols: Tolerances | None = None) -> SearchResult:
     """Multi-restart gradient descent over the projector parameters.
 
-    Step control is plain halving on non-decrease with mild growth on
-    acceptance; restarts are seeded independently by index, so enlarging
-    ``cfg.restarts`` only ever adds candidates.  ``min_value`` is the
-    commutator norm of the best pair from :func:`product_commutator_norm`,
+    Restarts descend as one stack, each halving its step on non-decrease and
+    growing it mildly on acceptance, until ``grad_tol``, a step below 1e-14
+    or ``max_iters`` (``restart_trace`` says which).  They are seeded by index
+    and computed row by row, so enlarging ``cfg.restarts`` only ever adds
+    candidates; the first with the lowest objective wins.  ``min_value`` is
+    the commutator norm of that pair from :func:`product_commutator_norm`,
     not the square root of the objective, whose cancellation hides norms
-    below about 1e-8; results replay by construction.
+    below about 1e-8; results replay by construction.  At ranks (1, 1) with
+    ``exclude_exclusive`` the minimum is 0.0235757, set by the hinge floor
+    and not by the amplitude (see ``EXCLUDE_FLOOR``).
     """
     d_a, d_b = amp.dims
     if not 0 < cfg.rank_p < d_a:
@@ -211,48 +232,46 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig, *, tols: Tolerances | None
         raise ValueError("restarts and max_iters must be positive")
     n_params = d_a * d_a + d_b * d_b
 
-    best_f = np.inf
-    best_params = None
-    best_converged = False
-    total_iters = 0
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.rng_seed, restart])
-        x = rng.normal(0.0, 1.5, size=n_params)
-        f, grad = objective_value_and_grad(amp, x, cfg)
-        step = cfg.step_init
-        converged = False
-        for _ in range(cfg.max_iters):
-            total_iters += 1
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm <= cfg.grad_tol:
-                converged = True
-                break
-            cand = x - step * grad
-            f_cand, grad_cand = objective_value_and_grad(amp, cand, cfg)
-            if f_cand < f:
-                x, f, grad = cand, f_cand, grad_cand
-                step = min(step * 1.5, 10.0)
-            else:
-                step *= 0.5
-                if step < 1e-14:
-                    break
-        if f < best_f:
-            best_f = f
-            best_params = x
-            best_converged = converged
+    rngs = [np.random.default_rng([cfg.rng_seed, r]) for r in range(cfg.restarts)]
+    x = np.stack([rng.normal(0.0, 1.5, size=n_params) for rng in rngs])
+    f, grad = objective_value_and_grad(amp, x, cfg)
+    step = np.full(cfg.restarts, cfg.step_init)
+    iters = np.zeros(cfg.restarts, dtype=int)
+    reason = np.full(cfg.restarts, "max_iters", dtype=object)
+    live = np.arange(cfg.restarts)
+    for _ in range(cfg.max_iters):
+        iters[live] += 1
+        done = np.linalg.norm(grad[live], axis=-1) <= cfg.grad_tol
+        reason[live[done]] = "grad_tol"
+        live = live[~done]
+        if not live.size:
+            break
+        cand = x[live] - step[live, None] * grad[live]
+        f_cand, grad_cand = objective_value_and_grad(amp, cand, cfg)
+        better = f_cand < f[live]
+        acc = live[better]
+        x[acc], f[acc], grad[acc] = cand[better], f_cand[better], grad_cand[better]
+        step[acc] = np.minimum(step[acc] * 1.5, 10.0)
+        step[live[~better]] *= 0.5
+        stalled = ~better & (step[live] < 1e-14)
+        reason[live[stalled]] = "step_underflow"
+        live = live[~stalled]
 
-    assert best_params is not None  # restarts >= 1 by construction
-    p = parametrize_projector(best_params[: d_a * d_a], d_a, cfg.rank_p, tols=tols)
-    q = parametrize_projector(best_params[d_a * d_a :], d_b, cfg.rank_q, tols=tols)
+    best = int(np.argmin(f))
+    p = parametrize_projector(x[best, : d_a * d_a], d_a, cfg.rank_p, tols=tols)
+    q = parametrize_projector(x[best, d_a * d_a :], d_b, cfg.rank_q, tols=tols)
     min_value = product_commutator_norm(amp, (p, q))
     weight = frob(p.matrix @ amp.matrix @ q.matrix.T)
     return SearchResult(
         min_value=min_value,
         argmin_p=p,
         argmin_q=q,
-        iterations_used=total_iters,
-        converged=best_converged,
+        iterations_used=int(iters.sum()),
+        converged=reason[best] == "grad_tol",
         cooccurrence_weight=weight,
+        restart_trace=tuple(
+            RestartTrace(float(f[r]), int(iters[r]), str(reason[r])) for r in range(cfg.restarts)
+        ),
     )
 
 
@@ -293,27 +312,18 @@ def brute_force_grid_d2(
     proj, tg, pg = bloch_projectors(resolution)
     qt = proj.transpose(0, 2, 1)  # transpose without conjugation
     gqt = np.einsum("ij,bjk->bik", amp.matrix, qt)
-    conj_amp = amp.matrix.conj()
 
     best_obj = np.inf
     best_comm = np.inf
     best_idx = (0, 0)
     chunk = max(1, min(proj.shape[0], 256))
     for start in range(0, proj.shape[0], chunk):
-        block = proj[start : start + chunk]
-        w = np.einsum("aij,bjk->abik", block, gqt)
-        n2 = np.einsum("abik,abik->ab", w.conj(), w).real
-        c = np.einsum("ik,abik->ab", conj_amp, w)
-        f = 2.0 * n2 - 2.0 * (c.real**2 - c.imag**2)
-        comm = np.sqrt(np.maximum(f, 0.0))
-        obj = f
-        if exclude_exclusive:
-            obj = obj + np.maximum(0.0, EXCLUDE_FLOOR - np.sqrt(n2)) ** 2
-        flat = int(np.argmin(obj))
-        a_off, b_idx = divmod(flat, obj.shape[1])
+        w = np.einsum("aij,bjk->abik", proj[start : start + chunk], gqt)
+        obj, comm2, _, _ = _objective_terms(amp.matrix, w, exclude_exclusive)
+        a_off, b_idx = divmod(int(np.argmin(obj)), obj.shape[1])
         if obj[a_off, b_idx] < best_obj:
             best_obj = float(obj[a_off, b_idx])
-            best_comm = float(comm[a_off, b_idx])
+            best_comm = float(np.sqrt(max(comm2[a_off, b_idx], 0.0)))
             best_idx = (start + a_off, b_idx)
     a_idx, b_idx = best_idx
     angles = (float(tg[a_idx]), float(pg[a_idx]), float(tg[b_idx]), float(pg[b_idx]))

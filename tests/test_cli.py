@@ -116,6 +116,10 @@ class TestSearch:
         _, first = run_cli(args, capsys)
         _, second = run_cli(args, capsys)
         assert first["results"] == second["results"]
+        trace = first["results"]["restart_trace"]
+        assert len(trace) == 4
+        assert sum(t["iterations"] for t in trace) == first["results"]["iterations_used"]
+        assert set(trace[0]) == {"objective", "iterations", "stop_reason"}
 
 
 class TestDensity:

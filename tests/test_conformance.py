@@ -1,9 +1,11 @@
-"""Matrix-side commutator replay against the composite-space route.
+"""Fast kernels against their reference routes.
 
 ``product_commutator_norm`` and the lattice tables never form an operator on
 the ``d_a d_b``-dimensional joint space.  These tests rebuild the joint dyad
 and ``kron(P, Q)`` explicitly and require both routes to agree, across
-dimensions, amplitude ranks, certifier witnesses and random pairs.
+dimensions, amplitude ranks, certifier witnesses and random pairs.  The
+search gradient is a pullback through the generator; it is checked against
+the route that differentiates the projector along every basis direction.
 """
 
 import json
@@ -18,13 +20,18 @@ from mereo import (
     SystemDims,
     certify_rank1,
     frob,
+    SearchConfig,
     ginibre,
     make_holistic,
+    objective,
+    objective_value_and_grad,
+    parametrize_projector,
     product_commutator_norm,
     random_product_pair,
 )
 from mereo import cli
 from mereo.io import matrix_from_json_dict
+from mereo.search import EXCLUDE_FLOOR, hermitian_from_params
 
 AGREE = 1e-12
 
@@ -80,3 +87,78 @@ def test_lattice_tables_match_projector_products(argv, tmp_path):
             a, b = props[i], props[j]
             assert abs(comm[i, j] - frob(a @ b - b @ a)) <= AGREE
             assert abs(prod[i, j] - frob(a @ b)) <= AGREE
+
+
+def projector_and_tangents(params, d, rank):
+    """Projector ``U_r U_r^dag``, ``U = exp(i H)``, and its derivative along each basis generator."""
+    basis = hermitian_from_params(np.eye(d * d), d)
+    w, vmat = np.linalg.eigh(hermitian_from_params(params, d))
+    phase = np.exp(1j * w)
+    dw = w[:, None] - w[None, :]
+    near = np.abs(dw) < 1e-9
+    confluent = 1j * np.exp(1j * (w[:, None] + w[None, :]) / 2.0)
+    g = np.where(near, confluent, (phase[:, None] - phase[None, :]) / np.where(near, 1.0, dw))
+    ur = ((vmat * phase) @ vmat.conj().T)[:, :rank]
+    m = np.einsum("ij,pjk,kl->pil", vmat.conj().T, basis, vmat)
+    dur = np.einsum("ij,pjk,kl->pil", vmat, g[None, :, :] * m, vmat.conj().T)[:, :, :rank]
+    dproj = np.einsum("pik,jk->pij", dur, ur.conj()) + np.einsum("ik,pjk->pij", ur, dur.conj())
+    return ur @ ur.conj().T, dproj
+
+
+def tangent_gradient(amp, params, cfg):
+    """Objective gradient as ``Re Tr[K^dag dW]`` over the tangent tensors, O(d^5)."""
+    d_a, d_b = amp.dims
+    proj_p, dp = projector_and_tangents(params[: d_a * d_a], d_a, cfg.rank_p)
+    proj_q, dq = projector_and_tangents(params[d_a * d_a :], d_b, cfg.rank_q)
+    am = amp.matrix
+    w = proj_p @ am @ proj_q.T
+    nw = frob(w)
+    k = 4.0 * (w - np.conj(np.vdot(am, w)) * am)
+    if cfg.exclude_exclusive and 1e-12 < nw < EXCLUDE_FLOOR:
+        k = k - (2.0 * (EXCLUDE_FLOOR - nw) / nw) * w
+    grad_p = np.real(np.einsum("ij,pji->p", am @ proj_q.T @ k.conj().T, dp))
+    grad_q = np.real(np.einsum("ij,pij->p", k.conj().T @ proj_p @ am, dq))
+    return np.concatenate([grad_p, grad_q])
+
+
+def params_from_hermitian(h):
+    d = h.shape[0]
+    i, j = np.triu_indices(d, 1)
+    pairs = np.stack([h[i, j].real, h[i, j].imag], axis=1).reshape(-1)
+    return np.concatenate([np.diag(h).real, pairs])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 4), (5, 5), (6, 6)])
+def test_adjoint_gradient_matches_tangent_route(dims):
+    d_a, d_b = dims
+    rng = np.random.default_rng([23, d_a, d_b])
+    for rank_p, rank_q in {(1, 1), (d_a - 1, d_b - 1)}:
+        for hinge in (False, True):
+            cfg = SearchConfig(rank_p=rank_p, rank_q=rank_q, exclude_exclusive=hinge)
+            # a repeated generator eigenvalue sends every factor through the
+            # confluent branch of the divided differences
+            u_a = np.linalg.qr(ginibre(SystemDims(d_a, d_a), rng))[0]
+            u_b = np.linalg.qr(ginibre(SystemDims(d_b, d_b), rng))[0]
+            spec_a = np.concatenate([[0.7, 0.7], rng.normal(size=d_a - 2)])
+            spec_b = np.concatenate([[-1.2, -1.2], rng.normal(size=d_b - 2)])
+            repeated = np.concatenate([
+                params_from_hermitian((u_a * spec_a) @ u_a.conj().T),
+                params_from_hermitian((u_b * spec_b) @ u_b.conj().T),
+            ])
+            points = [rng.normal(0.0, 1.5, size=d_a * d_a + d_b * d_b) for _ in range(3)]
+            points += [np.zeros(d_a * d_a + d_b * d_b), repeated]
+            for params in points:
+                g = ginibre(SystemDims(d_a, d_b), rng)
+                if hinge:
+                    # keep P amp Q^T under the floor, so the hinge is active
+                    p = parametrize_projector(params[: d_a * d_a], d_a, rank_p).matrix
+                    g = g - (1.0 - 1e-3) * (p @ g)
+                amp = AmplitudeMatrix.normalized(g)
+                if hinge:
+                    q = parametrize_projector(params[d_a * d_a :], d_b, rank_q)
+                    assert objective(amp, Property(p), q, cfg) > objective(
+                        amp, Property(p), q, SearchConfig(exclude_exclusive=False)
+                    )
+                _, grad = objective_value_and_grad(amp, params, cfg)
+                ref = tangent_gradient(amp, params, cfg)
+                assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)

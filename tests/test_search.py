@@ -1,5 +1,7 @@
 """Commutant search: parametrization, gradients, optimizer, grid oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,28 @@ class TestGradient:
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel <= 1e-4
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 4), (6, 6)])
+    def test_stacked_rows_equal_single_calls(self, dims):
+        # the stacked descent relies on rows not depending on the stack
+        rng = np.random.default_rng(2)
+        amp = random_amp(rng, *dims)
+        params = rng.normal(0.0, 1.5, size=(9, dims[0] ** 2 + dims[1] ** 2))
+        for cfg in (SearchConfig(), SearchConfig(rank_p=dims[0] - 1, exclude_exclusive=True)):
+            values, grads = objective_value_and_grad(amp, params, cfg)
+            assert values.shape == (9,) and grads.shape == params.shape
+            for r in range(9):
+                value, grad = objective_value_and_grad(amp, params[r], cfg)
+                assert isinstance(value, float)
+                assert value == values[r] and np.array_equal(grad, grads[r])
+            subset = [7, 2, 3]
+            sub_values, sub_grads = objective_value_and_grad(amp, params[subset], cfg)
+            assert np.array_equal(sub_values, values[subset])
+            assert np.array_equal(sub_grads, grads[subset])
+
+    def test_wrong_param_count(self):
+        with pytest.raises(ValueError):
+            objective_value_and_grad(BELL, np.zeros((3, 7)), SearchConfig())
+
 
 class TestMinimize:
     def test_bell_unrestricted_reaches_exclusive_witness(self):
@@ -160,6 +184,32 @@ class TestMinimize:
                 # genuine regressions would show at the basin scale
                 assert values[0] >= values[1] - 1e-9
                 assert values[1] >= values[2] - 1e-9
+
+    def test_restart_trace(self):
+        cfg = SearchConfig(restarts=8, exclude_exclusive=True, rng_seed=3)
+        res = minimize(BELL, cfg)
+        trace = res.restart_trace
+        assert len(trace) == 8
+        assert sum(t.iterations for t in trace) == res.iterations_used
+        assert {t.stop_reason for t in trace} <= {"grad_tol", "step_underflow", "max_iters"}
+        best = min(range(8), key=lambda r: trace[r].objective)
+        assert res.converged == (trace[best].stop_reason == "grad_tol")
+        # restarts run row by row, so a larger budget replays the first ones
+        assert minimize(BELL, replace(cfg, restarts=3)).restart_trace == trace[:3]
+        short = minimize(BELL, replace(cfg, max_iters=2)).restart_trace
+        assert [(t.iterations, t.stop_reason) for t in short] == [(2, "max_iters")] * 8
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_hinge_equilibrium_is_set_by_the_floor(self, d):
+        # at ranks (1, 1) the restricted objective is 2x^2 - 2x^4 + (floor - x)^2
+        # in x = ||P amp Q^T||, so its minimum does not depend on the amplitude
+        roots = np.roots([-8.0, 0.0, 6.0, -2.0 * EXCLUDE_FLOOR])
+        x = min(r.real for r in roots if 0.0 < r.real < EXCLUDE_FLOOR)
+        expected = np.sqrt(2.0) * x * np.sqrt(1.0 - x * x)
+        assert abs(expected - 0.0235757) <= 1e-7
+        amp = random_amp(np.random.default_rng(d), d, d)
+        res = minimize(amp, SearchConfig(restarts=8, exclude_exclusive=True, rng_seed=1))
+        assert abs(res.min_value - expected) <= 1e-6
 
     def test_invalid_ranks(self):
         with pytest.raises(ValueError):
