@@ -24,10 +24,9 @@ from .holism import (
     marginal_entropy,
     product_commutator_norm,
 )
-from .linalg import SystemDims, as_matrix, frob, ginibre, hs_inner, kron, partial_trace
+from .linalg import SystemDims, frob, ginibre, hs_inner, kron, partial_trace
 from .properties import (
     Property,
-    PropertyCheck,
     State,
     Verdict,
     compatible,
@@ -40,9 +39,7 @@ from .properties import (
 )
 from .search import (
     EXCLUDE_FLOOR,
-    DensityReport,
     SearchConfig,
-    SearchResult,
     bloch_projectors,
     brute_force_grid_d2,
     density_scan,
@@ -67,24 +64,20 @@ __all__ = [
     "EXCLUDE_FLOOR",
     "AmplitudeMatrix",
     "ChoiMatrix",
-    "DensityReport",
     "DoubleKet",
     "HolismVerdict",
     "InvariantViolation",
     "NontrivialityConvention",
     "ProductProperty",
     "Property",
-    "PropertyCheck",
     "QuantumTransformation",
     "SearchConfig",
-    "SearchResult",
     "State",
     "SystemDims",
     "Tolerances",
     "Verdict",
     "active_tolerances",
     "apply_local",
-    "as_matrix",
     "bloch_projectors",
     "brute_force_grid_d2",
     "certify_rank1",

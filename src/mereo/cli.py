@@ -25,10 +25,11 @@ from .holism import (
     NontrivialityConvention,
     ProductProperty,
     certify_rank1,
+    holistic_at_rank,
     lattice_amplitudes,
-    make_holistic,
     marginal_entropy,
     product_commutator_norm,
+    schmidt_rank,
 )
 from .io import (
     PRESET_NAMES,
@@ -200,27 +201,28 @@ def cmd_lattice(args, tols: Tolerances) -> dict:
     conv = NontrivialityConvention.from_flag(
         args.convention if args.convention != "bothreport" else "atleastone"
     )
-    props = [make_holistic(m, tols=tols) for m in members]
-    # members are unit vectors v_i, so with g_ij = <v_i, v_j> the projector
-    # norms follow from one Gram row each: ||P_i P_j|| = |g_ij| and
-    # ||[P_i, P_j]|| = sqrt(2) |g_ij| ||v_j - g_ij v_i||, which unlike
-    # sqrt(2 |g|^2 (1 - |g|^2)) does not cancel on the diagonal
+    ranks = schmidt_rank(np.array([m.singular_values for m in members]), tols)
+    holistic = holistic_at_rank(ranks, amp.dims, conv)
+    # members are unit vectors v_i, so each projector is the rank-1 |v_i><v_i|
+    # and, with g_ij = <v_i, v_j>, the pairwise norms follow from one Gram row
+    # each: ||P_i P_j|| = |g_ij| and ||[P_i, P_j]|| = sqrt(2) |g_ij| ||v_j - g_ij v_i||,
+    # which unlike sqrt(2 |g|^2 (1 - |g|^2)) does not cancel on the diagonal
     vecs = np.array([m.matrix.reshape(-1) for m in members])
+    projectors = [np.outer(v, v.conj()) for v in vecs]
     comm = np.empty((len(members), len(members)))
     prod = np.empty_like(comm)
     for i, v in enumerate(vecs):
         g = vecs @ v.conj()
         prod[i] = np.abs(g)
         comm[i] = np.sqrt(2.0) * prod[i] * np.linalg.norm(vecs - g[:, None] * v, axis=1)
-    total = sum(p.matrix for p in props)
+    total = sum(projectors)
     member_records = []
-    for m, p in zip(members, props):
-        verdict = certify_rank1(m, conv, tols=tols)
+    for m, proj, rank, hol in zip(members, projectors, ranks, holistic):
         member_records.append({
             "amplitude": matrix_to_json_dict(m.matrix),
-            "projector": _property_dict(p),
-            "rank": verdict.rank,
-            "holistic": verdict.holistic,
+            "projector": {**matrix_to_json_dict(proj), "rank": 1},
+            "rank": int(rank),
+            "holistic": bool(hol),
             "smallest_singular_value": float(m.singular_values[-1]),
         })
     return {

@@ -124,6 +124,28 @@ def product_commutator_norm(
     return float(np.sqrt(2.0 * frob(w - c * amp.matrix) ** 2 + 4.0 * c.imag * c.imag))
 
 
+def schmidt_rank(s, tols: Tolerances):
+    """Number of singular values above ``tol_rank``, along the last axis of ``s``."""
+    return np.sum(np.asarray(s) > tols.tol_rank, axis=-1)
+
+
+def holistic_at_rank(rank, dims, convention: NontrivialityConvention):
+    """Whether no co-occurring witness exists at Schmidt rank ``rank``, elementwise.
+
+    One exists iff ``r < d_a or r < d_b`` (at-least-one), resp. ``r < d_a and
+    r < d_b`` (both).  Rank 0 and factor dimensions below 2 are input errors.
+    """
+    d_a, d_b = int(dims[0]), int(dims[1])
+    if d_a < 2 or d_b < 2:
+        raise ValueError("holism certification needs both factor dimensions >= 2")
+    rank = np.asarray(rank)
+    if np.any(rank < 1):
+        raise ValueError("no singular value above tol_rank: the amplitude has rank 0 at this tolerance")
+    if convention is NontrivialityConvention.AT_LEAST_ONE:
+        return (rank >= d_a) & (rank >= d_b)
+    return (rank >= d_a) | (rank >= d_b)
+
+
 def certify_rank1(
     amp: AmplitudeMatrix,
     convention: NontrivialityConvention = NontrivialityConvention.AT_LEAST_ONE,
@@ -132,61 +154,47 @@ def certify_rank1(
 ) -> HolismVerdict:
     """Decide whether the joint dyad commutes with any nontrivial pair.
 
-    Rank decisions come from the singular values against ``tol_rank``; with
-    ``r = rank(amp)``:
+    The verdict is :func:`holistic_at_rank` at ``r = schmidt_rank(s)``.  When
+    it is not holistic, the co-occurring witness projects onto the leading
+    ``r`` singular subspaces: solutions of ``P @ amp @ Q.T == amp`` contain
+    the column and row spaces.  An exclusive witness always exists.
 
-    * Co-occurring branch.  Solutions of ``P @ amp @ Q.T == amp`` force
-      ``P`` to contain the column space and ``Q.T`` the row space, so the
-      minimal solution projects onto the leading singular subspaces.  It is
-      reported iff the declared convention can be met, i.e. ``r < d_a`` or
-      ``r < d_b`` (at-least-one) resp. ``r < d_a`` and ``r < d_b`` (both).
-    * Exclusive branch.  For ``d_a, d_b >= 2`` a both-nontrivial pair always
-      exists: take the first canonical basis column with a nonzero image,
-      project onto it on the right and onto the image's orthogonal
-      complement on the left.
-
-    Every reported witness is replayed through
-    :func:`product_commutator_norm`; a replay above ``tol_compat`` raises
-    :class:`InvariantViolation`.
+    Every witness is replayed through :func:`product_commutator_norm`; a
+    replay above ``tol_compat`` raises :class:`InvariantViolation`.  The
+    co-occurring bound adds ``sqrt(2) ||s[r:]||``, since truncating ``s[r:]``
+    leaves the residual ``sqrt(2 delta (1 - delta))``, ``delta = ||s[r:]||^2``.
     """
     tols = tols or active_tolerances()
-    d_a, d_b = amp.dims
-    if d_a < 2 or d_b < 2:
-        raise ValueError("holism certification needs both factor dimensions >= 2")
     u, s, v = amp.svd()
-    r = int(np.sum(s > tols.tol_rank))
-
-    if convention is NontrivialityConvention.AT_LEAST_ONE:
-        lambda1_exists = r < d_a or r < d_b
-    else:
-        lambda1_exists = r < d_a and r < d_b
+    r = int(schmidt_rank(s, tols))
+    holistic = bool(holistic_at_rank(r, amp.dims, convention))
 
     lambda1 = None
-    if lambda1_exists:
-        ur = u[:, :r]
-        vr = v[:, :r]
+    if not holistic:
+        ur, vr = u[:, :r], v[:, :r]
         p1 = Property(ur @ ur.conj().T, tols=tols)
         q1 = Property((vr @ vr.conj().T).T.copy(), tols=tols)
         lambda1 = ProductProperty(p1, q1, convention)
 
     lambda0 = _exclusive_witness(amp, convention, tols)
 
-    for witness in (lambda1, lambda0):
+    bound1 = tols.tol_compat + float(np.sqrt(2.0) * frob(s[r:]))
+    for witness, bound in ((lambda1, bound1), (lambda0, tols.tol_compat)):
         if witness is None:
             continue
         replay = product_commutator_norm(amp, witness, tols=tols)
-        if replay > tols.tol_compat:
+        if replay > bound:
             raise InvariantViolation(
-                f"witness replay failed: commutator norm {replay!r} > {tols.tol_compat!r}"
+                f"witness replay failed: commutator norm {replay!r} > {bound!r}"
             )
 
     return HolismVerdict(
         lambda1_witness=lambda1,
         lambda0_witness=lambda0,
-        holistic=lambda1 is None,
-        strictly_no_commuting_product=lambda1 is None and lambda0 is None,
+        holistic=holistic,
+        strictly_no_commuting_product=holistic and lambda0 is None,
         rank=r,
-        dims=SystemDims(d_a, d_b),
+        dims=amp.dims,
         convention=convention,
     )
 
@@ -194,20 +202,15 @@ def certify_rank1(
 def _exclusive_witness(
     amp: AmplitudeMatrix, convention: NontrivialityConvention, tols: Tolerances
 ) -> ProductProperty:
-    """Both-nontrivial pair with ``P @ amp @ Q.T == 0``, built deterministically."""
+    """Both-nontrivial pair with ``P @ amp @ Q.T == 0``, built deterministically.
+
+    ``Q`` projects onto the first column with norm above ``tol_rank``, else onto
+    the longest (nonzero for unit-norm ``amp``); ``P`` off that column's image.
+    """
     d_a, d_b = amp.dims
-    col = None
-    for j in range(d_b):
-        if np.linalg.norm(amp.matrix[:, j]) > tols.tol_rank:
-            col = j
-            break
+    col = next((j for j in range(d_b) if np.linalg.norm(amp.matrix[:, j]) > tols.tol_rank), None)
     if col is None:
-        # unreachable for unit-norm amplitudes; keep the contract total
-        p = np.zeros((d_a, d_a), dtype=complex)
-        p[0, 0] = 1.0
-        q = np.zeros((d_b, d_b), dtype=complex)
-        q[0, 0] = 1.0
-        return ProductProperty(Property(p, tols=tols), Property(q, tols=tols), convention)
+        col = int(np.argmax(np.linalg.norm(amp.matrix, axis=0)))
     image = amp.matrix[:, col]
     image = image / np.linalg.norm(image)
     p = np.eye(d_a, dtype=complex) - np.outer(image, image.conj())

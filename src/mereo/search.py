@@ -27,8 +27,9 @@ from .doubleket import AmplitudeMatrix
 from .holism import (
     NontrivialityConvention,
     ProductProperty,
-    certify_rank1,
+    holistic_at_rank,
     product_commutator_norm,
+    schmidt_rank,
 )
 from .linalg import SystemDims, frob, ginibre
 from .properties import Property
@@ -39,6 +40,8 @@ from .properties import Property
 # x = EXCLUDE_FLOOR / 3, at norm sqrt(2) x sqrt(1 - x^2) = 0.0235757 for any
 # amplitude whose top singular value stays below 0.9995.
 EXCLUDE_FLOOR = 0.05
+STEP_INIT = 0.5  # first descent step of every restart
+GRAD_TOL = 1e-8  # gradient norm at which a restart stops with "grad_tol"
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,6 @@ class SearchConfig:
     rank_q: int = 1
     restarts: int = 32
     max_iters: int = 500
-    step_init: float = 0.5
-    grad_tol: float = 1e-8
     exclude_exclusive: bool = False
     rng_seed: int = 0
 
@@ -213,7 +214,7 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig, *, tols: Tolerances | None
     """Multi-restart gradient descent over the projector parameters.
 
     Restarts descend as one stack, each halving its step on non-decrease and
-    growing it mildly on acceptance, until ``grad_tol``, a step below 1e-14
+    growing it mildly on acceptance, until ``GRAD_TOL``, a step below 1e-14
     or ``max_iters`` (``restart_trace`` says which).  They are seeded by index
     and computed row by row, so enlarging ``cfg.restarts`` only ever adds
     candidates; the first with the lowest objective wins.  ``min_value`` is
@@ -235,13 +236,13 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig, *, tols: Tolerances | None
     rngs = [np.random.default_rng([cfg.rng_seed, r]) for r in range(cfg.restarts)]
     x = np.stack([rng.normal(0.0, 1.5, size=n_params) for rng in rngs])
     f, grad = objective_value_and_grad(amp, x, cfg)
-    step = np.full(cfg.restarts, cfg.step_init)
+    step = np.full(cfg.restarts, STEP_INIT)
     iters = np.zeros(cfg.restarts, dtype=int)
     reason = np.full(cfg.restarts, "max_iters", dtype=object)
     live = np.arange(cfg.restarts)
     for _ in range(cfg.max_iters):
         iters[live] += 1
-        done = np.linalg.norm(grad[live], axis=-1) <= cfg.grad_tol
+        done = np.linalg.norm(grad[live], axis=-1) <= GRAD_TOL
         reason[live[done]] = "grad_tol"
         live = live[~done]
         if not live.size:
@@ -350,25 +351,25 @@ class DensityReport:
 def density_scan(
     dims: SystemDims, samples: int, rng_seed: int, *, tols: Tolerances | None = None
 ) -> DensityReport:
-    """Certify unit-norm Ginibre samples under both nontriviality conventions.
+    """Certifier verdicts on unit-norm Ginibre samples under both conventions.
 
-    Samples are seeded by index, so the scan is deterministic for a given
-    seed and can be sharded across workers without changing the aggregate.
+    Verdicts come from one stacked SVD through the certifier's rank rule
+    (:func:`holistic_at_rank`), with no witnesses.  Samples are seeded by
+    index, so the scan can be sharded without changing the aggregate.
     """
     tols = tols or active_tolerances()
     if samples < 1:
         raise ValueError("samples must be positive")
     dims = SystemDims(int(dims[0]), int(dims[1]))
-    smin = np.empty(samples, dtype=float)
-    hol_one = np.empty(samples, dtype=bool)
-    hol_both = np.empty(samples, dtype=bool)
+    stack = np.empty((samples, *dims), dtype=complex)
     for i in range(samples):
-        rng = np.random.default_rng([rng_seed, i])
-        g = ginibre(dims, rng)
-        amp = AmplitudeMatrix.normalized(g)
-        smin[i] = float(amp.singular_values[-1])
-        hol_one[i] = certify_rank1(amp, NontrivialityConvention.AT_LEAST_ONE, tols=tols).holistic
-        hol_both[i] = certify_rank1(amp, NontrivialityConvention.BOTH, tols=tols).holistic
+        g = ginibre(dims, np.random.default_rng([rng_seed, i]))
+        stack[i] = g / frob(g)
+    s = np.linalg.svd(stack)[1]
+    rank = schmidt_rank(s, tols)
+    hol_one = holistic_at_rank(rank, dims, NontrivialityConvention.AT_LEAST_ONE)
+    hol_both = holistic_at_rank(rank, dims, NontrivialityConvention.BOTH)
+    smin = s[:, -1]
     counts, edges = np.histogram(smin, bins=20, range=(0.0, 1.0))
     return DensityReport(
         dims=dims,

@@ -74,6 +74,40 @@ class TestCertify:
         assert code == 3
 
 
+    def test_truncated_rank_replays_within_its_bound(self, tmp_path, capsys):
+        # s[1] = 5e-8 is below tol_rank, so the co-occurring witness keeps the
+        # residual sqrt(2) s[1] sqrt(1 - s[1]^2), above tol_compat
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps(matrix_to_json_dict(np.diag([1.0, 5e-8]))))
+        code, report = run_cli(
+            ["certify", "--gamma", str(path), "--convention", "bothreport"], capsys
+        )
+        assert code == 0
+        s = report["results"]["singular_values"]
+        tol_compat = report["config_echo"]["tolerances"]["tol_compat"]
+        for verdict in report["results"]["verdicts"].values():
+            assert verdict["rank"] == 1 and verdict["holistic"] is False
+            replay = verdict["lambda1_witness"]["replay_commutator_norm"]
+            assert tol_compat < replay <= tol_compat + np.sqrt(2.0) * s[1]
+            assert verdict["lambda0_witness"]["replay_commutator_norm"] <= tol_compat
+
+    def test_exclusive_witness_when_no_column_clears_tol_rank(self, tmp_path, capsys):
+        # every column norm is sqrt(1/2) < 0.8, while s = (1, 0) keeps rank 1
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps(matrix_to_json_dict(np.full((2, 2), 0.5))))
+        code, report = run_cli(
+            ["certify", "--gamma", str(path), "--convention", "bothreport", "--tol-rank", "0.8"],
+            capsys,
+        )
+        assert code == 0
+        for verdict in report["results"]["verdicts"].values():
+            assert verdict["rank"] == 1
+            wit = verdict["lambda0_witness"]
+            assert wit["replay_commutator_norm"] <= 1e-12
+            assert wit["cooccurrence_weight"] <= 1e-12
+            assert wit["p"]["rank"] == 1 and wit["q"]["rank"] == 1
+
+
 class TestSearch:
     def test_bell_excluded(self, capsys):
         code, report = run_cli(
@@ -232,3 +266,16 @@ class TestReportShape:
         )
         assert code == 0
         assert report["config_echo"]["tolerances"]["tol_rank"] == pytest.approx(1e-5)
+
+    @pytest.mark.parametrize("argv, names", [
+        (["density", "--dims", "2", "2", "--samples", "50", "--tol-rank", "0.9"], "rank 0"),
+        (["certify", "--preset", "bell2", "--tol-rank", "1.5"], "rank 0"),
+        (["density", "--dims", "1", "3", "--samples", "50"], "dimensions"),
+    ])
+    def test_rank_rule_input_errors(self, capsys, argv, names):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:") and names in lines[0]

@@ -9,6 +9,7 @@ from mereo import (
     ProductProperty,
     Property,
     SystemDims,
+    Tolerances,
     certify_rank1,
     frob,
     ginibre,
@@ -21,6 +22,7 @@ from mereo import (
     partial_trace,
     product_commutator_norm,
 )
+from mereo.holism import holistic_at_rank, schmidt_rank
 
 AT_LEAST_ONE = NontrivialityConvention.AT_LEAST_ONE
 BOTH = NontrivialityConvention.BOTH
@@ -33,6 +35,14 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 def random_amp(rng, d_a, d_b):
     g = ginibre(SystemDims(d_a, d_b), rng)
     return AmplitudeMatrix(g / np.linalg.norm(g))
+
+
+def exact_rank_amp(rng, d_a, d_b, rank):
+    """Unit-norm amplitude with exactly ``rank`` nonzero singular values, none near ``tol_rank``."""
+    u = np.linalg.qr(ginibre(SystemDims(d_a, d_a), rng))[0][:, :rank]
+    v = np.linalg.qr(ginibre(SystemDims(d_b, d_b), rng))[0][:, :rank]
+    m = (u * rng.uniform(0.3, 1.0, size=rank)) @ v.conj().T
+    return AmplitudeMatrix(m / frob(m))
 
 
 def pair(p_mat, q_mat, convention=AT_LEAST_ONE):
@@ -167,6 +177,44 @@ class TestCertifyRank1:
     def test_rejects_trivial_factor_dimensions(self):
         with pytest.raises(ValueError):
             certify_rank1(AmplitudeMatrix(np.array([[1.0, 0.0]])), AT_LEAST_ONE)
+
+
+class TestRankRule:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 5), (5, 3)])
+    def test_rule_matches_certifier_at_every_rank(self, dims):
+        rng = np.random.default_rng(6)
+        tols = Tolerances()
+        for rank in range(1, min(dims) + 1):
+            amp = exact_rank_amp(rng, *dims, rank)
+            assert schmidt_rank(amp.singular_values, tols) == rank
+            for conv in (AT_LEAST_ONE, BOTH):
+                verdict = certify_rank1(amp, conv, tols=tols)
+                assert verdict.rank == rank
+                assert holistic_at_rank(rank, dims, conv) == verdict.holistic
+                assert (verdict.lambda1_witness is None) == verdict.holistic
+
+    @pytest.mark.parametrize("convention", [AT_LEAST_ONE, BOTH])
+    def test_rule_is_elementwise(self, convention):
+        ranks = np.array([[1, 2, 3], [3, 2, 1]])
+        out = holistic_at_rank(ranks, (3, 4), convention)
+        assert out.shape == ranks.shape
+        for r, h in zip(ranks.ravel(), out.ravel()):
+            assert h == holistic_at_rank(int(r), (3, 4), convention)
+
+    def test_rank_counts_along_last_axis(self):
+        s = np.array([[0.9, 0.4, 1e-8], [0.8, 0.6, 0.2]])
+        assert schmidt_rank(s, Tolerances()).tolist() == [2, 3]
+        assert schmidt_rank(s, Tolerances(tol_rank=0.5)).tolist() == [1, 2]
+
+    def test_rank_zero_is_input_error(self):
+        with pytest.raises(ValueError, match="rank 0"):
+            holistic_at_rank(np.array([1, 0]), (2, 2), BOTH)
+        with pytest.raises(ValueError, match="rank 0"):
+            certify_rank1(BELL, BOTH, tols=Tolerances(tol_rank=0.9))
+
+    def test_rejects_trivial_factor_dimensions(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            holistic_at_rank(1, (1, 3), AT_LEAST_ONE)
 
 
 class TestCommutationCharacterization:

@@ -11,6 +11,7 @@ from mereo import (
     NontrivialityConvention,
     SearchConfig,
     SystemDims,
+    Tolerances,
     brute_force_grid_d2,
     certify_rank1,
     density_scan,
@@ -281,6 +282,17 @@ class TestOracleAgreement:
             assert analytic == numeric
 
 
+def certifier_density(dims, samples, seed, tols):
+    """Per-sample certifier loop: the reference ``density_scan`` must reproduce."""
+    smin, one, both = [], [], []
+    for i in range(samples):
+        amp = AmplitudeMatrix.normalized(ginibre(dims, np.random.default_rng([seed, i])))
+        smin.append(amp.singular_values[-1])
+        one.append(certify_rank1(amp, NontrivialityConvention.AT_LEAST_ONE, tols=tols).holistic)
+        both.append(certify_rank1(amp, NontrivialityConvention.BOTH, tols=tols).holistic)
+    return np.array(smin), np.array(one), np.array(both)
+
+
 class TestDensityScan:
     def test_square_dims_mostly_holistic(self):
         report = density_scan(SystemDims(2, 2), 2000, rng_seed=7)
@@ -301,3 +313,29 @@ class TestDensityScan:
     def test_histogram_covers_samples(self):
         report = density_scan(SystemDims(2, 2), 100, rng_seed=1)
         assert int(report.histogram_counts.sum()) == 100
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 5)])
+    def test_matches_certifier_loop_bit_for_bit(self, dims):
+        dims = SystemDims(*dims)
+        for seed in (0, 7):
+            report = density_scan(dims, 200, rng_seed=seed)
+            smin, one, both = certifier_density(dims, 200, seed, Tolerances())
+            assert np.array_equal(report.smallest_singular_values, smin)
+            assert np.array_equal(report.holistic_at_least_one, one)
+            assert np.array_equal(report.holistic_both, both)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_matches_certifier_loop_at_mixed_ranks(self, dims):
+        # s_max >= 1/sqrt(min(d)) > 0.3 keeps every rank >= 1, while the
+        # smaller singular values fall on both sides of 0.3
+        dims, tols = SystemDims(*dims), Tolerances(tol_rank=0.3)
+        report = density_scan(dims, 300, rng_seed=11, tols=tols)
+        smin, one, both = certifier_density(dims, 300, 11, tols)
+        assert 0.0 < report.fraction_smallest_below_rank_tol < 1.0
+        assert np.array_equal(report.smallest_singular_values, smin)
+        assert np.array_equal(report.holistic_at_least_one, one)
+        assert np.array_equal(report.holistic_both, both)
+
+    def test_rank_zero_at_tolerance_is_input_error(self):
+        with pytest.raises(ValueError, match="rank 0"):
+            density_scan(SystemDims(2, 2), 50, rng_seed=0, tols=Tolerances(tol_rank=0.9))
