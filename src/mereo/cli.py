@@ -1,6 +1,6 @@
 """Command-line interface: certifications, searches, scans, and demos.
 
-Every command emits a single JSON report with the full configuration echoed
+Every command emits a one-line JSON report with the full configuration echoed
 back (tolerances and seeds included), so any run can be replayed from its
 own output.  Scans additionally write RFC 4180 CSV.  Exit codes: 0 success,
 2 input error, 3 invariant violation detected during the run.
@@ -102,7 +102,6 @@ def _witness_dict(amp: AmplitudeMatrix, witness: ProductProperty | None,
 def _verdict_dict(amp: AmplitudeMatrix, verdict: HolismVerdict, tols: Tolerances) -> dict:
     return {
         "holistic": verdict.holistic,
-        "strictly_no_commuting_product": verdict.strictly_no_commuting_product,
         "rank": verdict.rank,
         "dims": list(verdict.dims),
         "convention": verdict.convention.value,
@@ -198,9 +197,7 @@ def cmd_density(args, tols: Tolerances) -> dict:
 def cmd_lattice(args, tols: Tolerances) -> dict:
     amp, source = _resolve_amplitude(args)
     members = lattice_amplitudes(amp, args.k, args.seed)
-    conv = NontrivialityConvention.from_flag(
-        args.convention if args.convention != "bothreport" else "atleastone"
-    )
+    conv = NontrivialityConvention.from_flag(args.convention)
     ranks = schmidt_rank(np.array([m.singular_values for m in members]), tols)
     holistic = holistic_at_rank(ranks, amp.dims, conv)
     # members are unit vectors v_i, so each projector is the rank-1 |v_i><v_i|
@@ -376,8 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gamma_source(p_lattice)
     p_lattice.add_argument("--k", type=int, required=True)
     p_lattice.add_argument("--seed", type=int, default=0)
-    p_lattice.add_argument("--convention", choices=["atleastone", "both", "bothreport"],
-                           default="atleastone")
+    p_lattice.add_argument("--convention", choices=["atleastone", "both"], default="atleastone")
     common(p_lattice)
     p_lattice.set_defaults(func=cmd_lattice)
 
@@ -417,7 +413,8 @@ def main(argv=None) -> int:
         "results": results,
         "timings": {"total_s": elapsed},
     }
-    text = json.dumps(report, indent=2)
+    # no indent: CPython's C encoder only runs without one; floats print as repr either way
+    text = json.dumps(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import InvariantViolation, Tolerances, active_tolerances
 from .doubleket import AmplitudeMatrix, vec
-from .linalg import SystemDims, as_matrix, frob, ginibre, hs_inner
+from .linalg import SystemDims, as_matrix, frob, ginibre
 from .properties import Property, is_nontrivial
 
 
@@ -71,15 +71,14 @@ class HolismVerdict:
     """Result of the analytic certifier for one amplitude matrix.
 
     ``holistic`` is True exactly when no co-occurring witness exists under
-    the declared convention.  ``strictly_no_commuting_product`` additionally
-    requires the exclusive branch to be empty, which never happens for
-    factor dimensions >= 2.
+    the declared convention.  An exclusive witness always exists for factor
+    dimensions >= 2, so ``lambda0_witness`` is never None and no amplitude
+    is strictly free of commuting products.
     """
 
     lambda1_witness: ProductProperty | None
     lambda0_witness: ProductProperty | None
     holistic: bool
-    strictly_no_commuting_product: bool
     rank: int
     dims: SystemDims
     convention: NontrivialityConvention
@@ -192,7 +191,6 @@ def certify_rank1(
         lambda1_witness=lambda1,
         lambda0_witness=lambda0,
         holistic=holistic,
-        strictly_no_commuting_product=holistic and lambda0 is None,
         rank=r,
         dims=amp.dims,
         convention=convention,
@@ -222,11 +220,12 @@ def _exclusive_witness(
 def _project_out(residual: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
     """Remove the HS components along an orthonormal ``basis``.
 
-    Two passes, so orthogonality holds at machine precision.
+    Two passes, so orthogonality holds at machine precision.  Operands are
+    finite complex matrices of one shape already, so no validation repeats.
     """
     for _ in range(2):
         for b in basis:
-            residual = residual - hs_inner(b, residual) * b
+            residual = residual - np.vdot(b, residual) * b
     return residual
 
 

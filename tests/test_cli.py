@@ -1,6 +1,7 @@
 """End-to-end CLI runs: JSON reports, CSV scans, exit codes, replay."""
 
 import json
+import types
 
 import numpy as np
 import pytest
@@ -13,6 +14,14 @@ def run_cli(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def parsed_matrix(record):
+    """Complex matrix from a ``{rows, cols, re, im}`` record, signed zeros kept."""
+    m = np.empty(record["rows"] * record["cols"], dtype=complex)
+    m.real = record["re"]
+    m.imag = record["im"]
+    return m.reshape(record["rows"], record["cols"])
 
 
 class TestCertify:
@@ -211,6 +220,27 @@ class TestLattice:
         code, _ = run_cli(["lattice", "--preset", "bell2", "--k", "5"], capsys)
         assert code == 2
 
+    def test_convention_is_reported_as_requested(self, capsys):
+        code, report = run_cli(
+            ["lattice", "--preset", "bell2", "--k", "2", "--convention", "both"], capsys
+        )
+        assert code == 0
+        assert report["results"]["convention"] == "both"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["lattice", "--preset", "bell2", "--k", "2", "--convention", "bothreport"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_members_round_trip_exactly(self, capsys):
+        code, report = run_cli(
+            ["lattice", "--random-seed", "2", "--dims", "3", "3", "--k", "9"], capsys
+        )
+        assert code == 0
+        for member in report["results"]["members"]:
+            v = parsed_matrix(member["amplitude"]).reshape(-1)
+            projector = parsed_matrix(member["projector"])
+            assert np.outer(v, v.conj()).tobytes() == projector.tobytes()
+
 
 class TestEntropy:
     def test_presets(self, capsys):
@@ -234,6 +264,32 @@ class TestDemo:
 
 
 class TestReportShape:
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--preset", "bell2", "--convention", "bothreport"],
+        ["lattice", "--preset", "bell2", "--k", "4"],
+        ["search", "--preset", "bell2", "--restarts", "4"],
+        ["density", "--dims", "2", "2", "--samples", "20"],
+    ])
+    def test_one_line_report_and_out_file_hold_the_same_bytes(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # a fixed clock makes timings, and so the two reports, identical
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        path = tmp_path / "report.json"
+        assert cli.main([*argv, "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_matrix_record_round_trips_exactly(self):
+        m = np.empty((2, 2), dtype=complex)
+        m.real = [[-0.0, 5e-324], [1.0 / 3.0, 0.0]]
+        m.imag = [[0.0, -0.0], [-5e-324, -1.0 / 3.0]]
+        back = parsed_matrix(json.loads(json.dumps(matrix_to_json_dict(m))))
+        assert back.tobytes() == m.tobytes()
+
     def test_report_carries_config_and_version(self, capsys):
         code, report = run_cli(["entropy", "--preset", "bell2"], capsys)
         assert code == 0

@@ -114,7 +114,6 @@ class TestCertifyRank1:
         assert np.allclose(wit.p.matrix, np.diag([0.0, 1.0]))
         assert np.allclose(wit.q.matrix, np.diag([1.0, 0.0]))
         assert product_commutator_norm(BELL, wit) <= 1e-12
-        assert not verdict.strictly_no_commuting_product
 
     def test_product_state_has_cooccurring_witness(self):
         verdict = certify_rank1(PRODUCT, AT_LEAST_ONE)
@@ -276,6 +275,40 @@ class TestGramSchmidt:
         with pytest.raises(ValueError):
             with pytest.warns(UserWarning):
                 gram_schmidt_hs([np.zeros((2, 2))], SystemDims(2, 2))
+
+
+def reference_project_out(residual, basis):
+    """Two modified Gram-Schmidt passes through the validating ``hs_inner``."""
+    for _ in range(2):
+        for b in basis:
+            residual = residual - hs_inner(b, residual) * b
+    return residual
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (4, 5), (5, 5)])
+class TestOrthonormalizationMatchesReference:
+    def test_lattice_amplitudes(self, dims):
+        amp = random_amp(np.random.default_rng(11), *dims)
+        k = dims[0] * dims[1]
+        rng = np.random.default_rng(4)
+        family = [amp.matrix.astype(complex)]
+        while len(family) < k:
+            residual = reference_project_out(ginibre(SystemDims(*dims), rng), family)
+            norm = frob(residual)
+            if norm > 1e-6:
+                family.append(residual / norm)
+        out = lattice_amplitudes(amp, k, rng_seed=4)
+        assert [m.matrix.tobytes() for m in out] == [m.tobytes() for m in family]
+
+    def test_gram_schmidt_hs(self, dims):
+        rng = np.random.default_rng(12)
+        seeds = [ginibre(SystemDims(*dims), rng) for _ in range(dims[0] * dims[1])]
+        basis = []
+        for m in seeds:
+            residual = reference_project_out(m.astype(complex), basis)
+            basis.append(residual / frob(residual))
+        out = gram_schmidt_hs(seeds, SystemDims(*dims))
+        assert [m.matrix.tobytes() for m in out] == [b.tobytes() for b in basis]
 
 
 class TestHolisticLattice:
