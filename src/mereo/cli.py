@@ -139,8 +139,18 @@ def cmd_search(args, tols: Tolerances) -> dict:
         exclude_exclusive=args.exclude_exclusive,
         rng_seed=args.seed,
     )
+    grid_oracle = None
+    if args.oracle:
+        # the grid rejects dims other than (2, 2) and resolutions below 2
+        # before the descent runs
+        grid_min, angles = brute_force_grid_d2(amp, args.oracle_resolution, args.exclude_exclusive)
+        grid_oracle = {
+            "min_value": grid_min,
+            "angles": list(angles),
+            "resolution": args.oracle_resolution,
+        }
     result = minimize(amp, cfg, tols=tols)
-    out = {
+    return {
         "gamma_source": source,
         "dims": list(amp.dims),
         "min_value": result.min_value,
@@ -150,18 +160,8 @@ def cmd_search(args, tols: Tolerances) -> dict:
         "restart_trace": [asdict(t) for t in result.restart_trace],
         "argmin_p": _property_dict(result.argmin_p),
         "argmin_q": _property_dict(result.argmin_q),
-        "grid_oracle": None,
+        "grid_oracle": grid_oracle,
     }
-    if args.oracle:
-        if tuple(amp.dims) != (2, 2):
-            raise ValueError("--oracle requires dims (2, 2)")
-        grid_min, angles = brute_force_grid_d2(amp, args.oracle_resolution, args.exclude_exclusive)
-        out["grid_oracle"] = {
-            "min_value": grid_min,
-            "angles": list(angles),
-            "resolution": args.oracle_resolution,
-        }
-    return out
 
 
 def cmd_density(args, tols: Tolerances) -> dict:

@@ -18,6 +18,7 @@ restricted minimum probes the co-occurring branch only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,15 @@ from .properties import Property
 EXCLUDE_FLOOR = 0.05
 STEP_INIT = 0.5  # first descent step of every restart
 GRAD_TOL = 1e-8  # gradient norm at which a restart stops with "grad_tol"
+STEP_MIN = 1e-14  # step below which a rejected restart stops with "step_underflow"
+# eigenvalue gap below which a divided difference of exp(ix) takes its
+# confluent (midpoint) value, off by O(gap^2); the quotient has lost ~7 digits there
+CONFLUENT_GAP = 1e-9
+# ||W|| at or below which the hinge adds no gradient: its direction W/||W||
+# is undefined at W = 0, so the quotient would divide by (near) zero
+HINGE_NORM_MIN = 1e-12
+# overlap entries per grid-oracle chunk (512 KB of complex), whatever the resolution
+GRID_CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,15 @@ def _adj(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+@functools.cache
+def _generator_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only diagonal and ``triu_indices(d, 1)`` index arrays of the generator layout."""
+    arrays = (np.arange(d), *np.triu_indices(d, 1))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def hermitian_from_params(params, d: int) -> np.ndarray:
     """Hermitian generators from real parameters of shape ``(..., d*d)``.
 
@@ -90,8 +109,7 @@ def hermitian_from_params(params, d: int) -> np.ndarray:
     if params.ndim == 0 or params.shape[-1] != d * d:
         raise ValueError(f"expected {d * d} parameters for dimension {d}, got {params.shape[-1:] or 1}")
     h = np.zeros(params.shape[:-1] + (d, d), dtype=complex)
-    diag = np.arange(d)
-    i, j = np.triu_indices(d, 1)
+    diag, i, j = _generator_layout(d)
     h.real[..., diag, diag] = params[..., :d]
     h.real[..., i, j] = h.real[..., j, i] = params[..., d::2]
     h.imag[..., i, j] = params[..., d + 1 :: 2]
@@ -128,11 +146,11 @@ def _pullback(w: np.ndarray, v: np.ndarray, ur: np.ndarray, lmat: np.ndarray) ->
     # limit handles (near-)degenerate eigenvalue pairs
     dw = w[..., :, None] - w[..., None, :]
     confluent = 1j * np.exp(1j * (w[..., :, None] + w[..., None, :]) / 2.0)
-    near = np.abs(dw) < 1e-9
+    near = np.abs(dw) < CONFLUENT_GAP
     g = np.where(near, confluent, (phase[..., :, None] - phase[..., None, :]) / np.where(near, 1.0, dw))
     vmv = _adj(v[..., :rank, :]) @ (_adj(ur) @ (lmat + _adj(lmat))) @ v
     n = v @ (vmv * g.swapaxes(-1, -2)) @ _adj(v)
-    i, j = np.triu_indices(d, 1)
+    _, i, j = _generator_layout(d)
     grad = np.empty(w.shape[:-1] + (d * d,))
     grad[..., :d] = np.diagonal(n, axis1=-2, axis2=-1).real
     grad[..., d::2] = (n[..., i, j] + n[..., j, i]).real
@@ -151,10 +169,14 @@ def _objective_terms(
     n2 = np.einsum("...ik,...ik->...", w.conj(), w).real
     c = np.einsum("ik,...ik->...", amp_matrix.conj(), w)
     comm2 = 2.0 * n2 - 2.0 * (c.real**2 - c.imag**2)
-    obj = comm2
-    if exclude_exclusive:
-        obj = comm2 + np.maximum(0.0, EXCLUDE_FLOOR - np.sqrt(n2)) ** 2
-    return obj, comm2, n2, c
+    return _with_hinge(comm2, n2, exclude_exclusive), comm2, n2, c
+
+
+def _with_hinge(comm2: np.ndarray, n2: np.ndarray, exclude_exclusive: bool) -> np.ndarray:
+    """Objective from ``comm2`` and ``n2 = ||W||^2``: the hinge is added when ``exclude_exclusive``."""
+    if not exclude_exclusive:
+        return comm2
+    return comm2 + np.maximum(0.0, EXCLUDE_FLOOR - np.sqrt(n2)) ** 2
 
 
 def objective(amp: AmplitudeMatrix, p: Property, q: Property, cfg: SearchConfig) -> float:
@@ -197,7 +219,7 @@ def objective_value_and_grad(
     if cfg.exclude_exclusive:
         nw = np.sqrt(n2)
         gap = EXCLUDE_FLOOR - nw
-        hinged = (gap > 0.0) & (nw > 1e-12)
+        hinged = (gap > 0.0) & (nw > HINGE_NORM_MIN)
         k = k - np.where(hinged, 2.0 * gap / np.where(hinged, nw, 1.0), 0.0)[:, None, None] * w
 
     # d f = Re Tr[K^dag dW] with dW = dP (amp Q^T), so L_P = amp Q^T K^dag;
@@ -214,8 +236,8 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig, *, tols: Tolerances | None
     """Multi-restart gradient descent over the projector parameters.
 
     Restarts descend as one stack, each halving its step on non-decrease and
-    growing it mildly on acceptance, until ``GRAD_TOL``, a step below 1e-14
-    or ``max_iters`` (``restart_trace`` says which).  They are seeded by index
+    growing it mildly on acceptance, until ``GRAD_TOL``, a step below
+    ``STEP_MIN`` or ``max_iters`` (``restart_trace`` says which).  They are seeded by index
     and computed row by row, so enlarging ``cfg.restarts`` only ever adds
     candidates; the first with the lowest objective wins.  ``min_value`` is
     the commutator norm of that pair from :func:`product_commutator_norm`,
@@ -254,7 +276,7 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig, *, tols: Tolerances | None
         x[acc], f[acc], grad[acc] = cand[better], f_cand[better], grad_cand[better]
         step[acc] = np.minimum(step[acc] * 1.5, 10.0)
         step[live[~better]] *= 0.5
-        stalled = ~better & (step[live] < 1e-14)
+        stalled = ~better & (step[live] < STEP_MIN)
         reason[live[stalled]] = "step_underflow"
         live = live[~stalled]
 
@@ -276,8 +298,8 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig, *, tols: Tolerances | None
     )
 
 
-def bloch_projectors(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank-1 qubit projectors on a (theta, phi) grid, stacked (R*R, 2, 2).
+def _bloch_grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid vectors ``(cos(theta/2), e^{i phi} sin(theta/2))`` as columns (2, R*R), and the angles.
 
     Theta spans [0, pi] inclusive so the poles (and hence diagonal
     witnesses) sit exactly on the grid; phi spans [0, 2 pi) half-open.
@@ -289,8 +311,12 @@ def bloch_projectors(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     tg, pg = np.meshgrid(thetas, phis, indexing="ij")
     tg = tg.reshape(-1)
     pg = pg.reshape(-1)
-    amp0 = np.cos(tg / 2.0)
-    amp1 = np.exp(1j * pg) * np.sin(tg / 2.0)
+    return np.stack([np.cos(tg / 2.0), np.exp(1j * pg) * np.sin(tg / 2.0)]), tg, pg
+
+
+def bloch_projectors(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank-1 qubit projectors on the (theta, phi) grid, stacked (R*R, 2, 2), and the angles."""
+    (amp0, amp1), tg, pg = _bloch_grid(resolution)
     proj = np.empty((tg.size, 2, 2), dtype=complex)
     proj[:, 0, 0] = amp0 * amp0
     proj[:, 0, 1] = amp0 * np.conj(amp1)
@@ -306,22 +332,33 @@ def brute_force_grid_d2(
 
     Returns the commutator norm at the grid argmin of the (possibly
     penalized) objective, together with the argmin angles
-    ``(theta_p, phi_p, theta_q, phi_q)``.
+    ``(theta_p, phi_p, theta_q, phi_q)``; ties go to the first pair in
+    row-major order.  A pair ``P = |a><a|``, ``Q = |b><b|`` gives
+    ``W = P amp Q^T = z |a><b̄|`` with ``z = <a|amp|b̄>``, so ``n2 = c = |z|^2``
+    and ``comm2 = 2|z|^2 - 2|z|^4``: the scan needs only the overlaps
+    ``Z = A^dag amp B̄`` of the R^2 grid vectors, built a block of rows at a
+    time so memory stays at ``GRID_CHUNK_ENTRIES`` entries.
     """
     if amp.dims != (2, 2):
         raise ValueError(f"grid oracle only supports dims (2, 2), got {tuple(amp.dims)}")
-    proj, tg, pg = bloch_projectors(resolution)
-    qt = proj.transpose(0, 2, 1)  # transpose without conjugation
-    gqt = np.einsum("ij,bjk->bik", amp.matrix, qt)
+    vecs, tg, pg = _bloch_grid(resolution)
+    bras = vecs.conj()  # column a holds the components of <a|
+    kets = amp.matrix @ bras  # column b is amp |b̄>
 
     best_obj = np.inf
     best_comm = np.inf
     best_idx = (0, 0)
-    chunk = max(1, min(proj.shape[0], 256))
-    for start in range(0, proj.shape[0], chunk):
-        w = np.einsum("aij,bjk->abik", proj[start : start + chunk], gqt)
-        obj, comm2, _, _ = _objective_terms(amp.matrix, w, exclude_exclusive)
-        a_off, b_idx = divmod(int(np.argmin(obj)), obj.shape[1])
+    n = tg.size
+    chunk = max(1, GRID_CHUNK_ENTRIES // n)
+    for start in range(0, n, chunk):
+        # two outer products: a rank-2 matmul would go through BLAS, whose
+        # threading costs far more than the product at these shapes
+        z = np.multiply.outer(bras[0, start : start + chunk], kets[0])
+        z += np.multiply.outer(bras[1, start : start + chunk], kets[1])
+        n2 = z.real**2 + z.imag**2
+        comm2 = 2.0 * (n2 - n2 * n2)
+        obj = _with_hinge(comm2, n2, exclude_exclusive)
+        a_off, b_idx = divmod(int(np.argmin(obj)), n)
         if obj[a_off, b_idx] < best_obj:
             best_obj = float(obj[a_off, b_idx])
             best_comm = float(np.sqrt(max(comm2[a_off, b_idx], 0.0)))

@@ -154,6 +154,18 @@ class TestSearch:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--random-seed", "1", "--dims", "2", "3", "--oracle"],
+        ["--random-seed", "1", "--dims", "3", "3", "--oracle"],
+        ["--preset", "bell2", "--oracle", "--oracle-resolution", "1"],
+        ["--preset", "bell2", "--oracle", "--oracle-resolution", "-4"],
+    ])
+    def test_oracle_input_errors_skip_the_descent(self, argv, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "minimize", lambda *a, **k: calls.append(a))
+        code, report = run_cli(["search", *argv], capsys)
+        assert (code, report, calls) == (2, None, [])
+
     def test_seeded_search_replays_identically(self, capsys):
         args = ["search", "--preset", "bell2", "--restarts", "4", "--seed", "21"]
         _, first = run_cli(args, capsys)

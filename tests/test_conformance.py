@@ -5,7 +5,9 @@ the ``d_a d_b``-dimensional joint space.  These tests rebuild the joint dyad
 and ``kron(P, Q)`` explicitly and require both routes to agree, across
 dimensions, amplitude ranks, certifier witnesses and random pairs.  The
 search gradient is a pullback through the generator; it is checked against
-the route that differentiates the projector along every basis direction.
+the route that differentiates the projector along every basis direction.  The
+Bloch grid oracle reads each pair's objective off one overlap; it is checked
+against the route that forms every ``W = P amp Q^T`` as a 2x2 block product.
 """
 
 import json
@@ -21,6 +23,8 @@ from mereo import (
     certify_rank1,
     frob,
     SearchConfig,
+    bloch_projectors,
+    brute_force_grid_d2,
     ginibre,
     make_holistic,
     objective,
@@ -31,7 +35,7 @@ from mereo import (
 )
 from mereo import cli
 from mereo.io import matrix_from_json_dict
-from mereo.search import EXCLUDE_FLOOR, hermitian_from_params
+from mereo.search import EXCLUDE_FLOOR, _objective_terms, hermitian_from_params
 
 AGREE = 1e-12
 
@@ -162,3 +166,50 @@ def test_adjoint_gradient_matches_tangent_route(dims):
                 _, grad = objective_value_and_grad(amp, params, cfg)
                 ref = tangent_gradient(amp, params, cfg)
                 assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def block_product_grid(amp, resolution):
+    """Grid minimum with and without the hinge, each as ``(min_value, objective)``.
+
+    Every pair's ``W = P amp Q^T`` is a 2x2 block product, 256 rows of pairs
+    at a time; ``min_value`` is the commutator norm at the first argmin.
+    """
+    proj, _, _ = bloch_projectors(resolution)
+    gqt = np.einsum("ij,bjk->bik", amp.matrix, proj.transpose(0, 2, 1))
+    best = {False: (np.inf, np.inf), True: (np.inf, np.inf)}
+    for start in range(0, proj.shape[0], 256):
+        # optimize=True contracts through tensordot, ~10x faster at R = 48
+        w = np.einsum("aij,bjk->abik", proj[start : start + 256], gqt, optimize=True)
+        hinged, comm2, _, _ = _objective_terms(amp.matrix, w, True)
+        for hinge, obj in ((False, comm2), (True, hinged)):
+            idx = np.unravel_index(np.argmin(obj), obj.shape)
+            if obj[idx] < best[hinge][1]:
+                best[hinge] = (float(np.sqrt(max(comm2[idx], 0.0))), float(obj[idx]))
+    return best
+
+
+def bloch_projector(theta, phi):
+    v = np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
+    return Property(np.outer(v, v.conj()))
+
+
+GRID_AMPS = {
+    "bell2": np.eye(2),
+    "product2": np.diag([1.0, 0.0]),
+    **{f"random{k}": ginibre(SystemDims(2, 2), np.random.default_rng([41, k])) for k in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", GRID_AMPS)
+def test_closed_form_grid_matches_block_products(name):
+    amp = AmplitudeMatrix.normalized(GRID_AMPS[name])
+    for resolution in (12, 24, 48):
+        reference = block_product_grid(amp, resolution)
+        for hinge in (False, True):
+            ref_value, ref_obj = reference[hinge]
+            value, (theta_p, phi_p, theta_q, phi_q) = brute_force_grid_d2(amp, resolution, hinge)
+            assert abs(value - ref_value) <= 1e-15
+            # tied grid points may name other angles, so compare their objective
+            p, q = bloch_projector(theta_p, phi_p), bloch_projector(theta_q, phi_q)
+            obj = objective(amp, p, q, SearchConfig(exclude_exclusive=hinge))
+            assert abs(obj - ref_obj) <= 1e-15

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mereo import search
 from mereo import (
     EXCLUDE_FLOOR,
     AmplitudeMatrix,
@@ -215,6 +216,33 @@ class TestMinimize:
     def test_invalid_ranks(self):
         with pytest.raises(ValueError):
             minimize(BELL, SearchConfig(rank_p=2, rank_q=1))
+
+    def test_cached_generator_layout_is_read_only(self):
+        for d in (2, 3, 6):
+            layout = search._generator_layout(d)
+            assert layout is search._generator_layout(d)
+            for a in layout:
+                with pytest.raises(ValueError):
+                    a[0] = a[0]  # the same value, so a writable cache stays intact
+
+    def test_cached_layout_replays_uncached_descent(self, monkeypatch):
+        cases = []
+        for d in (2, 3, 4, 6):
+            amp = random_amp(np.random.default_rng([31, d]), d, d)
+            for ranks in sorted({(1, 1), (d - 1, d - 1)}):
+                cfg = SearchConfig(rank_p=ranks[0], rank_q=ranks[1], restarts=4,
+                                   max_iters=150, exclude_exclusive=True, rng_seed=d)
+                cases.append((amp, cfg))
+
+        def summary(res):
+            return res.min_value, res.iterations_used, res.restart_trace
+
+        cached = [summary(minimize(amp, cfg)) for amp, cfg in cases]
+        # reference: index arrays rebuilt on every call
+        monkeypatch.setattr(
+            search, "_generator_layout", lambda d: (np.arange(d), *np.triu_indices(d, 1))
+        )
+        assert [summary(minimize(amp, cfg)) for amp, cfg in cases] == cached
 
     def test_no_cooccurring_near_commuters_for_invertible(self):
         # invertible amplitudes admit no commuting pair with nonzero overlap
