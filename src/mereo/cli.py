@@ -24,11 +24,11 @@ from .holism import (
     HolismVerdict,
     NontrivialityConvention,
     ProductProperty,
+    Replay,
     certify_rank1,
     holistic_at_rank,
     lattice_amplitudes,
     marginal_entropy,
-    product_commutator_norm,
     schmidt_rank,
 )
 from .io import (
@@ -36,11 +36,11 @@ from .io import (
     load_matrix,
     matrix_to_json_dict,
     preset_amplitude,
+    property_to_json_dict,
     random_amplitude,
 )
 from .linalg import SystemDims, frob
 from .properties import (
-    Property,
     State,
     Verdict,
     has_property,
@@ -79,34 +79,25 @@ def _resolve_amplitude(args) -> tuple[AmplitudeMatrix, dict]:
     }
 
 
-def _property_dict(p: Property) -> dict:
-    d = matrix_to_json_dict(p.matrix)
-    d["rank"] = p.rank
-    return d
-
-
-def _witness_dict(amp: AmplitudeMatrix, witness: ProductProperty | None,
-                  tols: Tolerances) -> dict | None:
+def _witness_dict(witness: ProductProperty | None, replay: Replay | None) -> dict | None:
     if witness is None:
         return None
     return {
-        "p": _property_dict(witness.p),
-        "q": _property_dict(witness.q),
-        "replay_commutator_norm": product_commutator_norm(amp, witness, tols=tols),
-        "cooccurrence_weight": frob(
-            witness.p.matrix @ amp.matrix @ witness.q.matrix.T
-        ),
+        "p": property_to_json_dict(witness.p),
+        "q": property_to_json_dict(witness.q),
+        "replay_commutator_norm": replay.commutator_norm,
+        "cooccurrence_weight": replay.cooccurrence_weight,
     }
 
 
-def _verdict_dict(amp: AmplitudeMatrix, verdict: HolismVerdict, tols: Tolerances) -> dict:
+def _verdict_dict(verdict: HolismVerdict) -> dict:
     return {
         "holistic": verdict.holistic,
         "rank": verdict.rank,
         "dims": list(verdict.dims),
         "convention": verdict.convention.value,
-        "lambda1_witness": _witness_dict(amp, verdict.lambda1_witness, tols),
-        "lambda0_witness": _witness_dict(amp, verdict.lambda0_witness, tols),
+        "lambda1_witness": _witness_dict(verdict.lambda1_witness, verdict.lambda1_replay),
+        "lambda0_witness": _witness_dict(verdict.lambda0_witness, verdict.lambda0_replay),
     }
 
 
@@ -120,7 +111,7 @@ def cmd_certify(args, tols: Tolerances) -> dict:
     amp, source = _resolve_amplitude(args)
     verdicts = {}
     for conv in _conventions_for_flag(args.convention):
-        verdicts[conv.value] = _verdict_dict(amp, certify_rank1(amp, conv, tols=tols), tols)
+        verdicts[conv.value] = _verdict_dict(certify_rank1(amp, conv, tols=tols))
     return {
         "gamma": matrix_to_json_dict(amp.matrix),
         "gamma_source": source,
@@ -149,7 +140,7 @@ def cmd_search(args, tols: Tolerances) -> dict:
             "angles": list(angles),
             "resolution": args.oracle_resolution,
         }
-    result = minimize(amp, cfg, tols=tols)
+    result = minimize(amp, cfg)
     return {
         "gamma_source": source,
         "dims": list(amp.dims),
@@ -158,8 +149,8 @@ def cmd_search(args, tols: Tolerances) -> dict:
         "iterations_used": result.iterations_used,
         "converged": result.converged,
         "restart_trace": [asdict(t) for t in result.restart_trace],
-        "argmin_p": _property_dict(result.argmin_p),
-        "argmin_q": _property_dict(result.argmin_q),
+        "argmin_p": property_to_json_dict(result.argmin_p),
+        "argmin_q": property_to_json_dict(result.argmin_q),
         "grid_oracle": grid_oracle,
     }
 
@@ -200,28 +191,28 @@ def cmd_lattice(args, tols: Tolerances) -> dict:
     conv = NontrivialityConvention.from_flag(args.convention)
     ranks = schmidt_rank(np.array([m.singular_values for m in members]), tols)
     holistic = holistic_at_rank(ranks, amp.dims, conv)
-    # members are unit vectors v_i, so each projector is the rank-1 |v_i><v_i|
-    # and, with g_ij = <v_i, v_j>, the pairwise norms follow from one Gram row
-    # each: ||P_i P_j|| = |g_ij| and ||[P_i, P_j]|| = sqrt(2) |g_ij| ||v_j - g_ij v_i||,
-    # which unlike sqrt(2 |g|^2 (1 - |g|^2)) does not cancel on the diagonal
+    # members are unit vectors v_i, so each projector is the rank-1 |v_i><v_i|,
+    # which the report leaves to its amplitude.  With g_ij = <v_i, v_j> the
+    # pairwise norms follow from one Gram row each: ||P_i P_j|| = |g_ij| and
+    # ||[P_i, P_j]|| = sqrt(2) |g_ij| ||v_j - g_ij v_i||, which unlike
+    # sqrt(2 |g|^2 (1 - |g|^2)) does not cancel on the diagonal; and the
+    # projectors sum to vecs^T conj(vecs)
     vecs = np.array([m.matrix.reshape(-1) for m in members])
-    projectors = [np.outer(v, v.conj()) for v in vecs]
     comm = np.empty((len(members), len(members)))
     prod = np.empty_like(comm)
     for i, v in enumerate(vecs):
         g = vecs @ v.conj()
         prod[i] = np.abs(g)
         comm[i] = np.sqrt(2.0) * prod[i] * np.linalg.norm(vecs - g[:, None] * v, axis=1)
-    total = sum(projectors)
-    member_records = []
-    for m, proj, rank, hol in zip(members, projectors, ranks, holistic):
-        member_records.append({
+    member_records = [
+        {
             "amplitude": matrix_to_json_dict(m.matrix),
-            "projector": {**matrix_to_json_dict(proj), "rank": 1},
             "rank": int(rank),
             "holistic": bool(hol),
             "smallest_singular_value": float(m.singular_values[-1]),
-        })
+        }
+        for m, rank, hol in zip(members, ranks, holistic)
+    ]
     return {
         "gamma_source": source,
         "dims": list(amp.dims),
@@ -230,7 +221,7 @@ def cmd_lattice(args, tols: Tolerances) -> dict:
         "members": member_records,
         "pairwise_commutator_norms": comm.tolist(),
         "pairwise_product_norms": prod.tolist(),
-        "completeness_deviation": frob(total - np.eye(total.shape[0])),
+        "completeness_deviation": frob(vecs.T @ vecs.conj() - np.eye(vecs.shape[1])),
     }
 
 
@@ -306,7 +297,7 @@ def cmd_demo(args, tols: Tolerances) -> dict:
     for i in range(10):
         rng = np.random.default_rng([20260809, i])
         rank = 1 + i % (d - 1)
-        proj = parametrize_projector(rng.normal(size=d * d), d, rank, tols=tols)
+        proj = parametrize_projector(rng.normal(size=d * d), d, rank)
         recovered = extract_property(from_property(proj, tols=tols), tols=tols)
         worst = max(worst, frob(recovered.matrix - proj.matrix))
     items.append({

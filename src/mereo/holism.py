@@ -24,6 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,15 @@ from .config import InvariantViolation, Tolerances, active_tolerances
 from .doubleket import AmplitudeMatrix, vec
 from .linalg import SystemDims, as_matrix, frob, ginibre
 from .properties import Property, is_nontrivial
+
+# A lattice completion draw whose residual, after projecting out the family,
+# has a norm at or below this has lost most of its digits to cancellation.
+# Dependent draws are measure zero, so such a draw is redrawn, not normalized.
+LATTICE_REDRAW_NORM = 1e-6
+# Schmidt weights at or below this are left out of the marginal entropy:
+# weights that vanish in exact arithmetic come out of the SVD near 1e-32, not
+# 0, and w ln w is at most 3.5e-14 in magnitude here, so 0 ln 0 := 0 holds.
+ENTROPY_WEIGHT_CUT = 1e-15
 
 
 class NontrivialityConvention(Enum):
@@ -66,6 +76,13 @@ class ProductProperty:
                 raise ValueError("both factors must be nontrivial projectors")
 
 
+class Replay(NamedTuple):
+    """What replaying a pair measured: the commutator norm and ``||P @ amp @ Q.T||_F``."""
+
+    commutator_norm: float
+    cooccurrence_weight: float
+
+
 @dataclass(frozen=True)
 class HolismVerdict:
     """Result of the analytic certifier for one amplitude matrix.
@@ -73,7 +90,8 @@ class HolismVerdict:
     ``holistic`` is True exactly when no co-occurring witness exists under
     the declared convention.  An exclusive witness always exists for factor
     dimensions >= 2, so ``lambda0_witness`` is never None and no amplitude
-    is strictly free of commuting products.
+    is strictly free of commuting products.  Each witness comes with the
+    :class:`Replay` it passed.
     """
 
     lambda1_witness: ProductProperty | None
@@ -82,6 +100,8 @@ class HolismVerdict:
     rank: int
     dims: SystemDims
     convention: NontrivialityConvention
+    lambda1_replay: Replay | None
+    lambda0_replay: Replay | None
 
 
 def make_holistic(amp: AmplitudeMatrix, *, tols: Tolerances | None = None) -> Property:
@@ -95,7 +115,8 @@ def product_commutator_norm(
     pair: "ProductProperty | tuple[Property, Property]",
     *,
     tols: Tolerances | None = None,
-) -> float:
+    with_weight: bool = False,
+) -> "float | Replay":
     """Frobenius norm of the commutator of ``p (x) q`` with the joint dyad.
 
     Computed on the matrix side, without forming any ``d_a d_b``-square
@@ -110,7 +131,8 @@ def product_commutator_norm(
     ``tols`` is accepted for signature stability; no threshold applies.
 
     Accepts a bare ``(p, q)`` tuple as well, since the norm is defined for
-    trivial pairs too.
+    trivial pairs too.  With ``with_weight`` it returns a :class:`Replay`
+    that adds ``||W||_F`` from the same product.
     """
     p, q = (pair.p, pair.q) if isinstance(pair, ProductProperty) else pair
     d_a, d_b = amp.dims
@@ -120,7 +142,8 @@ def product_commutator_norm(
         )
     w = p.matrix @ amp.matrix @ q.matrix.T
     c = complex(np.vdot(amp.matrix, w))
-    return float(np.sqrt(2.0 * frob(w - c * amp.matrix) ** 2 + 4.0 * c.imag * c.imag))
+    norm = float(np.sqrt(2.0 * frob(w - c * amp.matrix) ** 2 + 4.0 * c.imag * c.imag))
+    return Replay(norm, frob(w)) if with_weight else norm
 
 
 def schmidt_rank(s, tols: Tolerances):
@@ -156,9 +179,10 @@ def certify_rank1(
     The verdict is :func:`holistic_at_rank` at ``r = schmidt_rank(s)``.  When
     it is not holistic, the co-occurring witness projects onto the leading
     ``r`` singular subspaces: solutions of ``P @ amp @ Q.T == amp`` contain
-    the column and row spaces.  An exclusive witness always exists.
+    the column and row spaces.  An exclusive witness always exists.  Witness
+    factors are built by ``Property.from_basis`` from the SVD's columns.
 
-    Every witness is replayed through :func:`product_commutator_norm`; a
+    Every witness is replayed once through :func:`product_commutator_norm`; a
     replay above ``tol_compat`` raises :class:`InvariantViolation`.  The
     co-occurring bound adds ``sqrt(2) ||s[r:]||``, since truncating ``s[r:]``
     leaves the residual ``sqrt(2 delta (1 - delta))``, ``delta = ||s[r:]||^2``.
@@ -170,22 +194,25 @@ def certify_rank1(
 
     lambda1 = None
     if not holistic:
-        ur, vr = u[:, :r], v[:, :r]
-        p1 = Property(ur @ ur.conj().T, tols=tols)
-        q1 = Property((vr @ vr.conj().T).T.copy(), tols=tols)
-        lambda1 = ProductProperty(p1, q1, convention)
+        # Q = (V_r V_r^dag)^T projects onto the columns of conj(V_r)
+        lambda1 = ProductProperty(
+            Property.from_unitary(u, r), Property.from_unitary(v.conj(), r), convention
+        )
 
     lambda0 = _exclusive_witness(amp, convention, tols)
 
     bound1 = tols.tol_compat + float(np.sqrt(2.0) * frob(s[r:]))
+    replays = []
     for witness, bound in ((lambda1, bound1), (lambda0, tols.tol_compat)):
         if witness is None:
+            replays.append(None)
             continue
-        replay = product_commutator_norm(amp, witness, tols=tols)
-        if replay > bound:
+        replay = product_commutator_norm(amp, witness, tols=tols, with_weight=True)
+        if replay.commutator_norm > bound:
             raise InvariantViolation(
-                f"witness replay failed: commutator norm {replay!r} > {bound!r}"
+                f"witness replay failed: commutator norm {replay.commutator_norm!r} > {bound!r}"
             )
+        replays.append(replay)
 
     return HolismVerdict(
         lambda1_witness=lambda1,
@@ -194,6 +221,8 @@ def certify_rank1(
         rank=r,
         dims=amp.dims,
         convention=convention,
+        lambda1_replay=replays[0],
+        lambda0_replay=replays[1],
     )
 
 
@@ -204,17 +233,20 @@ def _exclusive_witness(
 
     ``Q`` projects onto the first column with norm above ``tol_rank``, else onto
     the longest (nonzero for unit-norm ``amp``); ``P`` off that column's image.
+    Each factor is kept by one basis vector: ``Q`` by the unit vector ``e_col``,
+    ``P`` by the normalized image as its complement.
     """
-    d_a, d_b = amp.dims
+    d_b = amp.dims[1]
     col = next((j for j in range(d_b) if np.linalg.norm(amp.matrix[:, j]) > tols.tol_rank), None)
     if col is None:
         col = int(np.argmax(np.linalg.norm(amp.matrix, axis=0)))
     image = amp.matrix[:, col]
     image = image / np.linalg.norm(image)
-    p = np.eye(d_a, dtype=complex) - np.outer(image, image.conj())
-    q = np.zeros((d_b, d_b), dtype=complex)
-    q[col, col] = 1.0
-    return ProductProperty(Property(p, tols=tols), Property(q, tols=tols), convention)
+    e_col = np.zeros((d_b, 1), dtype=complex)
+    e_col[col, 0] = 1.0
+    return ProductProperty(
+        Property.from_basis(image[:, None], complement=True), Property.from_basis(e_col), convention
+    )
 
 
 def _project_out(residual: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
@@ -273,7 +305,7 @@ def lattice_amplitudes(amp: AmplitudeMatrix, k: int, rng_seed: int) -> list[Ampl
     while len(family) < k:
         residual = _project_out(ginibre(amp.dims, rng), family)
         norm = frob(residual)
-        if norm > 1e-6:  # dependent draws are measure zero; redraw otherwise
+        if norm > LATTICE_REDRAW_NORM:
             family.append(residual / norm)
     return [AmplitudeMatrix(m) for m in family]
 
@@ -299,6 +331,6 @@ def marginal_entropy(amp: AmplitudeMatrix) -> tuple[float, float]:
     entropy is computed from the Schmidt weights with ``0 ln 0 := 0``.
     """
     weights = amp.singular_values.astype(float) ** 2
-    weights = weights[weights > 1e-15]
+    weights = weights[weights > ENTROPY_WEIGHT_CUT]
     s_part = float(-np.sum(weights * np.log(weights)))
     return 0.0, s_part

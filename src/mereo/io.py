@@ -7,15 +7,20 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import Tolerances, active_tolerances
 from .doubleket import AmplitudeMatrix
-from .linalg import SystemDims, as_matrix, ginibre
+from .linalg import SystemDims, as_matrix, frob, ginibre
+from .properties import Property
 
 PRESET_NAMES = ("bell2", "product2", "maxent3")
 
 
 def matrix_to_json_dict(m) -> dict:
     """Serialize a matrix as ``{rows, cols, re, im}`` with row-major arrays."""
-    m = as_matrix(m)
+    return _record(as_matrix(m))
+
+
+def _record(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
@@ -24,7 +29,8 @@ def matrix_to_json_dict(m) -> dict:
     }
 
 
-def matrix_from_json_dict(data) -> np.ndarray:
+def _parse_record(data, *, min_cols: int) -> np.ndarray:
+    """Complex array of a ``{rows, cols, re, im}`` record, signed zeros kept."""
     if not isinstance(data, dict):
         raise ValueError("matrix record must be a JSON object")
     try:
@@ -34,13 +40,53 @@ def matrix_from_json_dict(data) -> np.ndarray:
         im = np.asarray(data["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix record: {exc}") from exc
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive")
+    if rows < 1 or cols < min_cols:
+        raise ValueError(f"matrix record needs rows >= 1 and cols >= {min_cols}, got {rows}x{cols}")
     if re.size != rows * cols or im.size != rows * cols:
         raise ValueError(
             f"matrix record has {re.size}/{im.size} entries, expected {rows * cols}"
         )
-    return as_matrix((re + 1j * im).reshape(rows, cols))
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ValueError("matrix record contains non-finite entries")
+    m = np.empty(rows * cols, dtype=complex)
+    m.real = re.reshape(-1)
+    m.imag = im.reshape(-1)
+    return m.reshape(rows, cols)
+
+
+def matrix_from_json_dict(data) -> np.ndarray:
+    return _parse_record(data, min_cols=1)
+
+
+def property_to_json_dict(p: Property) -> dict:
+    """Serialize a projector built by ``Property.from_basis`` as ``{dim, rank, complement, basis}``.
+
+    The projector is ``B B^dag``, or ``I - B B^dag`` when ``complement``, with
+    ``B`` the ``basis`` matrix record; ``B`` may have zero columns.
+    """
+    if p.basis is None:
+        raise ValueError("only a projector built from a basis has a record")
+    return {"dim": p.dim, "rank": p.rank, "complement": p.complement, "basis": _record(p.basis)}
+
+
+def property_from_json_dict(data, *, tols: Tolerances | None = None) -> Property:
+    """Rebuild a projector record bit for bit, after checking its shape and orthonormality."""
+    tols = tols or active_tolerances()
+    if not isinstance(data, dict) or not isinstance(data.get("complement"), bool):
+        raise ValueError("projector record needs a boolean 'complement'")
+    b = _parse_record(data.get("basis"), min_cols=0)
+    dim, cols = b.shape
+    if cols > dim:
+        raise ValueError(f"projector basis has {cols} columns in dimension {dim}")
+    rank = dim - cols if data["complement"] else cols
+    if data.get("dim") != dim or data.get("rank") != rank:
+        raise ValueError(
+            f"projector record claims dim {data.get('dim')!r}, rank {data.get('rank')!r}; "
+            f"its basis gives dim {dim}, rank {rank}"
+        )
+    if frob(b.conj().T @ b - np.eye(cols)) > tols.tol_recon:
+        raise ValueError("projector basis columns are not orthonormal")
+    return Property.from_basis(b, data["complement"])
 
 
 def load_matrix(path) -> np.ndarray:

@@ -38,9 +38,14 @@ class PropertyCheck:
 
 
 class Property:
-    """Orthogonal projector with cached rank."""
+    """Orthogonal projector with cached rank.
 
-    __slots__ = ("matrix", "rank")
+    A projector from :meth:`from_basis` also keeps the orthonormal columns
+    ``basis`` it was built from: it is ``B B^dag``, or ``I - B B^dag`` when
+    ``complement``.  A validated matrix has ``basis`` None.
+    """
+
+    __slots__ = ("matrix", "rank", "basis", "complement")
 
     def __init__(self, matrix, *, tols: Tolerances | None = None):
         tols = tols or active_tolerances()
@@ -58,6 +63,44 @@ class Property:
         m.setflags(write=False)
         self.matrix = m
         self.rank = int(np.sum(w > 0.5))
+        self.basis = None
+        self.complement = False
+
+    @classmethod
+    def from_basis(cls, basis, complement: bool = False) -> "Property":
+        """Projector ``B B^dag``, or ``I - B B^dag`` with ``complement``, from orthonormal columns ``B``.
+
+        ``B`` is a ``(dim, cols)`` array with ``cols <= dim``.  Trusted: the
+        columns come from an SVD or a unitary, so the Hermiticity,
+        idempotency and spectrum checks are skipped (witnesses built this way
+        are replayed instead).  ``B`` may have zero columns: the zero
+        projector, or the identity with ``complement``.  Equal ``B`` give equal
+        matrices bit for bit, so a printed basis rebuilds the projector used.
+        """
+        b = np.array(basis, dtype=complex, order="C")
+        m = b @ b.conj().T
+        if complement:
+            m = np.eye(b.shape[0], dtype=complex) - m
+        b.setflags(write=False)
+        m.setflags(write=False)
+        self = object.__new__(cls)
+        self.matrix = m
+        self.rank = b.shape[0] - b.shape[1] if complement else b.shape[1]
+        self.basis = b
+        self.complement = bool(complement)
+        return self
+
+    @classmethod
+    def from_unitary(cls, u: np.ndarray, rank: int) -> "Property":
+        """Projector onto the first ``rank`` columns of the unitary ``u``, by its smaller side.
+
+        That is the range ``u[:, :rank]`` when ``rank <= dim / 2``, else the
+        complement ``u[:, rank:]``, so the basis has ``min(rank, dim - rank)``
+        columns (a tie keeps the range).
+        """
+        if 2 * rank <= u.shape[0]:
+            return cls.from_basis(u[:, :rank])
+        return cls.from_basis(u[:, rank:], complement=True)
 
     @property
     def dim(self) -> int:

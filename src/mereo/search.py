@@ -123,12 +123,15 @@ def _exp_i(params: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return w, v, (v * np.exp(1j * w)[..., None, :]) @ _adj(v)
 
 
-def parametrize_projector(params, d: int, rank: int, *, tols: Tolerances | None = None) -> Property:
-    """Rank-``rank`` projector ``U diag(1_rank, 0) U^dag`` with ``U = exp(i H(params))``."""
+def parametrize_projector(params, d: int, rank: int) -> Property:
+    """Rank-``rank`` projector ``U diag(1_rank, 0) U^dag`` with ``U = exp(i H(params))``.
+
+    Built by ``Property.from_unitary``: from the columns of ``U`` on its
+    smaller side, so above ``rank = d / 2`` as ``I - U_c U_c^dag``.
+    """
     if not 0 <= rank <= d:
         raise ValueError(f"rank must be between 0 and {d}, got {rank}")
-    ur = _exp_i(np.asarray(params, dtype=float).reshape(-1), d)[2][:, :rank]
-    return Property(ur @ ur.conj().T, tols=tols)
+    return Property.from_unitary(_exp_i(np.asarray(params, dtype=float).reshape(-1), d)[2], rank)
 
 
 def _pullback(w: np.ndarray, v: np.ndarray, ur: np.ndarray, lmat: np.ndarray) -> np.ndarray:
@@ -232,7 +235,7 @@ def objective_value_and_grad(
     return f.reshape(params.shape[:-1]), grad
 
 
-def minimize(amp: AmplitudeMatrix, cfg: SearchConfig, *, tols: Tolerances | None = None) -> SearchResult:
+def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
     """Multi-restart gradient descent over the projector parameters.
 
     Restarts descend as one stack, each halving its step on non-decrease and
@@ -241,8 +244,9 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig, *, tols: Tolerances | None
     and computed row by row, so enlarging ``cfg.restarts`` only ever adds
     candidates; the first with the lowest objective wins.  ``min_value`` is
     the commutator norm of that pair from :func:`product_commutator_norm`,
-    not the square root of the objective, whose cancellation hides norms
-    below about 1e-8; results replay by construction.  At ranks (1, 1) with
+    which also gives ``cooccurrence_weight``, not the square root of the
+    objective, whose cancellation hides norms below about 1e-8; results
+    replay by construction.  At ranks (1, 1) with
     ``exclude_exclusive`` the minimum is 0.0235757, set by the hinge floor
     and not by the amplitude (see ``EXCLUDE_FLOOR``).
     """
@@ -281,10 +285,9 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig, *, tols: Tolerances | None
         live = live[~stalled]
 
     best = int(np.argmin(f))
-    p = parametrize_projector(x[best, : d_a * d_a], d_a, cfg.rank_p, tols=tols)
-    q = parametrize_projector(x[best, d_a * d_a :], d_b, cfg.rank_q, tols=tols)
-    min_value = product_commutator_norm(amp, (p, q))
-    weight = frob(p.matrix @ amp.matrix @ q.matrix.T)
+    p = parametrize_projector(x[best, : d_a * d_a], d_a, cfg.rank_p)
+    q = parametrize_projector(x[best, d_a * d_a :], d_b, cfg.rank_q)
+    min_value, weight = product_commutator_norm(amp, (p, q), with_weight=True)
     return SearchResult(
         min_value=min_value,
         argmin_p=p,
@@ -429,11 +432,9 @@ def random_product_pair(
     rank_q: int,
     rng: np.random.Generator,
     convention: NontrivialityConvention = NontrivialityConvention.BOTH,
-    *,
-    tols: Tolerances | None = None,
 ) -> ProductProperty:
     """Haar-ish random factorized pair of the given ranks, for testing."""
     d_a, d_b = int(dims[0]), int(dims[1])
-    p = parametrize_projector(rng.normal(size=d_a * d_a), d_a, rank_p, tols=tols)
-    q = parametrize_projector(rng.normal(size=d_b * d_b), d_b, rank_q, tols=tols)
+    p = parametrize_projector(rng.normal(size=d_a * d_a), d_a, rank_p)
+    q = parametrize_projector(rng.normal(size=d_b * d_b), d_b, rank_q)
     return ProductProperty(p, q, convention)

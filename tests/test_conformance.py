@@ -82,7 +82,8 @@ def test_lattice_tables_match_projector_products(argv, tmp_path):
     out = tmp_path / "lattice.json"
     assert cli.main(["lattice", *argv, "--out", str(out)]) == 0
     results = json.loads(out.read_text())["results"]
-    props = [matrix_from_json_dict(m["projector"]) for m in results["members"]]
+    vecs = [matrix_from_json_dict(m["amplitude"]).reshape(-1) for m in results["members"]]
+    props = [np.outer(v, v.conj()) for v in vecs]
     k = len(props)
     comm = np.array(results["pairwise_commutator_norms"])
     prod = np.array(results["pairwise_product_norms"])
@@ -91,6 +92,22 @@ def test_lattice_tables_match_projector_products(argv, tmp_path):
             a, b = props[i], props[j]
             assert abs(comm[i, j] - frob(a @ b - b @ a)) <= AGREE
             assert abs(prod[i, j] - frob(a @ b)) <= AGREE
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "maxent3", "--k", "4", "--seed", "5"],
+    ["--preset", "maxent3", "--k", "9", "--seed", "5"],
+    ["--random-seed", "3", "--dims", "4", "5", "--k", "11", "--seed", "2"],
+    ["--random-seed", "3", "--dims", "4", "5", "--k", "20", "--seed", "2"],
+])
+def test_completeness_deviation_matches_sum_of_member_projectors(argv, tmp_path):
+    out = tmp_path / "lattice.json"
+    assert cli.main(["lattice", *argv, "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    vecs = [matrix_from_json_dict(m["amplitude"]).reshape(-1) for m in results["members"]]
+    total = sum(np.outer(v, v.conj()) for v in vecs)
+    reference = frob(total - np.eye(total.shape[0]))
+    assert abs(results["completeness_deviation"] - reference) <= 1e-15
 
 
 def projector_and_tangents(params, d, rank):

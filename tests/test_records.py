@@ -1,0 +1,155 @@
+"""Projector records: every printed witness and argmin rebuilds the matrix used.
+
+A record is ``{dim, rank, complement, basis}``: the projector is ``B B^dag``,
+or ``I - B B^dag`` when ``complement``.  The CLI cases parse a report, rebuild
+each record through ``Property.from_basis`` and compare it by ``tobytes()``
+with the matrix the library computed in process.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mereo import (
+    AmplitudeMatrix,
+    NontrivialityConvention,
+    SearchConfig,
+    certify_rank1,
+    cli,
+    minimize,
+    parametrize_projector,
+)
+from mereo.io import (
+    load_matrix,
+    matrix_to_json_dict,
+    property_from_json_dict,
+    property_to_json_dict,
+    random_amplitude,
+)
+
+
+def run_report(argv, tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    return json.loads(out.read_text())["results"]
+
+
+def rebuilt(record):
+    return property_from_json_dict(record).matrix
+
+
+def assert_same_bytes(record, prop):
+    back = property_from_json_dict(record)
+    assert record["rank"] == back.rank == prop.rank
+    assert back.basis.tobytes() == prop.basis.tobytes()
+    assert back.matrix.tobytes() == prop.matrix.tobytes()
+
+
+def gamma_of_rank(tmp_path, d_a, d_b, rank, seed):
+    rng = np.random.default_rng(seed)
+    m = (rng.standard_normal((d_a, rank)) + 1j * rng.standard_normal((d_a, rank))) @ (
+        rng.standard_normal((rank, d_b)) + 1j * rng.standard_normal((rank, d_b))
+    )
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(matrix_to_json_dict(m)))
+    return str(path)
+
+
+@pytest.mark.parametrize("d, rank, side_cols, complement", [
+    (4, 1, 1, False),  # r <= d/2 keeps the range
+    (4, 2, 2, False),  # the tie keeps the range
+    (5, 4, 1, True),  # r > d/2 keeps the complement
+])
+def test_certify_witnesses_rebuild_exactly(tmp_path, d, rank, side_cols, complement):
+    path = gamma_of_rank(tmp_path, d, d, rank, seed=[d, rank])
+    results = run_report(["certify", "--gamma", path, "--convention", "bothreport"], tmp_path)
+    amp = AmplitudeMatrix.normalized(load_matrix(path))
+    for conv in NontrivialityConvention:
+        verdict = certify_rank1(amp, conv)
+        printed = results["verdicts"][conv.value]
+        lam1, lam0 = printed["lambda1_witness"], printed["lambda0_witness"]
+        for record in (lam1["p"], lam1["q"]):
+            assert record["basis"]["cols"] == side_cols and record["complement"] is complement
+        assert_same_bytes(lam1["p"], verdict.lambda1_witness.p)
+        assert_same_bytes(lam1["q"], verdict.lambda1_witness.q)
+        # the exclusive witness: P off the image of one column, Q onto that column
+        assert lam0["p"]["complement"] is True and lam0["p"]["basis"]["cols"] == 1
+        assert lam0["q"]["complement"] is False and lam0["q"]["basis"]["cols"] == 1
+        assert_same_bytes(lam0["p"], verdict.lambda0_witness.p)
+        assert_same_bytes(lam0["q"], verdict.lambda0_witness.q)
+        assert lam1["replay_commutator_norm"] == verdict.lambda1_replay.commutator_norm
+        assert lam0["cooccurrence_weight"] == verdict.lambda0_replay.cooccurrence_weight
+
+
+def test_identity_factor_is_a_complement_with_zero_columns(tmp_path):
+    # a full-rank 2x3 amplitude is not holistic under atleastone: P = I
+    results = run_report(["certify", "--random-seed", "1", "--dims", "2", "3"], tmp_path)
+    record = results["verdicts"]["atleastone"]["lambda1_witness"]["p"]
+    assert record == {
+        "dim": 2, "rank": 2, "complement": True,
+        "basis": {"rows": 2, "cols": 0, "re": [], "im": []},
+    }
+    witness = certify_rank1(random_amplitude(1, (2, 3))).lambda1_witness
+    assert_same_bytes(record, witness.p)
+    assert rebuilt(record).tobytes() == np.eye(2, dtype=complex).tobytes()
+
+
+def test_signed_zeros_survive_the_record(tmp_path):
+    # this amplitude's SVD gives a co-occurring Q basis with -0.0 entries
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(matrix_to_json_dict(np.array([[0.0, 1j], [0.0, 0.0]]))))
+    results = run_report(["certify", "--gamma", str(path)], tmp_path)
+    record = results["verdicts"]["atleastone"]["lambda1_witness"]["q"]
+    assert "-0.0" in json.dumps(record)
+    witness = certify_rank1(AmplitudeMatrix.normalized(load_matrix(path))).lambda1_witness
+    assert_same_bytes(record, witness.q)
+
+
+@pytest.mark.parametrize("d, rank", [(3, 1), (3, 2), (4, 3)])
+def test_search_argmin_rebuilds_exactly(tmp_path, d, rank):
+    argv = ["search", "--random-seed", "7", "--dims", str(d), str(d), "--restarts", "2",
+            "--rank-p", str(rank), "--rank-q", str(rank), "--seed", "5"]
+    results = run_report(argv, tmp_path)
+    cfg = SearchConfig(rank_p=rank, rank_q=rank, restarts=2, rng_seed=5)
+    result = minimize(random_amplitude(7, (d, d)), cfg)
+    for key, prop in (("argmin_p", result.argmin_p), ("argmin_q", result.argmin_q)):
+        assert results[key]["complement"] is (2 * rank > d)
+        assert_same_bytes(results[key], prop)
+    assert results["min_value"] == result.min_value
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8).flatmap(
+    lambda d: st.lists(st.floats(-4.0, 4.0), min_size=d * d, max_size=d * d)
+))
+def test_every_rank_round_trips_through_json(params):
+    d = int(round(len(params) ** 0.5))
+    for rank in range(d + 1):
+        prop = parametrize_projector(np.array(params), d, rank)
+        record = json.loads(json.dumps(property_to_json_dict(prop)))
+        assert record["basis"]["cols"] == min(rank, d - rank)
+        assert property_from_json_dict(record).complement == prop.complement
+        assert_same_bytes(record, prop)
+
+
+def good_record():
+    return property_to_json_dict(parametrize_projector(np.arange(9.0) / 7.0, 3, 2))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r.update(complement=1),
+    lambda r: r.update(rank=1),
+    lambda r: r.update(dim=4),
+    lambda r: r["basis"].update(cols=4, re=[0.0] * 12, im=[0.0] * 12),
+    lambda r: r["basis"].update(re=[2.0 * x for x in r["basis"]["re"]]),
+    lambda r: r["basis"].update(re=[float("nan")] * 3),
+    lambda r: r.pop("basis"),
+])
+def test_malformed_records_are_rejected(edit):
+    record = good_record()
+    edit(record)
+    with pytest.raises(ValueError):
+        property_from_json_dict(record)
