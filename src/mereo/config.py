@@ -1,8 +1,11 @@
 """Central tolerance configuration shared by every module.
 
 All discrete verdicts in the library (rank counts, compatibility flags,
-support membership) are thresholded against the values here, so reports can
-quote a single tolerance record.
+support membership) are thresholded against one :class:`Tolerances` record,
+so reports can quote it.  Library calls take that record as ``tols`` and
+default to ``Tolerances()``; they read no environment.  The
+``MEREO_TOL_OVERRIDE`` environment variable configures the CLI only:
+``cli.main`` resolves it once, through :func:`active_tolerances`.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 ENV_OVERRIDE = "MEREO_TOL_OVERRIDE"
 
@@ -39,20 +42,15 @@ class Tolerances:
                 raise ValueError(f"tolerance {name} must be finite and > 0, got {value!r}")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "tol_herm": self.tol_herm,
-            "tol_recon": self.tol_recon,
-            "tol_rank": self.tol_rank,
-            "tol_compat": self.tol_compat,
-            "tol_support": self.tol_support,
-        }
+        return asdict(self)
 
 
 def active_tolerances() -> Tolerances:
-    """Default tolerances, with optional overrides from MEREO_TOL_OVERRIDE.
+    """The CLI's tolerances: defaults, with optional overrides from MEREO_TOL_OVERRIDE.
 
     The environment variable, when set, must hold a JSON object whose keys
-    are a subset of the ``Tolerances`` field names.
+    are a subset of the ``Tolerances`` field names.  Only ``cli.main`` calls
+    this; library calls take ``tols`` and never read the environment.
     """
     base = Tolerances()
     raw = os.environ.get(ENV_OVERRIDE)

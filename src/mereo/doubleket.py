@@ -19,6 +19,14 @@ import numpy as np
 
 from .linalg import SystemDims, as_matrix, frob
 
+# Largest |Tr(m^dag m) - 1| an amplitude matrix may carry.  A construction
+# check, not a verdict: matrices scaled by ``normalized`` land within ~1e-15,
+# and this still admits entries written out to about nine digits.
+UNIT_NORM_SLACK = 1e-9
+# Norm below which ``normalized`` refuses to scale: the direction of such a
+# matrix is set by the rounding of its entries, not by the data.
+NORMALIZE_MIN_NORM = 1e-12
+
 
 @dataclass(frozen=True)
 class DoubleKet:
@@ -59,7 +67,7 @@ class AmplitudeMatrix:
     def __init__(self, matrix):
         m = as_matrix(matrix, name="amplitude matrix")
         hs_sq = float(np.vdot(m, m).real)
-        if abs(hs_sq - 1.0) > 1e-9:
+        if abs(hs_sq - 1.0) > UNIT_NORM_SLACK:
             raise ValueError(
                 f"amplitude matrix must have unit Hilbert-Schmidt norm, got Tr(m^dag m) = {hs_sq!r}"
             )
@@ -78,7 +86,7 @@ class AmplitudeMatrix:
         """Build from any nonzero matrix by scaling to unit norm."""
         m = as_matrix(matrix, name="amplitude matrix")
         n = frob(m)
-        if n < 1e-12:
+        if n < NORMALIZE_MIN_NORM:
             raise ValueError("cannot normalize a zero matrix")
         return cls(m / n)
 

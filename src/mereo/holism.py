@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import InvariantViolation, Tolerances, active_tolerances
+from .config import InvariantViolation, Tolerances
 from .doubleket import AmplitudeMatrix, vec
 from .linalg import SystemDims, as_matrix, frob, ginibre
 from .properties import Property, is_nontrivial
@@ -48,13 +48,6 @@ class NontrivialityConvention(Enum):
 
     AT_LEAST_ONE = "atleastone"
     BOTH = "both"
-
-    @classmethod
-    def from_flag(cls, flag: str) -> "NontrivialityConvention":
-        for member in cls:
-            if member.value == flag:
-                return member
-        raise ValueError(f"unknown convention {flag!r}")
 
 
 @dataclass(frozen=True)
@@ -104,20 +97,14 @@ class HolismVerdict:
     lambda0_replay: Replay | None
 
 
-def make_holistic(amp: AmplitudeMatrix, *, tols: Tolerances | None = None) -> Property:
+def make_holistic(amp: AmplitudeMatrix, *, tols: Tolerances = Tolerances()) -> Property:
     """Rank-1 projector onto the vectorized amplitude matrix."""
     v = vec(amp).vector
     return Property(np.outer(v, v.conj()), tols=tols)
 
 
-def product_commutator_norm(
-    amp: AmplitudeMatrix,
-    pair: "ProductProperty | tuple[Property, Property]",
-    *,
-    tols: Tolerances | None = None,
-    with_weight: bool = False,
-) -> "float | Replay":
-    """Frobenius norm of the commutator of ``p (x) q`` with the joint dyad.
+def product_commutator_norm(amp: AmplitudeMatrix, p: Property, q: Property) -> Replay:
+    """Replay of the pair ``p (x) q`` against the joint dyad of ``amp``.
 
     Computed on the matrix side, without forming any ``d_a d_b``-square
     operator: ``(p (x) q) vec(amp) = vec(W)`` with ``W = p @ amp @ q.T``, and
@@ -128,13 +115,9 @@ def product_commutator_norm(
 
     exactly for unit-norm ``amp``.  Unlike ``2 ||W||^2 - 2 Re(c^2)`` this
     form does not cancel, so it resolves norms far below ``tol_compat``.
-    ``tols`` is accepted for signature stability; no threshold applies.
-
-    Accepts a bare ``(p, q)`` tuple as well, since the norm is defined for
-    trivial pairs too.  With ``with_weight`` it returns a :class:`Replay`
-    that adds ``||W||_F`` from the same product.
+    No threshold applies, and the norm is defined for trivial pairs too.
+    The :class:`Replay` adds ``||W||_F`` from the same product.
     """
-    p, q = (pair.p, pair.q) if isinstance(pair, ProductProperty) else pair
     d_a, d_b = amp.dims
     if p.dim != d_a or q.dim != d_b:
         raise ValueError(
@@ -143,7 +126,7 @@ def product_commutator_norm(
     w = p.matrix @ amp.matrix @ q.matrix.T
     c = complex(np.vdot(amp.matrix, w))
     norm = float(np.sqrt(2.0 * frob(w - c * amp.matrix) ** 2 + 4.0 * c.imag * c.imag))
-    return Replay(norm, frob(w)) if with_weight else norm
+    return Replay(norm, frob(w))
 
 
 def schmidt_rank(s, tols: Tolerances):
@@ -172,7 +155,7 @@ def certify_rank1(
     amp: AmplitudeMatrix,
     convention: NontrivialityConvention = NontrivialityConvention.AT_LEAST_ONE,
     *,
-    tols: Tolerances | None = None,
+    tols: Tolerances = Tolerances(),
 ) -> HolismVerdict:
     """Decide whether the joint dyad commutes with any nontrivial pair.
 
@@ -187,7 +170,6 @@ def certify_rank1(
     co-occurring bound adds ``sqrt(2) ||s[r:]||``, since truncating ``s[r:]``
     leaves the residual ``sqrt(2 delta (1 - delta))``, ``delta = ||s[r:]||^2``.
     """
-    tols = tols or active_tolerances()
     u, s, v = amp.svd()
     r = int(schmidt_rank(s, tols))
     holistic = bool(holistic_at_rank(r, amp.dims, convention))
@@ -207,7 +189,7 @@ def certify_rank1(
         if witness is None:
             replays.append(None)
             continue
-        replay = product_commutator_norm(amp, witness, tols=tols, with_weight=True)
+        replay = product_commutator_norm(amp, witness.p, witness.q)
         if replay.commutator_norm > bound:
             raise InvariantViolation(
                 f"witness replay failed: commutator norm {replay.commutator_norm!r} > {bound!r}"
@@ -262,14 +244,13 @@ def _project_out(residual: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
 
 
 def gram_schmidt_hs(
-    candidates, dims: SystemDims, *, tols: Tolerances | None = None
+    candidates, dims: SystemDims, *, tols: Tolerances = Tolerances()
 ) -> list[AmplitudeMatrix]:
     """Orthonormalize matrices under the Hilbert-Schmidt inner product.
 
     Linearly dependent inputs are dropped with a warning; an input list
     that spans nothing raises.
     """
-    tols = tols or active_tolerances()
     d_a, d_b = int(dims[0]), int(dims[1])
     basis: list[np.ndarray] = []
     dropped = 0
@@ -311,7 +292,7 @@ def lattice_amplitudes(amp: AmplitudeMatrix, k: int, rng_seed: int) -> list[Ampl
 
 
 def holistic_lattice(
-    amp: AmplitudeMatrix, k: int, rng_seed: int, *, tols: Tolerances | None = None
+    amp: AmplitudeMatrix, k: int, rng_seed: int, *, tols: Tolerances = Tolerances()
 ) -> list[Property]:
     """``k`` pairwise mutually exclusive rank-1 joint properties seeded by ``amp``.
 

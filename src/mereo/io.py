@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Tolerances, active_tolerances
+from .config import Tolerances
 from .doubleket import AmplitudeMatrix
 from .linalg import SystemDims, as_matrix, frob, ginibre
 from .properties import Property
@@ -69,9 +69,8 @@ def property_to_json_dict(p: Property) -> dict:
     return {"dim": p.dim, "rank": p.rank, "complement": p.complement, "basis": _record(p.basis)}
 
 
-def property_from_json_dict(data, *, tols: Tolerances | None = None) -> Property:
+def property_from_json_dict(data, *, tols: Tolerances = Tolerances()) -> Property:
     """Rebuild a projector record bit for bit, after checking its shape and orthonormality."""
-    tols = tols or active_tolerances()
     if not isinstance(data, dict) or not isinstance(data.get("complement"), bool):
         raise ValueError("projector record needs a boolean 'complement'")
     b = _parse_record(data.get("basis"), min_cols=0)

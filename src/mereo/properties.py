@@ -14,9 +14,14 @@ from enum import Enum
 
 import numpy as np
 
-from .config import Tolerances, active_tolerances
+from .config import Tolerances
 from .doubleket import swap_operator
 from .linalg import as_matrix, frob
+
+# Largest |Tr(rho) - 1| a state may carry.  A construction check on the
+# input, like the amplitude unit norm, not a verdict thresholded by
+# ``Tolerances``: density matrices built in floating point land within ~1e-15.
+STATE_TRACE_SLACK = 1e-9
 
 
 class Verdict(Enum):
@@ -47,8 +52,7 @@ class Property:
 
     __slots__ = ("matrix", "rank", "basis", "complement")
 
-    def __init__(self, matrix, *, tols: Tolerances | None = None):
-        tols = tols or active_tolerances()
+    def __init__(self, matrix, *, tols: Tolerances = Tolerances()):
         m = as_matrix(matrix, name="property matrix")
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"property matrix must be square, got {m.shape}")
@@ -115,8 +119,7 @@ class State:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, *, tols: Tolerances | None = None):
-        tols = tols or active_tolerances()
+    def __init__(self, matrix, *, tols: Tolerances = Tolerances()):
         m = as_matrix(matrix, name="state matrix")
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"state matrix must be square, got {m.shape}")
@@ -126,7 +129,7 @@ class State:
         if np.any(w < -tols.tol_rank):
             raise ValueError("state matrix is not positive semidefinite")
         tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > 1e-9:
+        if abs(tr - 1.0) > STATE_TRACE_SLACK:
             raise ValueError(f"state trace must be 1, got {tr!r}")
         m = m.copy()
         m.setflags(write=False)
@@ -137,14 +140,13 @@ class State:
         return self.matrix.shape[0]
 
 
-def property_from_span(vectors, dim: int, *, tols: Tolerances | None = None) -> Property:
+def property_from_span(vectors, dim: int, *, tols: Tolerances = Tolerances()) -> Property:
     """Orthogonal projector onto the span of the given vectors.
 
     Linearly dependent inputs are harmless; the rank of the result is the
     dimension of the span.  An empty or all-zero list yields the zero
     property, which is trivial by construction.
     """
-    tols = tols or active_tolerances()
     dim = int(dim)
     cols = []
     for v in vectors:
@@ -173,26 +175,23 @@ def _check_same_dim(p: Property, q: Property) -> None:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
 
 
-def compatible(p: Property, q: Property, *, tols: Tolerances | None = None) -> tuple[bool, float]:
+def compatible(p: Property, q: Property, *, tols: Tolerances = Tolerances()) -> tuple[bool, float]:
     """Commutation test; returns (flag, commutator Frobenius norm)."""
-    tols = tols or active_tolerances()
     _check_same_dim(p, q)
     norm = frob(p.matrix @ q.matrix - q.matrix @ p.matrix)
     return norm <= tols.tol_compat, norm
 
 
-def product_if_property(p: Property, q: Property, *, tols: Tolerances | None = None) -> Property | None:
+def product_if_property(p: Property, q: Property, *, tols: Tolerances = Tolerances()) -> Property | None:
     """The product PQ, when the two commute (and PQ is itself a property)."""
-    tols = tols or active_tolerances()
     ok, _ = compatible(p, q, tols=tols)
     if not ok:
         return None
     return Property(p.matrix @ q.matrix, tols=tols)
 
 
-def mutually_exclusive(p: Property, q: Property, *, tols: Tolerances | None = None) -> bool:
+def mutually_exclusive(p: Property, q: Property, *, tols: Tolerances = Tolerances()) -> bool:
     """True when PQ = QP = 0, a special case of compatibility."""
-    tols = tols or active_tolerances()
     _check_same_dim(p, q)
     return (
         frob(p.matrix @ q.matrix) <= tols.tol_compat
@@ -200,14 +199,13 @@ def mutually_exclusive(p: Property, q: Property, *, tols: Tolerances | None = No
     )
 
 
-def has_property(rho: State, p: Property, *, tols: Tolerances | None = None) -> PropertyCheck:
+def has_property(rho: State, p: Property, *, tols: Tolerances = Tolerances()) -> PropertyCheck:
     """Three-valued membership judgment of a state against a property.
 
     Support inclusion is tested as ``||P rho P - rho|| <= tol_support``
     rather than by eigendecomposing ``rho``, which avoids rank decisions on
     near-zero state eigenvalues.
     """
-    tols = tols or active_tolerances()
     if rho.dim != p.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim} vs property {p.dim}")
     pm, rm = p.matrix, rho.matrix
@@ -220,7 +218,7 @@ def has_property(rho: State, p: Property, *, tols: Tolerances | None = None) -> 
     return PropertyCheck(Verdict.MEANINGLESS, overlap)
 
 
-def symmetric_projector(d: int, *, tols: Tolerances | None = None) -> Property:
+def symmetric_projector(d: int, *, tols: Tolerances = Tolerances()) -> Property:
     """Projector onto the swap-invariant subspace of ``H_d (x) H_d``.
 
     Rank is ``d (d + 1) / 2``; idempotency follows from the swap operator

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances, active_tolerances
+from .config import Tolerances
 from .doubleket import AmplitudeMatrix
 from .holism import (
     NontrivialityConvention,
@@ -42,6 +42,7 @@ from .properties import Property
 # amplitude whose top singular value stays below 0.9995.
 EXCLUDE_FLOOR = 0.05
 STEP_INIT = 0.5  # first descent step of every restart
+MAX_ITERS = 500  # descent steps after which a restart stops with "max_iters"
 GRAD_TOL = 1e-8  # gradient norm at which a restart stops with "grad_tol"
 STEP_MIN = 1e-14  # step below which a rejected restart stops with "step_underflow"
 # eigenvalue gap below which a divided difference of exp(ix) takes its
@@ -59,7 +60,6 @@ class SearchConfig:
     rank_p: int = 1
     rank_q: int = 1
     restarts: int = 32
-    max_iters: int = 500
     exclude_exclusive: bool = False
     rng_seed: int = 0
 
@@ -240,13 +240,13 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
 
     Restarts descend as one stack, each halving its step on non-decrease and
     growing it mildly on acceptance, until ``GRAD_TOL``, a step below
-    ``STEP_MIN`` or ``max_iters`` (``restart_trace`` says which).  They are seeded by index
-    and computed row by row, so enlarging ``cfg.restarts`` only ever adds
-    candidates; the first with the lowest objective wins.  ``min_value`` is
-    the commutator norm of that pair from :func:`product_commutator_norm`,
-    which also gives ``cooccurrence_weight``, not the square root of the
-    objective, whose cancellation hides norms below about 1e-8; results
-    replay by construction.  At ranks (1, 1) with
+    ``STEP_MIN`` or ``MAX_ITERS`` steps (``restart_trace`` says which).  They
+    are seeded by index and computed row by row, so enlarging ``cfg.restarts``
+    only ever adds candidates; the first with the lowest objective wins.
+    ``min_value`` is the commutator norm of that pair from
+    :func:`product_commutator_norm`, which also gives ``cooccurrence_weight``,
+    not the square root of the objective, whose cancellation hides norms below
+    about 1e-8; results replay by construction.  At ranks (1, 1) with
     ``exclude_exclusive`` the minimum is 0.0235757, set by the hinge floor
     and not by the amplitude (see ``EXCLUDE_FLOOR``).
     """
@@ -255,8 +255,8 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
         raise ValueError(f"rank_p must satisfy 0 < rank < {d_a}, got {cfg.rank_p}")
     if not 0 < cfg.rank_q < d_b:
         raise ValueError(f"rank_q must satisfy 0 < rank < {d_b}, got {cfg.rank_q}")
-    if cfg.restarts < 1 or cfg.max_iters < 1:
-        raise ValueError("restarts and max_iters must be positive")
+    if cfg.restarts < 1:
+        raise ValueError("restarts must be positive")
     n_params = d_a * d_a + d_b * d_b
 
     rngs = [np.random.default_rng([cfg.rng_seed, r]) for r in range(cfg.restarts)]
@@ -266,7 +266,7 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
     iters = np.zeros(cfg.restarts, dtype=int)
     reason = np.full(cfg.restarts, "max_iters", dtype=object)
     live = np.arange(cfg.restarts)
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         iters[live] += 1
         done = np.linalg.norm(grad[live], axis=-1) <= GRAD_TOL
         reason[live[done]] = "grad_tol"
@@ -287,7 +287,7 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
     best = int(np.argmin(f))
     p = parametrize_projector(x[best, : d_a * d_a], d_a, cfg.rank_p)
     q = parametrize_projector(x[best, d_a * d_a :], d_b, cfg.rank_q)
-    min_value, weight = product_commutator_norm(amp, (p, q), with_weight=True)
+    min_value, weight = product_commutator_norm(amp, p, q)
     return SearchResult(
         min_value=min_value,
         argmin_p=p,
@@ -389,7 +389,7 @@ class DensityReport:
 
 
 def density_scan(
-    dims: SystemDims, samples: int, rng_seed: int, *, tols: Tolerances | None = None
+    dims: SystemDims, samples: int, rng_seed: int, *, tols: Tolerances = Tolerances()
 ) -> DensityReport:
     """Certifier verdicts on unit-norm Ginibre samples under both conventions.
 
@@ -397,7 +397,6 @@ def density_scan(
     (:func:`holistic_at_rank`), with no witnesses.  Samples are seeded by
     index, so the scan can be sharded without changing the aggregate.
     """
-    tols = tols or active_tolerances()
     if samples < 1:
         raise ValueError("samples must be positive")
     dims = SystemDims(int(dims[0]), int(dims[1]))

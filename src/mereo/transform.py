@@ -13,10 +13,15 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .config import Tolerances, active_tolerances
+from .config import Tolerances
 from .doubleket import swap_operator
 from .linalg import SystemDims, as_matrix, frob, partial_trace
 from .properties import Property
+
+# Amount by which the top eigenvalue of sum K^dag K may exceed 1.  A
+# construction check on the Kraus family, not a verdict: projectors and
+# isometries built in floating point give 1 + O(1e-15).
+KRAUS_BOUND_SLACK = 1e-9
 
 
 class QuantumTransformation:
@@ -24,8 +29,7 @@ class QuantumTransformation:
 
     __slots__ = ("kraus", "d_in", "d_out", "atomic")
 
-    def __init__(self, kraus, *, tols: Tolerances | None = None):
-        tols = tols or active_tolerances()
+    def __init__(self, kraus, *, tols: Tolerances = Tolerances()):
         mats = [as_matrix(k, name="Kraus operator") for k in kraus]
         if not mats:
             raise ValueError("a transformation needs at least one Kraus operator")
@@ -35,7 +39,7 @@ class QuantumTransformation:
                 raise ValueError("all Kraus operators must share one shape")
         total = sum(m.conj().T @ m for m in mats)
         top = float(np.max(np.linalg.eigvalsh((total + total.conj().T) / 2.0)))
-        if top > 1.0 + 1e-9:
+        if top > 1.0 + KRAUS_BOUND_SLACK:
             raise ValueError(
                 f"Kraus operators are not trace-non-increasing: max eig of sum K^dag K = {top!r}"
             )
@@ -56,10 +60,9 @@ class ChoiMatrix:
     matrix: np.ndarray
     d_in: int
     d_out: int
-    tols: InitVar[Tolerances | None] = None
+    tols: InitVar[Tolerances] = Tolerances()
 
-    def __post_init__(self, tols: Tolerances | None):
-        tols = tols or active_tolerances()
+    def __post_init__(self, tols: Tolerances):
         m = as_matrix(self.matrix, name="Choi matrix")
         n = self.d_in * self.d_out
         if m.shape != (n, n):
@@ -74,7 +77,7 @@ class ChoiMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-def choi(t: QuantumTransformation, *, tols: Tolerances | None = None) -> ChoiMatrix:
+def choi(t: QuantumTransformation, *, tols: Tolerances = Tolerances()) -> ChoiMatrix:
     n = t.d_out * t.d_in
     total = np.zeros((n, n), dtype=complex)
     for k in t.kraus:
@@ -84,7 +87,7 @@ def choi(t: QuantumTransformation, *, tols: Tolerances | None = None) -> ChoiMat
 
 
 def compose(t1: QuantumTransformation, t2: QuantumTransformation,
-            *, tols: Tolerances | None = None) -> QuantumTransformation:
+            *, tols: Tolerances = Tolerances()) -> QuantumTransformation:
     """``t1`` after ``t2``; Kraus set is all pairwise products."""
     if t1.d_in != t2.d_out:
         raise ValueError(
@@ -95,28 +98,26 @@ def compose(t1: QuantumTransformation, t2: QuantumTransformation,
     )
 
 
-def is_repeatable(t: QuantumTransformation, *, tols: Tolerances | None = None) -> bool:
+def is_repeatable(t: QuantumTransformation, *, tols: Tolerances = Tolerances()) -> bool:
     """True when applying the map twice equals applying it once (Choi distance)."""
-    tols = tols or active_tolerances()
     if t.d_in != t.d_out:
         raise ValueError("repeatability is only defined for square maps")
     twice = compose(t, t, tols=tols)
     return frob(choi(twice, tols=tols).matrix - choi(t, tols=tols).matrix) <= tols.tol_compat
 
 
-def from_property(p: Property, *, tols: Tolerances | None = None) -> QuantumTransformation:
+def from_property(p: Property, *, tols: Tolerances = Tolerances()) -> QuantumTransformation:
     """Atomic operation conjugating by the projector; repeatable by idempotency."""
     return QuantumTransformation([p.matrix], tols=tols)
 
 
-def extract_property(t: QuantumTransformation, *, tols: Tolerances | None = None) -> Property:
+def extract_property(t: QuantumTransformation, *, tols: Tolerances = Tolerances()) -> Property:
     """Recover the projector of a repeatable atomic operation.
 
     Acts with the map on the first leg of the swap operator and traces that
     leg out.  A global phase on the Kraus operator cancels under
     conjugation, so no phase fixing is needed.
     """
-    tols = tols or active_tolerances()
     if not t.atomic:
         raise ValueError("property extraction needs an atomic (single-Kraus) transformation")
     if t.d_in != t.d_out:

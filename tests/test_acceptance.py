@@ -85,7 +85,8 @@ def test_criterion_1_analytic_cooccurring_branch():
         for conv in (AT_LEAST_ONE, BOTH):
             verdict = certify_rank1(amp, conv)
             ok = ok and not verdict.holistic and verdict.lambda1_witness is not None
-            replay = product_commutator_norm(amp, verdict.lambda1_witness)
+            witness = verdict.lambda1_witness
+            replay = product_commutator_norm(amp, witness.p, witness.q).commutator_norm
             ok = ok and replay <= 1e-10
     report(1, "full-rank amplitudes certify holistic, deficient ones emit replayable witnesses", ok)
 
@@ -112,7 +113,7 @@ def test_criterion_3_exclusive_branch_existence():
             amp = sample_amp(rng, *dims)
             witness = certify_rank1(amp, BOTH).lambda0_witness
             ok = ok and witness is not None
-            replay = product_commutator_norm(amp, witness)
+            replay = product_commutator_norm(amp, witness.p, witness.q).commutator_norm
             weight = frob(witness.p.matrix @ amp.matrix @ witness.q.matrix.T)
             ok = ok and replay <= 1e-10 and weight <= 1e-12
     report(3, "constructed exclusive witnesses replay to zero commutator and zero overlap", ok)

@@ -332,6 +332,21 @@ class TestReportShape:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:") and names in lines[0]
 
+    def test_valid_override_reaches_the_report(self, tmp_path, capsys, monkeypatch):
+        # s = (1, 0.2) / sqrt(1.04): rank 2 at the default tol_rank, 1 at 0.5
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps(matrix_to_json_dict(np.diag([1.0, 0.2]))))
+        argv = ["certify", "--gamma", str(path)]
+        _, default = run_cli(argv, capsys)
+        monkeypatch.setenv("MEREO_TOL_OVERRIDE", '{"tol_rank": 0.5, "tol_compat": 1e-8}')
+        code, loose = run_cli(argv, capsys)
+        code_flag, flagged = run_cli([*argv, "--tol-rank", "1e-7"], capsys)
+        assert code == code_flag == 0
+        verdicts = [r["results"]["verdicts"]["atleastone"] for r in (default, loose, flagged)]
+        assert [(v["rank"], v["holistic"]) for v in verdicts] == [(2, True), (1, False), (2, True)]
+        echoed = [r["config_echo"]["tolerances"] for r in (loose, flagged)]
+        assert [(t["tol_rank"], t["tol_compat"]) for t in echoed] == [(0.5, 1e-8), (1e-7, 1e-8)]
+
     def test_tol_rank_override_is_echoed(self, capsys):
         code, report = run_cli(
             ["certify", "--preset", "bell2", "--tol-rank", "1e-5"], capsys

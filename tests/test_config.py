@@ -1,8 +1,27 @@
 """Central tolerance configuration and environment overrides."""
 
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
-from mereo import ENV_OVERRIDE, Tolerances, active_tolerances
+from mereo import (
+    ENV_OVERRIDE,
+    AmplitudeMatrix,
+    Property,
+    State,
+    SystemDims,
+    Tolerances,
+    Verdict,
+    active_tolerances,
+    certify_rank1,
+    density_scan,
+    extract_property,
+    from_property,
+    has_property,
+    property_from_span,
+)
+from mereo.io import property_from_json_dict
 
 
 class TestDefaults:
@@ -48,9 +67,43 @@ class TestEnvOverride:
             active_tolerances()
 
 
+class TestLibraryReadsNoEnvironment:
+    """Library calls without ``tols`` use ``Tolerances()``; the override configures the CLI only."""
+
+    @pytest.mark.parametrize("raw", [
+        "{bad",
+        # loose enough to change every verdict below, were it read
+        '{"tol_herm": 0.5, "tol_recon": 0.5, "tol_rank": 0.5, "tol_support": 0.9}',
+    ])
+    def test_calls_without_tols_use_the_defaults(self, monkeypatch, raw):
+        monkeypatch.setenv(ENV_OVERRIDE, raw)
+        with pytest.raises(ValueError, match="idempotent"):
+            Property(np.diag([1.0, 0.01]))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            State(np.diag([1.001, -0.001]))
+        check = has_property(State(np.diag([0.9, 0.1])), Property(np.diag([1.0, 0.0])))
+        assert check.verdict is Verdict.MEANINGLESS
+        assert property_from_span([[1.0, 0.0], [0.0, 0.3]], 2).rank == 2
+        amp = AmplitudeMatrix.normalized(np.diag([1.0, 0.2]))
+        verdict = certify_rank1(amp)
+        assert verdict.rank == 2 and verdict.holistic
+        scan = density_scan(SystemDims(2, 2), 50, 0)
+        assert scan.fraction_at_least_one == 1.0
+        record = {"dim": 2, "rank": 1, "complement": False,
+                  "basis": {"rows": 2, "cols": 1, "re": [1.0, 0.01], "im": [0.0, 0.0]}}
+        with pytest.raises(ValueError, match="orthonormal"):
+            property_from_json_dict(record)
+        p = Property(np.diag([1.0, 0.0]))
+        assert np.array_equal(extract_property(from_property(p)).matrix, p.matrix)
+
+
 class TestValidation:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-9])
     def test_rejects_non_finite_or_non_positive(self, value):
         for field in Tolerances().as_dict():
             with pytest.raises(ValueError, match=field):
                 Tolerances(**{field: value})
+
+    def test_as_dict_keeps_field_order(self):
+        # config_echo prints the record in this order
+        assert list(Tolerances().as_dict()) == [f.name for f in fields(Tolerances)]

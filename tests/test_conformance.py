@@ -69,7 +69,7 @@ def test_replay_matches_composite_route(dims):
                 pair = random_product_pair(dims, rank_p, rank_q, rng)
                 pairs.append((pair.p, pair.q))
         for p, q in pairs:
-            matrix_side = product_commutator_norm(amp, (p, q))
+            matrix_side = product_commutator_norm(amp, p, q).commutator_norm
             assert abs(matrix_side - composite_commutator_norm(amp, p, q)) <= AGREE
 
 

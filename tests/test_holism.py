@@ -45,8 +45,8 @@ def exact_rank_amp(rng, d_a, d_b, rank):
     return AmplitudeMatrix(m / frob(m))
 
 
-def pair(p_mat, q_mat, convention=AT_LEAST_ONE):
-    return ProductProperty(Property(p_mat), Property(q_mat), convention)
+def factors(p_mat, q_mat):
+    return Property(p_mat), Property(q_mat)
 
 
 class TestMakeHolistic:
@@ -72,14 +72,14 @@ class TestMakeHolistic:
 
 class TestProductCommutatorNorm:
     def test_identity_pair_commutes(self):
-        # the trivial pair cannot form a ProductProperty, so pass it bare
-        val = product_commutator_norm(BELL, (Property(np.eye(2)), Property(np.eye(2))))
-        assert val <= 1e-12
+        # the norm is defined for trivial pairs, which no ProductProperty holds
+        val = product_commutator_norm(BELL, Property(np.eye(2)), Property(np.eye(2)))
+        assert val.commutator_norm <= 1e-12
 
     def test_bell_diag_pair_hand_value(self):
         # 4x4 hand expansion: C has entries +-1/2 at (0,3) and (3,0)
-        val = product_commutator_norm(BELL, pair(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
-        assert abs(val - 0.7071067811865476) <= 1e-12
+        val = product_commutator_norm(BELL, *factors(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
+        assert abs(val.commutator_norm - 0.7071067811865476) <= 1e-12
 
     def test_bell_hand_expansion_oracle(self):
         joint = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -87,18 +87,18 @@ class TestProductCommutatorNorm:
             [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex
         )
         oracle = np.linalg.norm(joint @ dyad - dyad @ joint)
-        val = product_commutator_norm(BELL, pair(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
-        assert abs(val - oracle) <= 1e-12
+        val = product_commutator_norm(BELL, *factors(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
+        assert abs(val.commutator_norm - oracle) <= 1e-12
 
     def test_exclusive_pair_commutes(self):
-        val = product_commutator_norm(BELL, pair(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])))
-        assert val <= 1e-14
+        val = product_commutator_norm(BELL, *factors(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])))
+        assert val.commutator_norm <= 1e-14
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             product_commutator_norm(
                 AmplitudeMatrix(np.eye(3) / np.sqrt(3)),
-                pair(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])),
+                *factors(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])),
             )
 
 
@@ -113,7 +113,7 @@ class TestCertifyRank1:
         assert wit is not None
         assert np.allclose(wit.p.matrix, np.diag([0.0, 1.0]))
         assert np.allclose(wit.q.matrix, np.diag([1.0, 0.0]))
-        assert product_commutator_norm(BELL, wit) <= 1e-12
+        assert product_commutator_norm(BELL, wit.p, wit.q).commutator_norm <= 1e-12
 
     def test_product_state_has_cooccurring_witness(self):
         verdict = certify_rank1(PRODUCT, AT_LEAST_ONE)
@@ -122,7 +122,7 @@ class TestCertifyRank1:
         assert wit is not None
         assert np.allclose(wit.p.matrix, np.diag([1.0, 0.0]))
         assert np.allclose(wit.q.matrix, np.diag([1.0, 0.0]))
-        assert product_commutator_norm(PRODUCT, wit) <= 1e-12
+        assert product_commutator_norm(PRODUCT, wit.p, wit.q).commutator_norm <= 1e-12
 
     def test_rectangular_full_rank_splits_conventions(self):
         rng = np.random.default_rng(1)
@@ -137,7 +137,7 @@ class TestCertifyRank1:
         wit = one.lambda1_witness
         assert np.allclose(wit.p.matrix, np.eye(2), atol=1e-10)
         assert wit.q.rank == 2
-        assert product_commutator_norm(amp, wit) <= 1e-10
+        assert product_commutator_norm(amp, wit.p, wit.q).commutator_norm <= 1e-10
 
     def test_witness_replay_scales_identity(self):
         # replaying P (.) Q^T on the witness equation must keep c in {0, 1}
@@ -170,7 +170,7 @@ class TestCertifyRank1:
             amp = random_amp(rng, *dims)
             wit = certify_rank1(amp, BOTH).lambda0_witness
             assert wit is not None
-            assert product_commutator_norm(amp, wit) <= 1e-10
+            assert product_commutator_norm(amp, wit.p, wit.q).commutator_norm <= 1e-10
             assert frob(wit.p.matrix @ amp.matrix @ wit.q.matrix.T) <= 1e-12
 
     def test_rejects_trivial_factor_dimensions(self):

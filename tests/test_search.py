@@ -187,7 +187,7 @@ class TestMinimize:
                 assert values[0] >= values[1] - 1e-9
                 assert values[1] >= values[2] - 1e-9
 
-    def test_restart_trace(self):
+    def test_restart_trace(self, monkeypatch):
         cfg = SearchConfig(restarts=8, exclude_exclusive=True, rng_seed=3)
         res = minimize(BELL, cfg)
         trace = res.restart_trace
@@ -198,7 +198,8 @@ class TestMinimize:
         assert res.converged == (trace[best].stop_reason == "grad_tol")
         # restarts run row by row, so a larger budget replays the first ones
         assert minimize(BELL, replace(cfg, restarts=3)).restart_trace == trace[:3]
-        short = minimize(BELL, replace(cfg, max_iters=2)).restart_trace
+        monkeypatch.setattr(search, "MAX_ITERS", 2)
+        short = minimize(BELL, cfg).restart_trace
         assert [(t.iterations, t.stop_reason) for t in short] == [(2, "max_iters")] * 8
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -231,12 +232,13 @@ class TestMinimize:
             amp = random_amp(np.random.default_rng([31, d]), d, d)
             for ranks in sorted({(1, 1), (d - 1, d - 1)}):
                 cfg = SearchConfig(rank_p=ranks[0], rank_q=ranks[1], restarts=4,
-                                   max_iters=150, exclude_exclusive=True, rng_seed=d)
+                                   exclude_exclusive=True, rng_seed=d)
                 cases.append((amp, cfg))
 
         def summary(res):
             return res.min_value, res.iterations_used, res.restart_trace
 
+        monkeypatch.setattr(search, "MAX_ITERS", 150)
         cached = [summary(minimize(amp, cfg)) for amp, cfg in cases]
         # reference: index arrays rebuilt on every call
         monkeypatch.setattr(
