@@ -11,6 +11,13 @@ of ``exp(ix)`` on ``w``, ``M = E U^dag (L + L^dag)`` maps to
 ``N = V ((V^dag M V) o G^T) V^dag``, whose entries are the gradient.  The
 kernel works row by row on stacked parameters, so restarts run as one stack.
 
+The descent is monotone: a candidate ``x - step * grad`` is kept only if it
+lowers the objective, else the step halves.  After a kept step the next one
+is the Barzilai-Borwein step ``s.y / y.y`` (``s`` the move, ``y`` the change
+of gradient) where ``s.y > 0``, else 1.5 times the last, capped at
+``STEP_MAX`` either way.  Each restart reports how many candidates it
+rejected.
+
 With ``exclude_exclusive`` a hinge penalty keeps the search away from the
 always-present exclusive solutions (``P @ amp @ Q.T == 0``), so the
 restricted minimum probes the co-occurring branch only.
@@ -42,6 +49,10 @@ from .properties import Property
 # amplitude whose top singular value stays below 0.9995.
 EXCLUDE_FLOOR = 0.05
 STEP_INIT = 0.5  # first descent step of every restart
+# largest step a restart may take: the Barzilai-Borwein step s.y / y.y blows up
+# where the gradient barely changes (flat valleys, y -> 0), and U = exp(iH) is
+# periodic in the generator's eigenvalues, so a longer move only wanders
+STEP_MAX = 10.0
 MAX_ITERS = 500  # descent steps after which a restart stops with "max_iters"
 GRAD_TOL = 1e-8  # gradient norm at which a restart stops with "grad_tol"
 STEP_MIN = 1e-14  # step below which a rejected restart stops with "step_underflow"
@@ -66,11 +77,16 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class RestartTrace:
-    """How one restart ended; ``stop_reason`` is grad_tol, step_underflow or max_iters."""
+    """How one restart ended; ``stop_reason`` is grad_tol, step_underflow or max_iters.
+
+    ``rejected`` counts the candidate steps that did not lower the objective
+    and so halved the step.
+    """
 
     objective: float
     iterations: int
     stop_reason: str
+    rejected: int
 
 
 @dataclass(frozen=True)
@@ -238,8 +254,10 @@ def objective_value_and_grad(
 def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
     """Multi-restart gradient descent over the projector parameters.
 
-    Restarts descend as one stack, each halving its step on non-decrease and
-    growing it mildly on acceptance, until ``GRAD_TOL``, a step below
+    Restarts descend as one stack, each halving its step on non-decrease
+    (counted in ``RestartTrace.rejected``) and taking the Barzilai-Borwein
+    step ``s.y / y.y``, or 1.5 times the last where ``s.y <= 0``, capped at
+    ``STEP_MAX``, on acceptance, until ``GRAD_TOL``, a step below
     ``STEP_MIN`` or ``MAX_ITERS`` steps (``restart_trace`` says which).  They
     are seeded by index and computed row by row, so enlarging ``cfg.restarts``
     only ever adds candidates; the first with the lowest objective wins.
@@ -264,6 +282,7 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
     f, grad = objective_value_and_grad(amp, x, cfg)
     step = np.full(cfg.restarts, STEP_INIT)
     iters = np.zeros(cfg.restarts, dtype=int)
+    rejected = np.zeros(cfg.restarts, dtype=int)
     reason = np.full(cfg.restarts, "max_iters", dtype=object)
     live = np.arange(cfg.restarts)
     for _ in range(MAX_ITERS):
@@ -277,8 +296,14 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
         f_cand, grad_cand = objective_value_and_grad(amp, cand, cfg)
         better = f_cand < f[live]
         acc = live[better]
+        # Barzilai-Borwein step s.y / y.y from the accepted move, row by row;
+        # where the curvature s.y is not positive, grow the step instead
+        s, y = cand[better] - x[acc], grad_cand[better] - grad[acc]
+        sy, yy = (s * y).sum(axis=-1), (y * y).sum(axis=-1)
+        bb = np.divide(sy, yy, out=1.5 * step[acc], where=sy > 0.0)
+        step[acc] = np.minimum(bb, STEP_MAX)
         x[acc], f[acc], grad[acc] = cand[better], f_cand[better], grad_cand[better]
-        step[acc] = np.minimum(step[acc] * 1.5, 10.0)
+        rejected[live[~better]] += 1
         step[live[~better]] *= 0.5
         stalled = ~better & (step[live] < STEP_MIN)
         reason[live[stalled]] = "step_underflow"
@@ -296,7 +321,8 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
         converged=reason[best] == "grad_tol",
         cooccurrence_weight=weight,
         restart_trace=tuple(
-            RestartTrace(float(f[r]), int(iters[r]), str(reason[r])) for r in range(cfg.restarts)
+            RestartTrace(float(f[r]), int(iters[r]), str(reason[r]), int(rejected[r]))
+            for r in range(cfg.restarts)
         ),
     )
 

@@ -174,7 +174,8 @@ class TestSearch:
         trace = first["results"]["restart_trace"]
         assert len(trace) == 4
         assert sum(t["iterations"] for t in trace) == first["results"]["iterations_used"]
-        assert set(trace[0]) == {"objective", "iterations", "stop_reason"}
+        assert set(trace[0]) == {"objective", "iterations", "stop_reason", "rejected"}
+        assert all(0 <= t["rejected"] < t["iterations"] for t in trace)
 
 
 class TestDensity:

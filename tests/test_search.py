@@ -24,6 +24,7 @@ from mereo import (
     objective_value_and_grad,
     parametrize_projector,
 )
+from mereo.io import random_amplitude
 
 BELL = AmplitudeMatrix(np.eye(2) / np.sqrt(2))
 PRODUCT = AmplitudeMatrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
@@ -194,6 +195,8 @@ class TestMinimize:
         assert len(trace) == 8
         assert sum(t.iterations for t in trace) == res.iterations_used
         assert {t.stop_reason for t in trace} <= {"grad_tol", "step_underflow", "max_iters"}
+        # an iteration tries at most one candidate, and each restart keeps some
+        assert all(0 <= t.rejected < t.iterations for t in trace)
         best = min(range(8), key=lambda r: trace[r].objective)
         assert res.converged == (trace[best].stop_reason == "grad_tol")
         # restarts run row by row, so a larger budget replays the first ones
@@ -201,6 +204,61 @@ class TestMinimize:
         monkeypatch.setattr(search, "MAX_ITERS", 2)
         short = minimize(BELL, cfg).restart_trace
         assert [(t.iterations, t.stop_reason) for t in short] == [(2, "max_iters")] * 8
+
+    @pytest.mark.parametrize("amp, cfg", [
+        # unrestricted 5x5: with x1.5 step growth one restart crept to max_iters
+        (random_amplitude(1, SystemDims(5, 5)), SearchConfig(restarts=16, rng_seed=1)),
+        # search-crosscheck shape: full rank, hinge on, 32 restarts
+        (random_amplitude(20, SystemDims(4, 4)),
+         SearchConfig(restarts=32, exclude_exclusive=True, rng_seed=20)),
+        (random_amplitude(11, SystemDims(6, 6)),
+         SearchConfig(restarts=32, exclude_exclusive=True, rng_seed=11)),
+    ], ids=["5x5", "4x4-hinge", "6x6-hinge"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_restart_converges_quickly(self, amp, cfg):
+        trace = minimize(amp, cfg).restart_trace
+        assert [t.stop_reason for t in trace] == ["grad_tol"] * cfg.restarts
+        assert max(t.iterations for t in trace) <= 100
+
+    @pytest.mark.parametrize("d, exclude", [(2, False), (3, False), (4, True), (6, True)])
+    def test_steps_follow_the_barzilai_borwein_rule(self, d, exclude, monkeypatch):
+        # reference: the step rule replayed in plain Python from the kernel
+        # calls of single restarts (rows do not depend on the stack)
+        calls = []
+        kernel = search.objective_value_and_grad
+
+        def recording(amp, params, cfg):
+            f, grad = kernel(amp, params, cfg)
+            calls.append((params[0].copy(), float(f[0]), grad[0].copy()))
+            return f, grad
+
+        monkeypatch.setattr(search, "objective_value_and_grad", recording)
+        amp = random_amplitude(d, SystemDims(d, d))
+        branches = {"bb": 0, "capped": 0}
+        for seed in range(6):
+            calls.clear()
+            cfg = SearchConfig(restarts=1, exclude_exclusive=exclude, rng_seed=seed)
+            (trace,) = minimize(amp, cfg).restart_trace
+            (x, f, grad), step, rejected = calls[0], search.STEP_INIT, 0
+            for cand, f_cand, grad_cand in calls[1:]:
+                assert np.allclose(cand, x - step * grad, rtol=1e-12, atol=0.0)
+                if f_cand < f:
+                    s, y = cand - x, grad_cand - grad
+                    if s @ y > 0.0:
+                        step = s @ y / (y @ y)
+                        branches["bb" if step <= search.STEP_MAX else "capped"] += 1
+                    else:
+                        step = 1.5 * step
+                    step = min(step, search.STEP_MAX)
+                    x, f, grad = cand, f_cand, grad_cand
+                else:
+                    step *= 0.5
+                    rejected += 1
+            assert trace.rejected == rejected
+            assert trace.iterations == len(calls) - (trace.stop_reason != "grad_tol")
+        assert branches["bb"] > 0, branches
+        if not exclude:  # cases chosen so that the cap binds on some steps
+            assert branches["capped"] > 0, branches
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_hinge_equilibrium_is_set_by_the_floor(self, d):
