@@ -44,10 +44,8 @@ from .search import (
     brute_force_grid_d2,
     density_scan,
     minimize,
-    objective,
     objective_value_and_grad,
     parametrize_projector,
-    random_product_pair,
 )
 from .transform import (
     ChoiMatrix,
@@ -101,14 +99,12 @@ __all__ = [
     "marginal_entropy",
     "minimize",
     "mutually_exclusive",
-    "objective",
     "objective_value_and_grad",
     "parametrize_projector",
     "partial_trace",
     "product_commutator_norm",
     "product_if_property",
     "property_from_span",
-    "random_product_pair",
     "swap_operator",
     "symmetric_projector",
     "unvec",

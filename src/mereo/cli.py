@@ -182,6 +182,7 @@ def cmd_density(args, tols: Tolerances) -> dict:
         "fraction_atleastone": report.fraction_at_least_one,
         "fraction_both": report.fraction_both,
         "fraction_smallest_below_rank_tol": report.fraction_smallest_below_rank_tol,
+        "near_rank_tol_count": report.near_rank_tol_count,
         "histogram": {
             "edges": [float(x) for x in report.histogram_edges],
             "counts": [int(x) for x in report.histogram_counts],

@@ -34,12 +34,11 @@ from .config import Tolerances
 from .doubleket import AmplitudeMatrix
 from .holism import (
     NontrivialityConvention,
-    ProductProperty,
     holistic_at_rank,
     product_commutator_norm,
     schmidt_rank,
 )
-from .linalg import SystemDims, frob, ginibre
+from .linalg import SystemDims
 from .properties import Property
 
 # Well above tolerances, well below typical co-occurrence weights.  It also
@@ -62,6 +61,10 @@ CONFLUENT_GAP = 1e-9
 # ||W|| at or below which the hinge adds no gradient: its direction W/||W||
 # is undefined at W = 0, so the quotient would divide by (near) zero
 HINGE_NORM_MIN = 1e-12
+# a density sample whose smallest singular value lies within this factor of
+# tol_rank (either side) is counted as near the threshold: its rank, and so its
+# verdict, would flip if tol_rank moved by that factor
+NEAR_RANK_TOL_FACTOR = 10.0
 # overlap entries per grid-oracle chunk (512 KB of complex), whatever the resolution
 GRID_CHUNK_ENTRIES = 1 << 15
 
@@ -196,19 +199,6 @@ def _with_hinge(comm2: np.ndarray, n2: np.ndarray, exclude_exclusive: bool) -> n
     if not exclude_exclusive:
         return comm2
     return comm2 + np.maximum(0.0, EXCLUDE_FLOOR - np.sqrt(n2)) ** 2
-
-
-def objective(amp: AmplitudeMatrix, p: Property, q: Property, cfg: SearchConfig) -> float:
-    """Search objective for a concrete pair: ``||[P (x) Q, dyad]||_F^2``.
-
-    With ``cfg.exclude_exclusive`` a hinge penalty
-    ``max(0, floor - ||P @ amp @ Q.T||)^2`` is added, floor 0.05.
-    """
-    d_a, d_b = amp.dims
-    if p.dim != d_a or q.dim != d_b:
-        raise ValueError(f"pair dims ({p.dim}, {q.dim}) do not match amplitude dims ({d_a}, {d_b})")
-    w = p.matrix @ amp.matrix @ q.matrix.T
-    return float(_objective_terms(amp.matrix, w, cfg.exclude_exclusive)[0])
 
 
 def objective_value_and_grad(
@@ -410,6 +400,7 @@ class DensityReport:
     fraction_at_least_one: float
     fraction_both: float
     fraction_smallest_below_rank_tol: float
+    near_rank_tol_count: int
     histogram_counts: np.ndarray
     histogram_edges: np.ndarray
 
@@ -419,23 +410,30 @@ def density_scan(
 ) -> DensityReport:
     """Certifier verdicts on unit-norm Ginibre samples under both conventions.
 
-    Verdicts come from one stacked SVD through the certifier's rank rule
-    (:func:`holistic_at_rank`), with no witnesses.  Samples are seeded by
-    index, so the scan can be sharded without changing the aggregate.
+    Sample ``i`` is the ``i``-th ``(d_a, d_b, 2)`` block of standard normals
+    (real and imaginary parts) from one PCG64 stream seeded by ``rng_seed``,
+    scaled to unit norm; so raising ``samples`` only appends samples, and the
+    first ``n`` of a longer scan are the scan of ``n``.  Verdicts come from
+    one stacked SVD through the certifier's rank rule
+    (:func:`holistic_at_rank`), with no witnesses.  ``near_rank_tol_count``
+    counts the samples whose smallest singular value lies within
+    ``NEAR_RANK_TOL_FACTOR`` of ``tols.tol_rank`` on either side.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     dims = SystemDims(int(dims[0]), int(dims[1]))
-    stack = np.empty((samples, *dims), dtype=complex)
-    for i in range(samples):
-        g = ginibre(dims, np.random.default_rng([rng_seed, i]))
-        stack[i] = g / frob(g)
+    draws = np.random.default_rng(rng_seed).standard_normal((samples, *dims, 2))
+    stack = draws.view(complex)[..., 0]
+    stack /= np.linalg.norm(stack, axis=(-2, -1), keepdims=True)
+    # the full SVD, as AmplitudeMatrix takes it: compute_uv=False may differ in
+    # the last bit, and the rank rule must see the certifier's singular values
     s = np.linalg.svd(stack)[1]
     rank = schmidt_rank(s, tols)
     hol_one = holistic_at_rank(rank, dims, NontrivialityConvention.AT_LEAST_ONE)
     hol_both = holistic_at_rank(rank, dims, NontrivialityConvention.BOTH)
     smin = s[:, -1]
     counts, edges = np.histogram(smin, bins=20, range=(0.0, 1.0))
+    near = (smin >= tols.tol_rank / NEAR_RANK_TOL_FACTOR) & (smin <= NEAR_RANK_TOL_FACTOR * tols.tol_rank)
     return DensityReport(
         dims=dims,
         samples=samples,
@@ -446,20 +444,7 @@ def density_scan(
         fraction_at_least_one=float(np.mean(hol_one)),
         fraction_both=float(np.mean(hol_both)),
         fraction_smallest_below_rank_tol=float(np.mean(smin < tols.tol_rank)),
+        near_rank_tol_count=int(np.count_nonzero(near)),
         histogram_counts=counts,
         histogram_edges=edges,
     )
-
-
-def random_product_pair(
-    dims: SystemDims,
-    rank_p: int,
-    rank_q: int,
-    rng: np.random.Generator,
-    convention: NontrivialityConvention = NontrivialityConvention.BOTH,
-) -> ProductProperty:
-    """Haar-ish random factorized pair of the given ranks, for testing."""
-    d_a, d_b = int(dims[0]), int(dims[1])
-    p = parametrize_projector(rng.normal(size=d_a * d_a), d_a, rank_p)
-    q = parametrize_projector(rng.normal(size=d_b * d_b), d_b, rank_q)
-    return ProductProperty(p, q, convention)

@@ -1,0 +1,39 @@
+"""Search helpers that only the tests use, as references for the stacked kernel.
+
+``objective`` evaluates the search objective at a concrete pair of
+projectors, where the library only evaluates it at generator parameters;
+``random_product_pair`` draws a factorized pair of given ranks.
+"""
+
+import numpy as np
+
+from mereo import AmplitudeMatrix, NontrivialityConvention, ProductProperty, Property, SearchConfig, SystemDims
+from mereo import parametrize_projector
+from mereo.search import _objective_terms
+
+
+def objective(amp: AmplitudeMatrix, p: Property, q: Property, cfg: SearchConfig) -> float:
+    """Search objective for a concrete pair: ``||[P (x) Q, dyad]||_F^2``.
+
+    With ``cfg.exclude_exclusive`` a hinge penalty
+    ``max(0, floor - ||P @ amp @ Q.T||)^2`` is added, floor 0.05.
+    """
+    d_a, d_b = amp.dims
+    if p.dim != d_a or q.dim != d_b:
+        raise ValueError(f"pair dims ({p.dim}, {q.dim}) do not match amplitude dims ({d_a}, {d_b})")
+    w = p.matrix @ amp.matrix @ q.matrix.T
+    return float(_objective_terms(amp.matrix, w, cfg.exclude_exclusive)[0])
+
+
+def random_product_pair(
+    dims: SystemDims,
+    rank_p: int,
+    rank_q: int,
+    rng: np.random.Generator,
+    convention: NontrivialityConvention = NontrivialityConvention.BOTH,
+) -> ProductProperty:
+    """Factorized pair of the given ranks from normal generator parameters."""
+    d_a, d_b = int(dims[0]), int(dims[1])
+    p = parametrize_projector(rng.normal(size=d_a * d_a), d_a, rank_p)
+    q = parametrize_projector(rng.normal(size=d_b * d_b), d_b, rank_q)
+    return ProductProperty(p, q, convention)

@@ -205,6 +205,21 @@ class TestDensity:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_more_samples_append_csv_rows(self, tmp_path, capsys):
+        lines = {}
+        for samples in (100, 300):
+            path = tmp_path / f"scan{samples}.csv"
+            code, report = run_cli(
+                ["density", "--dims", "3", "3", "--samples", str(samples), "--seed", "4",
+                 "--csv", str(path)],
+                capsys,
+            )
+            assert code == 0
+            assert report["results"]["near_rank_tol_count"] == 0
+            lines[samples] = path.read_bytes().split(b"\r\n")
+        assert len(lines[300]) == 302  # header, 300 rows and the empty tail
+        assert lines[100][:101] == lines[300][:101]
+
 
 class TestLattice:
     def test_bell_full_lattice(self, capsys):

@@ -27,15 +27,14 @@ from mereo import (
     brute_force_grid_d2,
     ginibre,
     make_holistic,
-    objective,
     objective_value_and_grad,
     parametrize_projector,
     product_commutator_norm,
-    random_product_pair,
 )
 from mereo import cli
 from mereo.io import matrix_from_json_dict
 from mereo.search import EXCLUDE_FLOOR, _objective_terms, hermitian_from_params
+from search_reference import objective, random_product_pair
 
 AGREE = 1e-12
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mereo import (
     AmplitudeMatrix,
@@ -385,3 +387,21 @@ class TestProductPropertyValidation:
     def test_rejects_double_trivial(self):
         with pytest.raises(ValueError):
             ProductProperty(Property(np.eye(2)), Property(np.eye(2)), AT_LEAST_ONE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(2, 5), st.integers(2, 5)).flatmap(
+        lambda dims: st.tuples(st.just(dims), st.integers(1, min(dims)))
+    ),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(NontrivialityConvention)),
+)
+def test_certifier_follows_the_rank_rule(dims_rank, seed, conv):
+    (d_a, d_b), rank = dims_rank
+    amp = exact_rank_amp(np.random.default_rng(seed), d_a, d_b, rank)
+    verdict = certify_rank1(amp, conv)
+    assert verdict.rank == rank
+    rule = holistic_at_rank(schmidt_rank(amp.singular_values, Tolerances()), (d_a, d_b), conv)
+    assert verdict.holistic == bool(rule)
+    assert (verdict.lambda1_witness is None) == verdict.holistic

@@ -20,11 +20,11 @@ from mereo import (
     ginibre,
     make_holistic,
     minimize,
-    objective,
     objective_value_and_grad,
     parametrize_projector,
 )
 from mereo.io import random_amplitude
+from search_reference import objective
 
 BELL = AmplitudeMatrix(np.eye(2) / np.sqrt(2))
 PRODUCT = AmplitudeMatrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
@@ -371,10 +371,17 @@ class TestOracleAgreement:
 
 
 def certifier_density(dims, samples, seed, tols):
-    """Per-sample certifier loop: the reference ``density_scan`` must reproduce."""
+    """Per-sample certifier loop: the reference ``density_scan`` must reproduce.
+
+    Draws sample after sample from one stream and scales each by its own
+    axis norm; ``AmplitudeMatrix.normalized`` divides by the flattened norm,
+    which differs from it in the last bit on about one draw in five.
+    """
+    rng = np.random.default_rng(seed)
     smin, one, both = [], [], []
-    for i in range(samples):
-        amp = AmplitudeMatrix.normalized(ginibre(dims, np.random.default_rng([seed, i])))
+    for _ in range(samples):
+        g = rng.standard_normal((*dims, 2)).view(complex)[..., 0]
+        amp = AmplitudeMatrix(g / np.linalg.norm(g, axis=(-2, -1)))
         smin.append(amp.singular_values[-1])
         one.append(certify_rank1(amp, NontrivialityConvention.AT_LEAST_ONE, tols=tols).holistic)
         both.append(certify_rank1(amp, NontrivialityConvention.BOTH, tols=tols).holistic)
@@ -423,6 +430,27 @@ class TestDensityScan:
         assert np.array_equal(report.smallest_singular_values, smin)
         assert np.array_equal(report.holistic_at_least_one, one)
         assert np.array_equal(report.holistic_both, both)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_longer_scan_extends_shorter(self, dims):
+        dims = SystemDims(*dims)
+        for seed in (0, 5):
+            short = density_scan(dims, 100, rng_seed=seed)
+            long = density_scan(dims, 300, rng_seed=seed)
+            assert np.array_equal(short.smallest_singular_values, long.smallest_singular_values[:100])
+            assert np.array_equal(short.holistic_at_least_one, long.holistic_at_least_one[:100])
+            assert np.array_equal(short.holistic_both, long.holistic_both[:100])
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_near_rank_tol_count(self, dims):
+        # the band [tol / 10, 10 tol] holds nearly every sample at 0.3 and splits the cohort at 0.03
+        dims = SystemDims(*dims)
+        for tol_rank in (0.3, 0.03):
+            report = density_scan(dims, 300, rng_seed=11, tols=Tolerances(tol_rank=tol_rank))
+            lo, hi = tol_rank / search.NEAR_RANK_TOL_FACTOR, tol_rank * search.NEAR_RANK_TOL_FACTOR
+            expected = sum(1 for v in report.smallest_singular_values if lo <= v <= hi)
+            assert 0 < report.near_rank_tol_count == expected
+        assert density_scan(dims, 300, rng_seed=11).near_rank_tol_count == 0
 
     def test_rank_zero_at_tolerance_is_input_error(self):
         with pytest.raises(ValueError, match="rank 0"):
