@@ -17,8 +17,6 @@ from .holism import (
     NontrivialityConvention,
     ProductProperty,
     certify_rank1,
-    gram_schmidt_hs,
-    holistic_lattice,
     lattice_amplitudes,
     make_holistic,
     marginal_entropy,
@@ -87,9 +85,7 @@ __all__ = [
     "frob",
     "from_property",
     "ginibre",
-    "gram_schmidt_hs",
     "has_property",
-    "holistic_lattice",
     "hs_inner",
     "is_nontrivial",
     "is_repeatable",

@@ -198,18 +198,20 @@ def cmd_lattice(args, tols: Tolerances) -> dict:
     ranks = schmidt_rank(np.array([m.singular_values for m in members]), tols)
     holistic = holistic_at_rank(ranks, amp.dims, conv)
     # members are unit vectors v_i, so each projector is the rank-1 |v_i><v_i|,
-    # which the report leaves to its amplitude.  With g_ij = <v_i, v_j> the
-    # pairwise norms follow from one Gram row each: ||P_i P_j|| = |g_ij| and
-    # ||[P_i, P_j]|| = sqrt(2) |g_ij| ||v_j - g_ij v_i||, which unlike
-    # sqrt(2 |g|^2 (1 - |g|^2)) does not cancel on the diagonal; and the
-    # projectors sum to vecs^T conj(vecs)
+    # which the report leaves to its amplitude.  With the Gram matrix
+    # g_ij = <v_i, v_j> the pairwise norms are ||P_i P_j|| = |g_ij| and
+    # ||[P_i, P_j]|| = sqrt(2) |g_ij| ||v_j - g_ij v_i||.  Off the diagonal
+    # that is sqrt(2) |g_ij| sqrt(1 - |g_ij|^2); on it, where 1 - |g_ii|^2
+    # would cancel, v_i - g_ii v_i = (1 - g_ii) v_i gives sqrt(2) |g_ii|
+    # |1 - g_ii|, which does not.  The projectors sum to vecs^T conj(vecs)
     vecs = np.array([m.matrix.reshape(-1) for m in members])
-    comm = np.empty((len(members), len(members)))
-    prod = np.empty_like(comm)
-    for i, v in enumerate(vecs):
-        g = vecs @ v.conj()
-        prod[i] = np.abs(g)
-        comm[i] = np.sqrt(2.0) * prod[i] * np.linalg.norm(vecs - g[:, None] * v, axis=1)
+    g = vecs.conj() @ vecs.T
+    prod = np.abs(g)
+    residual_sq = 1.0 - prod * prod
+    np.fill_diagonal(residual_sq, 0.0)
+    comm = np.sqrt(2.0) * prod * np.sqrt(residual_sq)
+    g_ii = np.diagonal(g)
+    np.fill_diagonal(comm, np.sqrt(2.0) * np.abs(g_ii) * np.abs(1.0 - g_ii))
     member_records = [
         {
             "amplitude": matrix_to_json_dict(m.matrix),

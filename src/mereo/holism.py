@@ -21,7 +21,6 @@ is formed.  The composite-space route is kept as a conformance test.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -30,12 +29,13 @@ import numpy as np
 
 from .config import InvariantViolation, Tolerances
 from .doubleket import AmplitudeMatrix, vec
-from .linalg import SystemDims, as_matrix, frob, ginibre
+from .linalg import SystemDims, frob
 from .properties import Property, is_nontrivial
 
-# A lattice completion draw whose residual, after projecting out the family,
-# has a norm at or below this has lost most of its digits to cancellation.
-# Dependent draws are measure zero, so such a draw is redrawn, not normalized.
+# A lattice completion draw whose QR diagonal entry |R_jj| (the norm of its
+# residual against the family before it) is at or below this has lost most of
+# its digits to cancellation.  Dependent draws are measure zero, so such a
+# draw is skipped for the next one of the stream, not normalized.
 LATTICE_REDRAW_NORM = 1e-6
 # Schmidt weights at or below this are left out of the marginal entropy:
 # weights that vanish in exact arithmetic come out of the SVD near 1e-32, not
@@ -231,78 +231,41 @@ def _exclusive_witness(
     )
 
 
-def _project_out(residual: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    """Remove the HS components along an orthonormal ``basis``.
-
-    Two passes, so orthogonality holds at machine precision.  Operands are
-    finite complex matrices of one shape already, so no validation repeats.
-    """
-    for _ in range(2):
-        for b in basis:
-            residual = residual - np.vdot(b, residual) * b
-    return residual
-
-
-def gram_schmidt_hs(
-    candidates, dims: SystemDims, *, tols: Tolerances = Tolerances()
-) -> list[AmplitudeMatrix]:
-    """Orthonormalize matrices under the Hilbert-Schmidt inner product.
-
-    Linearly dependent inputs are dropped with a warning; an input list
-    that spans nothing raises.
-    """
-    d_a, d_b = int(dims[0]), int(dims[1])
-    basis: list[np.ndarray] = []
-    dropped = 0
-    for cand in candidates:
-        m = as_matrix(cand, name="seed matrix")
-        if m.shape != (d_a, d_b):
-            raise ValueError(f"seed matrix has shape {m.shape}, expected ({d_a}, {d_b})")
-        residual = _project_out(m.astype(complex), basis)
-        norm = frob(residual)
-        if norm <= tols.tol_rank * max(1.0, frob(m)):
-            dropped += 1
-            continue
-        basis.append(residual / norm)
-    if dropped:
-        warnings.warn(f"dropped {dropped} linearly dependent seed matrix(es)")
-    if not basis:
-        raise ValueError("seed matrices span nothing")
-    return [AmplitudeMatrix(b) for b in basis]
-
-
 def lattice_amplitudes(amp: AmplitudeMatrix, k: int, rng_seed: int) -> list[AmplitudeMatrix]:
     """Extend ``amp`` to ``k`` HS-orthonormal amplitude matrices.
 
-    The completion is a seeded random draw, orthogonalized against the
-    family built so far; results are reproducible given ``rng_seed``.
+    Stream contract: draw ``j`` is the ``j``-th ``(2, d_a, d_b)`` block (real,
+    then imaginary part, over ``sqrt(2)``) of one PCG64 stream seeded by
+    ``rng_seed``, so the draws are those of successive ``ginibre`` calls.
+    The columns ``[vec(amp), draws]`` are factored by one Householder QR,
+    with each column's phase fixed so that ``R`` has a positive real
+    diagonal, as Gram-Schmidt in stream order gives.  A draw dependent on
+    the columns before it is skipped and the next draw of the stream takes
+    its place.  Member 0 is ``amp.matrix`` itself.
     """
     d_a, d_b = amp.dims
     total = d_a * d_b
     if not 1 <= k <= total:
         raise ValueError(f"k must be between 1 and {total}, got {k}")
     rng = np.random.default_rng(rng_seed)
-    family: list[np.ndarray] = [amp.matrix.astype(complex)]
-    while len(family) < k:
-        residual = _project_out(ginibre(amp.dims, rng), family)
-        norm = frob(residual)
-        if norm > LATTICE_REDRAW_NORM:
-            family.append(residual / norm)
-    return [AmplitudeMatrix(m) for m in family]
 
+    def draws(n: int) -> np.ndarray:
+        block = rng.standard_normal((n, 2, d_a, d_b))
+        return ((block[:, 0] + 1j * block[:, 1]) / np.sqrt(2.0)).reshape(n, total).T
 
-def holistic_lattice(
-    amp: AmplitudeMatrix, k: int, rng_seed: int, *, tols: Tolerances = Tolerances()
-) -> list[Property]:
-    """``k`` pairwise mutually exclusive rank-1 joint properties seeded by ``amp``.
-
-    Built on HS-orthonormal amplitude matrices, so the members commute
-    pairwise and for ``k == d_a * d_b`` they resolve the identity.
-    """
-    return [
-        make_holistic(member, tols=tols)
-        for member in lattice_amplitudes(amp, k, rng_seed)
-    ]
+    x = np.column_stack([amp.matrix.reshape(-1), draws(k - 1)])
+    while True:
+        q, r = np.linalg.qr(x)
+        diag = np.diagonal(r)
+        dependent = np.flatnonzero(np.abs(diag) <= LATTICE_REDRAW_NORM)
+        if dependent.size == 0:
+            break
+        # skip the first dependent draw only: the draws after it are judged
+        # against a family without it, as Gram-Schmidt judges them
+        x = np.column_stack([np.delete(x, dependent[0], axis=1), draws(1)])
+    members = (q * (diag / np.abs(diag))).T.reshape(k, d_a, d_b)
+    members[0] = amp.matrix
+    return [AmplitudeMatrix(m) for m in members]
 
 
 def marginal_entropy(amp: AmplitudeMatrix) -> tuple[float, float]:

@@ -1,0 +1,88 @@
+"""Lattice and Gram-Schmidt helpers that only the tests use, as references.
+
+``mgs_lattice`` is the draw-by-draw completion that ``lattice_amplitudes``
+replaced with one QR: two passes of modified Gram-Schmidt per draw, redrawing
+dependent draws from the same stream.  ``pairwise_tables_loop`` is the
+row-by-row form of the lattice report's commutator and product tables.
+``gram_schmidt_hs`` and ``holistic_lattice`` are the general Gram-Schmidt and
+the d_a*d_b-square dyad lattice, which the command line does not use.
+"""
+
+import warnings
+
+import numpy as np
+
+from mereo import AmplitudeMatrix, Property, SystemDims, Tolerances, frob, ginibre
+from mereo import lattice_amplitudes, make_holistic
+from mereo.holism import LATTICE_REDRAW_NORM
+from mereo.linalg import as_matrix
+
+
+def _project_out(residual: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+    """Remove the HS components along an orthonormal ``basis``, in two passes."""
+    for _ in range(2):
+        for b in basis:
+            residual = residual - np.vdot(b, residual) * b
+    return residual
+
+
+def gram_schmidt_hs(
+    candidates, dims: SystemDims, *, tols: Tolerances = Tolerances()
+) -> list[AmplitudeMatrix]:
+    """Orthonormalize matrices under the Hilbert-Schmidt inner product.
+
+    Linearly dependent inputs are dropped with a warning; an input list
+    that spans nothing raises.
+    """
+    d_a, d_b = int(dims[0]), int(dims[1])
+    basis: list[np.ndarray] = []
+    dropped = 0
+    for cand in candidates:
+        m = as_matrix(cand, name="seed matrix")
+        if m.shape != (d_a, d_b):
+            raise ValueError(f"seed matrix has shape {m.shape}, expected ({d_a}, {d_b})")
+        residual = _project_out(m.astype(complex), basis)
+        norm = frob(residual)
+        if norm <= tols.tol_rank * max(1.0, frob(m)):
+            dropped += 1
+            continue
+        basis.append(residual / norm)
+    if dropped:
+        warnings.warn(f"dropped {dropped} linearly dependent seed matrix(es)")
+    if not basis:
+        raise ValueError("seed matrices span nothing")
+    return [AmplitudeMatrix(b) for b in basis]
+
+
+def mgs_lattice(amp: AmplitudeMatrix, k: int, rng_seed: int) -> list[np.ndarray]:
+    """``k`` HS-orthonormal matrices from ``amp`` and successive ``ginibre`` draws."""
+    rng = np.random.default_rng(rng_seed)
+    family = [amp.matrix.astype(complex)]
+    while len(family) < k:
+        residual = _project_out(ginibre(amp.dims, rng), family)
+        norm = frob(residual)
+        if norm > LATTICE_REDRAW_NORM:
+            family.append(residual / norm)
+    return family
+
+
+def holistic_lattice(
+    amp: AmplitudeMatrix, k: int, rng_seed: int, *, tols: Tolerances = Tolerances()
+) -> list[Property]:
+    """``k`` pairwise mutually exclusive rank-1 joint properties seeded by ``amp``."""
+    return [make_holistic(member, tols=tols) for member in lattice_amplitudes(amp, k, rng_seed)]
+
+
+def pairwise_tables_loop(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Commutator and product norms of the rank-1 projectors onto the rows of ``vecs``.
+
+    One Gram row at a time: ``||P_i P_j|| = |g_ij|`` and
+    ``||[P_i, P_j]|| = sqrt(2) |g_ij| ||v_j - g_ij v_i||``.
+    """
+    comm = np.empty((len(vecs), len(vecs)))
+    prod = np.empty_like(comm)
+    for i, v in enumerate(vecs):
+        g = vecs @ v.conj()
+        prod[i] = np.abs(g)
+        comm[i] = np.sqrt(2.0) * prod[i] * np.linalg.norm(vecs - g[:, None] * v, axis=1)
+    return comm, prod

@@ -9,6 +9,8 @@ import pytest
 from mereo import SystemDims, cli, lattice_amplitudes
 from mereo.io import matrix_to_json_dict, random_amplitude
 
+from holism_reference import pairwise_tables_loop
+
 
 def run_cli(args, capsys):
     code = cli.main(args)
@@ -272,6 +274,30 @@ class TestLattice:
         for record, member in zip(records, members):
             assert "projector" not in record
             assert parsed_matrix(record["amplitude"]).tobytes() == member.matrix.tobytes()
+
+    def test_seed_collision_is_redrawn(self, capsys):
+        # --seed defaults to 0, and random_amplitude(0) draws from the same
+        # stream, so the first completion draw is parallel to the amplitude
+        code, report = run_cli(["lattice", "--random-seed", "0", "--dims", "3", "3", "--k", "9"], capsys)
+        assert code == 0
+        results = report["results"]
+        assert len(results["members"]) == 9
+        tol_recon = report["config_echo"]["tolerances"]["tol_recon"]
+        assert results["completeness_deviation"] <= tol_recon
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (5, 5), (7, 7)])
+    def test_tables_match_row_loop(self, dims, capsys):
+        k = dims[0] * dims[1]
+        code, report = run_cli(
+            ["lattice", "--random-seed", "3", "--dims", *map(str, dims), "--k", str(k), "--seed", "8"],
+            capsys,
+        )
+        assert code == 0
+        members = lattice_amplitudes(random_amplitude(3, SystemDims(*dims)), k, 8)
+        comm, prod = pairwise_tables_loop(np.array([m.matrix.reshape(-1) for m in members]))
+        results = report["results"]
+        assert np.abs(np.array(results["pairwise_commutator_norms"]) - comm).max() <= 2e-15
+        assert np.abs(np.array(results["pairwise_product_norms"]) - prod).max() <= 2e-15
 
 
 class TestEntropy:

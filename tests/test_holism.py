@@ -15,8 +15,6 @@ from mereo import (
     certify_rank1,
     frob,
     ginibre,
-    gram_schmidt_hs,
-    holistic_lattice,
     hs_inner,
     lattice_amplitudes,
     make_holistic,
@@ -25,6 +23,9 @@ from mereo import (
     product_commutator_norm,
 )
 from mereo.holism import holistic_at_rank, schmidt_rank
+from mereo.io import random_amplitude
+
+from holism_reference import gram_schmidt_hs, holistic_lattice, mgs_lattice
 
 AT_LEAST_ONE = NontrivialityConvention.AT_LEAST_ONE
 BOTH = NontrivialityConvention.BOTH
@@ -290,17 +291,38 @@ def reference_project_out(residual, basis):
 @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (4, 5), (5, 5)])
 class TestOrthonormalizationMatchesReference:
     def test_lattice_amplitudes(self, dims):
+        # one QR, not draw-by-draw Gram-Schmidt: the same members up to rounding
         amp = random_amp(np.random.default_rng(11), *dims)
         k = dims[0] * dims[1]
-        rng = np.random.default_rng(4)
-        family = [amp.matrix.astype(complex)]
-        while len(family) < k:
-            residual = reference_project_out(ginibre(SystemDims(*dims), rng), family)
-            norm = frob(residual)
-            if norm > 1e-6:
-                family.append(residual / norm)
         out = lattice_amplitudes(amp, k, rng_seed=4)
-        assert [m.matrix.tobytes() for m in out] == [m.tobytes() for m in family]
+        family = mgs_lattice(amp, k, rng_seed=4)
+        assert len(out) == k
+        assert max(np.abs(m.matrix - f).max() for m, f in zip(out, family)) <= 1e-13
+
+    def test_lattice_amplitudes_repeat_bit_for_bit(self, dims):
+        amp = random_amp(np.random.default_rng(11), *dims)
+        k = dims[0] * dims[1]
+        first = lattice_amplitudes(amp, k, rng_seed=4)
+        second = lattice_amplitudes(amp, k, rng_seed=4)
+        assert [m.matrix.tobytes() for m in first] == [m.matrix.tobytes() for m in second]
+
+    def test_lattice_member_zero_is_the_input(self, dims):
+        amp = random_amp(np.random.default_rng(11), *dims)
+        for k in (1, 2, dims[0] * dims[1]):
+            assert lattice_amplitudes(amp, k, rng_seed=4)[0].matrix.tobytes() == amp.matrix.tobytes()
+
+    def test_seed_collision_skips_the_parallel_draw(self, dims):
+        # random_amplitude(s) and lattice_amplitudes(..., rng_seed=s) seed the
+        # same stream, so the first draw is parallel to the amplitude
+        amp = random_amplitude(5, SystemDims(*dims))
+        first_draw = ginibre(SystemDims(*dims), np.random.default_rng(5))
+        assert abs(abs(hs_inner(amp.matrix, first_draw)) - frob(first_draw)) <= 1e-12
+        k = dims[0] * dims[1]
+        out = lattice_amplitudes(amp, k, rng_seed=5)
+        family = mgs_lattice(amp, k, rng_seed=5)
+        assert max(np.abs(m.matrix - f).max() for m, f in zip(out, family)) <= 1e-13
+        vecs = np.array([m.matrix.reshape(-1) for m in out])
+        assert np.abs(vecs.conj() @ vecs.T - np.eye(k)).max() <= 1e-14
 
     def test_gram_schmidt_hs(self, dims):
         rng = np.random.default_rng(12)
