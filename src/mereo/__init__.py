@@ -38,7 +38,6 @@ from .properties import (
 from .search import (
     EXCLUDE_FLOOR,
     SearchConfig,
-    bloch_projectors,
     brute_force_grid_d2,
     density_scan,
     minimize,
@@ -74,7 +73,6 @@ __all__ = [
     "Verdict",
     "active_tolerances",
     "apply_local",
-    "bloch_projectors",
     "brute_force_grid_d2",
     "certify_rank1",
     "choi",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -317,16 +318,35 @@ def cmd_demo(args, tols: Tolerances) -> dict:
     return {"items": items, "all_passed": all(item["passed"] for item in items)}
 
 
+def _check_flags(args) -> None:
+    """Reject negative seeds and sizes below 1 by flag; numpy's own messages name none."""
+    for name in ("random_seed", "seed"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
+    dims = getattr(args, "dims", None)
+    if dims is not None and min(dims) < 1:
+        raise ValueError(f"--dims must be positive, got {dims[0]} {dims[1]}")
+
+
 def _config_echo(args, tols: Tolerances) -> dict:
     echo = {"tolerances": tols.as_dict()}
-    skip = {"command", "func", "out"}
+    skip = {"command", "out"}
     for key, value in sorted(vars(args).items()):
         if key not in skip:
             echo[key] = value
     return echo
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process.
+
+    The one parser is shared by every ``main`` call, so it must hold no
+    per-call state: each parse returns a fresh namespace, and ``main`` looks
+    the command up by name at each call, so rebinding a ``cmd_*`` takes
+    effect on the next call.
+    """
     parser = argparse.ArgumentParser(
         prog="mereo",
         description="Certify joint quantum properties against factorized ones.",
@@ -344,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--convention", choices=["atleastone", "both", "bothreport"],
                         default="atleastone")
     common(p_cert)
-    p_cert.set_defaults(func=cmd_certify)
 
     p_search = sub.add_parser("search", help="numerical commutant search")
     _add_gamma_source(p_search)
@@ -358,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="compare against the exhaustive Bloch grid (dims (2,2) only)")
     p_search.add_argument("--oracle-resolution", type=int, default=24)
     common(p_search)
-    p_search.set_defaults(func=cmd_search)
 
     p_density = sub.add_parser("density", help="Monte Carlo holism fraction scan")
     p_density.add_argument("--dims", type=int, nargs=2, metavar=("A", "B"), required=True)
@@ -366,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.add_argument("--seed", type=int, default=0)
     p_density.add_argument("--csv", metavar="PATH", help="write per-sample rows here")
     common(p_density)
-    p_density.set_defaults(func=cmd_density)
 
     p_lattice = sub.add_parser("lattice", help="compatible family of joint properties")
     _add_gamma_source(p_lattice)
@@ -374,29 +391,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_lattice.add_argument("--seed", type=int, default=0)
     p_lattice.add_argument("--convention", choices=["atleastone", "both"], default="atleastone")
     common(p_lattice)
-    p_lattice.set_defaults(func=cmd_lattice)
 
     p_entropy = sub.add_parser("entropy", help="joint vs marginal entropy")
     _add_gamma_source(p_entropy)
     common(p_entropy)
-    p_entropy.set_defaults(func=cmd_entropy)
 
     p_demo = sub.add_parser("demo", help="built-in worked examples")
     common(p_demo)
-    p_demo.set_defaults(func=cmd_demo)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         tols = active_tolerances()
         if getattr(args, "tol_rank", None) is not None:
             tols = replace(tols, tol_rank=float(args.tol_rank))
         t_start = time.perf_counter()
-        results = args.func(args, tols)
+        results = globals()[f"cmd_{args.command}"](args, tols)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3

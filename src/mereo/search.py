@@ -333,17 +333,6 @@ def _bloch_grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.stack([np.cos(tg / 2.0), np.exp(1j * pg) * np.sin(tg / 2.0)]), tg, pg
 
 
-def bloch_projectors(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank-1 qubit projectors on the (theta, phi) grid, stacked (R*R, 2, 2), and the angles."""
-    (amp0, amp1), tg, pg = _bloch_grid(resolution)
-    proj = np.empty((tg.size, 2, 2), dtype=complex)
-    proj[:, 0, 0] = amp0 * amp0
-    proj[:, 0, 1] = amp0 * np.conj(amp1)
-    proj[:, 1, 0] = amp1 * amp0
-    proj[:, 1, 1] = amp1 * np.conj(amp1)
-    return proj, tg, pg
-
-
 def brute_force_grid_d2(
     amp: AmplitudeMatrix, resolution: int, exclude_exclusive: bool
 ) -> tuple[float, tuple[float, float, float, float]]:

@@ -2,14 +2,15 @@
 
 ``objective`` evaluates the search objective at a concrete pair of
 projectors, where the library only evaluates it at generator parameters;
-``random_product_pair`` draws a factorized pair of given ranks.
+``random_product_pair`` draws a factorized pair of given ranks;
+``bloch_projectors`` stacks the projectors of the oracle's Bloch grid.
 """
 
 import numpy as np
 
 from mereo import AmplitudeMatrix, NontrivialityConvention, ProductProperty, Property, SearchConfig, SystemDims
 from mereo import parametrize_projector
-from mereo.search import _objective_terms
+from mereo.search import _bloch_grid, _objective_terms
 
 
 def objective(amp: AmplitudeMatrix, p: Property, q: Property, cfg: SearchConfig) -> float:
@@ -37,3 +38,14 @@ def random_product_pair(
     p = parametrize_projector(rng.normal(size=d_a * d_a), d_a, rank_p)
     q = parametrize_projector(rng.normal(size=d_b * d_b), d_b, rank_q)
     return ProductProperty(p, q, convention)
+
+
+def bloch_projectors(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank-1 qubit projectors on the (theta, phi) grid, stacked (R*R, 2, 2), and the angles."""
+    (amp0, amp1), tg, pg = _bloch_grid(resolution)
+    proj = np.empty((tg.size, 2, 2), dtype=complex)
+    proj[:, 0, 0] = amp0 * amp0
+    proj[:, 0, 1] = amp0 * np.conj(amp1)
+    proj[:, 1, 0] = amp1 * amp0
+    proj[:, 1, 1] = amp1 * np.conj(amp1)
+    return proj, tg, pg

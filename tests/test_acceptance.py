@@ -15,7 +15,6 @@ from mereo import (
     State,
     SystemDims,
     Verdict,
-    bloch_projectors,
     brute_force_grid_d2,
     certify_rank1,
     choi,
@@ -39,6 +38,8 @@ from mereo import (
     swap_operator,
     symmetric_projector,
 )
+
+from search_reference import bloch_projectors
 
 AT_LEAST_ONE = NontrivialityConvention.AT_LEAST_ONE
 BOTH = NontrivialityConvention.BOTH

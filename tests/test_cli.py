@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from mereo import SystemDims, cli, lattice_amplitudes
+from mereo import SystemDims, Tolerances, __version__, cli, lattice_amplitudes
 from mereo.io import matrix_to_json_dict, random_amplitude
 
 from holism_reference import pairwise_tables_loop
@@ -408,3 +408,80 @@ class TestReportShape:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:") and names in lines[0]
+
+    @pytest.mark.parametrize("argv, names", [
+        (["certify", "--random-seed", "-1", "--dims", "2", "2"],
+         "--random-seed must be non-negative, got -1"),
+        (["density", "--dims", "2", "2", "--samples", "5", "--seed", "-1"],
+         "--seed must be non-negative, got -1"),
+        (["density", "--dims", "-1", "2", "--samples", "5"], "--dims must be positive, got -1 2"),
+        (["certify", "--random-seed", "1", "--dims", "2", "0"], "--dims must be positive, got 2 0"),
+        (["search", "--preset", "bell2", "--restarts", "2", "--seed", "-3"],
+         "--seed must be non-negative, got -3"),
+        (["lattice", "--preset", "bell2", "--k", "2", "--seed", "-1"],
+         "--seed must be non-negative, got -1"),
+    ])
+    def test_negative_seeds_and_dims_name_their_flag(self, capsys, argv, names):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0] == f"input error: {names}"
+
+
+class TestRepeatedCalls:
+    """``main`` called again and again in one process, as the benchmark and notebooks do."""
+
+    def test_commands_are_looked_up_at_call_time(self, capsys, monkeypatch):
+        # a first call builds the cached parser before the command is rebound
+        assert cli.main(["certify", "--preset", "bell2"]) == 0
+        capsys.readouterr()
+        calls = []
+
+        def patched(args, tols):
+            calls.append(args.preset)
+            return {"patched": True}
+
+        monkeypatch.setattr(cli, "cmd_certify", patched)
+        code, report = run_cli(["certify", "--preset", "bell2"], capsys)
+        assert code == 0 and calls == ["bell2"]
+        assert report["results"] == {"patched": True}
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_carries_between_calls(self, capsys):
+        def without_timings(argv):
+            code, report = run_cli(argv, capsys)
+            del report["timings"]
+            return code, json.dumps(report, sort_keys=True)
+
+        oracle = ["search", "--preset", "bell2", "--oracle", "--exclude-exclusive",
+                  "--restarts", "2", "--seed", "3"]
+        plain = ["search", "--preset", "bell2", "--restarts", "2", "--seed", "3"]
+        _, first = run_cli(oracle, capsys)
+        _, second = run_cli(plain, capsys)
+        _, again = run_cli(oracle, capsys)
+        assert json.dumps(again["results"]) == json.dumps(first["results"])
+        assert second["config_echo"]["oracle"] is False
+        assert second["config_echo"]["exclude_exclusive"] is False
+        assert second["results"]["grid_oracle"] is None
+
+        _, loose = run_cli(["certify", "--preset", "bell2", "--tol-rank", "0.3"], capsys)
+        _, default = run_cli(["certify", "--preset", "bell2"], capsys)
+        assert loose["config_echo"]["tolerances"]["tol_rank"] == 0.3
+        assert default["config_echo"]["tolerances"]["tol_rank"] == Tolerances().tol_rank
+        assert default["config_echo"]["tol_rank"] is None
+
+        good = ["certify", "--preset", "bell2", "--convention", "bothreport"]
+        before = without_timings(good)
+        with pytest.raises(SystemExit) as rejected:
+            cli.main(["certify", "--convention", "nope"])
+        assert rejected.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert without_timings(good) == before
+
+        for _ in range(2):
+            with pytest.raises(SystemExit) as shown:
+                cli.main(["--version"])
+            assert shown.value.code == 0
+            assert capsys.readouterr().out == f"mereo {__version__}\n"

@@ -23,7 +23,6 @@ from mereo import (
     certify_rank1,
     frob,
     SearchConfig,
-    bloch_projectors,
     brute_force_grid_d2,
     ginibre,
     make_holistic,
@@ -34,7 +33,7 @@ from mereo import (
 from mereo import cli
 from mereo.io import matrix_from_json_dict
 from mereo.search import EXCLUDE_FLOOR, _objective_terms, hermitian_from_params
-from search_reference import objective, random_product_pair
+from search_reference import bloch_projectors, objective, random_product_pair
 
 AGREE = 1e-12
 
