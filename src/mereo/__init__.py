@@ -42,7 +42,7 @@ from .search import (
     density_scan,
     minimize,
     objective_value_and_grad,
-    parametrize_projector,
+    projector_from_coords,
 )
 from .transform import (
     ChoiMatrix,
@@ -94,10 +94,10 @@ __all__ = [
     "minimize",
     "mutually_exclusive",
     "objective_value_and_grad",
-    "parametrize_projector",
     "partial_trace",
     "product_commutator_norm",
     "product_if_property",
+    "projector_from_coords",
     "property_from_span",
     "swap_operator",
     "symmetric_projector",

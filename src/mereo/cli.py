@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .properties import (
     property_from_span,
     symmetric_projector,
 )
-from .search import SearchConfig, brute_force_grid_d2, density_scan, minimize, parametrize_projector
+from .search import SearchConfig, brute_force_grid_d2, density_scan, minimize, projector_from_coords
 from .transform import extract_property, from_property
 
 # Largest deviation the demo's projector -> operation -> projector round trip
@@ -72,6 +72,10 @@ def _resolve_amplitude(args) -> tuple[AmplitudeMatrix, dict]:
               if val is not None]
     if len(chosen) != 1:
         raise ValueError(f"choose exactly one of --gamma/--preset/--random-seed, got {chosen or 'none'}")
+    if args.dims is not None and args.random_seed is None:
+        # the echo would state dims the amplitude does not have
+        raise ValueError(f"--dims is read only with --random-seed; {chosen[0]} fixes the dims, "
+                         f"got --dims {args.dims[0]} {args.dims[1]}")
     if args.gamma is not None:
         amp = AmplitudeMatrix.normalized(load_matrix(args.gamma))
         return amp, {"kind": "file", "path": args.gamma}
@@ -154,7 +158,8 @@ def cmd_search(args, tols: Tolerances) -> dict:
         "cooccurrence_weight": result.cooccurrence_weight,
         "iterations_used": result.iterations_used,
         "converged": result.converged,
-        "restart_trace": [asdict(t) for t in result.restart_trace],
+        # vars, not dataclasses.asdict: the same keys in field order, without a deep copy
+        "restart_trace": [dict(vars(t)) for t in result.restart_trace],
         "argmin_p": property_to_json_dict(result.argmin_p),
         "argmin_q": property_to_json_dict(result.argmin_q),
         "grid_oracle": grid_oracle,
@@ -306,7 +311,7 @@ def cmd_demo(args, tols: Tolerances) -> dict:
     for i in range(10):
         rng = np.random.default_rng([20260809, i])
         rank = 1 + i % (d - 1)
-        proj = parametrize_projector(rng.normal(size=d * d), d, rank)
+        proj = projector_from_coords(rng.normal(size=2 * d * min(rank, d - rank)), d, rank)
         recovered = extract_property(from_property(proj, tols=tols), tols=tols)
         worst = max(worst, frob(recovered.matrix - proj.matrix))
     items.append({

@@ -1,15 +1,16 @@
 """Numerical commutant search over factorized projector pairs.
 
 Independent cross-check for the analytic certifier: minimize the squared
-commutator norm of ``P (x) Q`` with the joint dyad over unitarily
-parametrized projectors of fixed rank.  Projectors are generated as
-``U diag(1_rank, 0) U^dag`` with ``U = exp(i H(params))``, so the search
-runs in an unconstrained real parameter space.  The gradient pulls the
-cotangent ``L`` of each projector back to its generator in O(d^3): with
-``H = V diag(w) V^dag`` and ``G`` the divided differences (Daleckii-Krein)
-of ``exp(ix)`` on ``w``, ``M = E U^dag (L + L^dag)`` maps to
-``N = V ((V^dag M V) o G^T) V^dag``, whose entries are the gradient.  The
-kernel works row by row on stacked parameters, so restarts run as one stack.
+commutator norm of ``P (x) Q`` with the joint dyad over projectors of fixed
+rank.  A rank-``r`` projector on ``C^d`` is described by a complex basis
+``Y`` (``d x k``, ``k = min(r, d - r)``) of its smaller side, the Grassmann
+coordinates of Edelman, Arias and Smith: ``P = Pi = Y G^-1 Y^dag`` with
+``G = Y^dag Y``, or ``P = I - Pi`` when ``2 r > d``.  The search so runs in
+an unconstrained real space of ``2 d k`` coordinates per factor, and no
+step needs an eigendecomposition.  The gradient pulls the cotangent ``L``
+of each projector back to its basis as ``+-2 (I - Pi) S Y G^-1`` with
+``S = (L + L^dag) / 2``, in O(d^2 k).  The kernel works row by row on
+stacked coordinates, so restarts run as one stack.
 
 The descent is monotone: a candidate ``x - step * grad`` is kept only if it
 lowers the objective, else the step halves.  After a kept step the next one
@@ -25,7 +26,6 @@ restricted minimum probes the co-occurring branch only.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,16 +48,13 @@ from .properties import Property
 # amplitude whose top singular value stays below 0.9995.
 EXCLUDE_FLOOR = 0.05
 STEP_INIT = 0.5  # first descent step of every restart
-# largest step a restart may take: the Barzilai-Borwein step s.y / y.y blows up
-# where the gradient barely changes (flat valleys, y -> 0), and U = exp(iH) is
-# periodic in the generator's eigenvalues, so a longer move only wanders
+# largest step a restart may take: it guards against Barzilai-Borwein blow-ups,
+# where s.y / y.y grows without bound as the gradient barely changes (flat
+# valleys, y -> 0)
 STEP_MAX = 10.0
 MAX_ITERS = 500  # descent steps after which a restart stops with "max_iters"
 GRAD_TOL = 1e-8  # gradient norm at which a restart stops with "grad_tol"
 STEP_MIN = 1e-14  # step below which a rejected restart stops with "step_underflow"
-# eigenvalue gap below which a divided difference of exp(ix) takes its
-# confluent (midpoint) value, off by O(gap^2); the quotient has lost ~7 digits there
-CONFLUENT_GAP = 1e-9
 # ||W|| at or below which the hinge adds no gradient: its direction W/||W||
 # is undefined at W = 0, so the quotient would divide by (near) zero
 HINGE_NORM_MIN = 1e-12
@@ -109,75 +106,57 @@ def _adj(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-@functools.cache
-def _generator_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only diagonal and ``triu_indices(d, 1)`` index arrays of the generator layout."""
-    arrays = (np.arange(d), *np.triu_indices(d, 1))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+def _side_cols(d: int, rank: int) -> int:
+    """Columns of the basis that describes a rank-``rank`` projector on ``C^d``: its smaller side."""
+    return min(rank, d - rank)
 
 
-def hermitian_from_params(params, d: int) -> np.ndarray:
-    """Hermitian generators from real parameters of shape ``(..., d*d)``.
-
-    Layout: d diagonal entries first, then the (real, imaginary) parts of
-    ``H[i, j]`` for each off-diagonal position i < j in lexicographic order.
-    """
-    params = np.asarray(params, dtype=float)
-    if params.ndim == 0 or params.shape[-1] != d * d:
-        raise ValueError(f"expected {d * d} parameters for dimension {d}, got {params.shape[-1:] or 1}")
-    h = np.zeros(params.shape[:-1] + (d, d), dtype=complex)
-    diag, i, j = _generator_layout(d)
-    h.real[..., diag, diag] = params[..., :d]
-    h.real[..., i, j] = h.real[..., j, i] = params[..., d::2]
-    h.imag[..., i, j] = params[..., d + 1 :: 2]
-    h.imag[..., j, i] = -params[..., d + 1 :: 2]
-    return h
+def _bases(params: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Complex ``(..., d, k)`` bases from real coordinates ``(..., 2 d k)``, (re, im) pairs row-major."""
+    return np.ascontiguousarray(params).view(complex).reshape(params.shape[:-1] + (d, k))
 
 
-def _exp_i(params: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues ``w`` and eigenvectors ``V`` of ``H(params)``, and ``U = exp(i H)``."""
-    w, v = np.linalg.eigh(hermitian_from_params(params, d))
-    return w, v, (v * np.exp(1j * w)[..., None, :]) @ _adj(v)
+def projector_from_coords(params, d: int, rank: int) -> Property:
+    """Rank-``rank`` projector on ``C^d`` from the coordinates of a basis of its smaller side.
 
-
-def parametrize_projector(params, d: int, rank: int) -> Property:
-    """Rank-``rank`` projector ``U diag(1_rank, 0) U^dag`` with ``U = exp(i H(params))``.
-
-    Built by ``Property.from_unitary``: from the columns of ``U`` on its
-    smaller side, so above ``rank = d / 2`` as ``I - U_c U_c^dag``.
+    Layout: ``2 d k`` reals with ``k = min(rank, d - rank)``, the (real,
+    imaginary) parts of the entries of a complex ``d x k`` matrix ``Y`` in
+    row-major order.  The projector is ``Pi = Y (Y^dag Y)^-1 Y^dag`` onto the
+    span of ``Y`` when ``2 rank <= d``, else its complement ``I - Pi`` (the
+    tie rule of ``Property.from_unitary``).  Built by ``Property.from_basis``
+    from the ``Q`` factor of ``Y = QR``, so its basis has ``k`` columns.
     """
     if not 0 <= rank <= d:
         raise ValueError(f"rank must be between 0 and {d}, got {rank}")
-    return Property.from_unitary(_exp_i(np.asarray(params, dtype=float).reshape(-1), d)[2], rank)
+    k = _side_cols(d, rank)
+    params = np.asarray(params, dtype=float).reshape(-1)
+    if params.size != 2 * d * k:
+        raise ValueError(f"expected {2 * d * k} parameters for dimension {d}, rank {rank}, "
+                         f"got {params.size}")
+    return Property.from_basis(np.linalg.qr(_bases(params, d, k))[0], complement=2 * rank > d)
 
 
-def _pullback(w: np.ndarray, v: np.ndarray, ur: np.ndarray, lmat: np.ndarray) -> np.ndarray:
-    """Gradient of ``Re Tr[L dP]`` in the generator parameters of ``P = U_r U_r^dag``.
+def _projectors(params: np.ndarray, d: int, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked projectors ``P`` from basis coordinates, and ``Pi``, ``Z = Y G^-1`` for the gradient."""
+    y = _bases(params, d, _side_cols(d, rank))
+    z = y @ np.linalg.inv(_adj(y) @ y)
+    pi = z @ _adj(y)
+    return (np.eye(d) - pi if 2 * rank > d else pi), pi, z
 
-    ``dP = dU E U^dag + h.c.`` gives ``Re Tr[M dU]``; ``M = E U^dag (L + L^dag)``
-    vanishes from row ``rank`` on, so ``V^dag M = V_r^dag U_r^dag (L + L^dag)``
-    with ``V_r`` the first ``rank`` rows of ``V``.  ``Re Tr[N dH]`` then reads
-    ``Re N_ii`` on a diagonal unit and ``Re(N_ij + N_ji)``, ``Im(N_ij - N_ji)``
-    on the off-diagonal pair of :func:`hermitian_from_params`.
+
+def _basis_gradient(pi: np.ndarray, z: np.ndarray, lmat: np.ndarray, complement: bool) -> np.ndarray:
+    """Gradient of ``Re Tr[L dP]`` in the basis coordinates of ``P``, one row per stacked pair.
+
+    ``dPi = (I - Pi) dY G^-1 Y^dag + h.c.`` gives ``Re Tr[L dPi] = Re Tr[grad^dag dY]``
+    with ``grad = 2 (I - Pi) S Y G^-1`` and ``S = (L + L^dag) / 2``; ``dP = -dPi``
+    on the complement side.  The real gradient reads ``(Re, Im)`` of ``grad``
+    in the layout of :func:`projector_from_coords`.
     """
-    d, rank = w.shape[-1], ur.shape[-1]
-    phase = np.exp(1j * w)
-    # divided differences of x -> exp(ix) on the spectrum; the confluent
-    # limit handles (near-)degenerate eigenvalue pairs
-    dw = w[..., :, None] - w[..., None, :]
-    confluent = 1j * np.exp(1j * (w[..., :, None] + w[..., None, :]) / 2.0)
-    near = np.abs(dw) < CONFLUENT_GAP
-    g = np.where(near, confluent, (phase[..., :, None] - phase[..., None, :]) / np.where(near, 1.0, dw))
-    vmv = _adj(v[..., :rank, :]) @ (_adj(ur) @ (lmat + _adj(lmat))) @ v
-    n = v @ (vmv * g.swapaxes(-1, -2)) @ _adj(v)
-    _, i, j = _generator_layout(d)
-    grad = np.empty(w.shape[:-1] + (d * d,))
-    grad[..., :d] = np.diagonal(n, axis1=-2, axis2=-1).real
-    grad[..., d::2] = (n[..., i, j] + n[..., j, i]).real
-    grad[..., d + 1 :: 2] = (n[..., i, j] - n[..., j, i]).imag
-    return grad
+    sz = (lmat + _adj(lmat)) @ z
+    grad = sz - pi @ sz
+    if complement:
+        grad = -grad
+    return grad.reshape(grad.shape[0], -1).view(float)
 
 
 def _objective_terms(
@@ -206,20 +185,22 @@ def objective_value_and_grad(
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Objective and its analytic gradient in the joint parameter vector.
 
-    Parameters concatenate the generator of ``P`` (length ``d_a^2``) and of
-    ``Q`` (length ``d_b^2``).  Leading axes stack pairs, computed row by row so
-    that a row's result does not depend on the stack; 1-D gives ``(float, grad)``.
+    Parameters concatenate the basis coordinates of ``P`` (``2 d_a k_a`` reals)
+    and of ``Q`` (``2 d_b k_b``), ``k = min(rank, d - rank)`` in the layout of
+    :func:`projector_from_coords`.  Leading axes stack pairs, computed row by
+    row so that a row's result does not depend on the stack; 1-D gives
+    ``(float, grad)``.
     """
     d_a, d_b = amp.dims
-    n_p = d_a * d_a
+    n_p = 2 * d_a * _side_cols(d_a, cfg.rank_p)
+    n = n_p + 2 * d_b * _side_cols(d_b, cfg.rank_q)
     params = np.asarray(params, dtype=float)
-    if params.ndim == 0 or params.shape[-1] != n_p + d_b * d_b:
-        raise ValueError(f"expected {n_p + d_b * d_b} parameters, got {params.shape[-1:] or 1}")
-    x = params.reshape(-1, params.shape[-1])
-    w_p, v_p, u_p = _exp_i(x[:, :n_p], d_a)
-    w_q, v_q, u_q = _exp_i(x[:, n_p:], d_b)
-    ur_p, ur_q = u_p[..., : cfg.rank_p], u_q[..., : cfg.rank_q]
-    proj_p, proj_q_t = ur_p @ _adj(ur_p), (ur_q @ _adj(ur_q)).swapaxes(-1, -2)
+    if params.ndim == 0 or params.shape[-1] != n:
+        raise ValueError(f"expected {n} parameters, got {params.shape[-1:] or 1}")
+    x = params.reshape(-1, n)
+    proj_p, pi_p, z_p = _projectors(x[:, :n_p], d_a, cfg.rank_p)
+    proj_q, pi_q, z_q = _projectors(x[:, n_p:], d_b, cfg.rank_q)
+    proj_q_t = proj_q.swapaxes(-1, -2)
 
     am = amp.matrix
     w = proj_p @ am @ proj_q_t
@@ -233,8 +214,8 @@ def objective_value_and_grad(
 
     # d f = Re Tr[K^dag dW] with dW = dP (amp Q^T), so L_P = amp Q^T K^dag;
     # resp. dW = (P amp) dQ^T, so L_Q = (K^dag P amp)^T
-    grad_p = _pullback(w_p, v_p, ur_p, am @ proj_q_t @ _adj(k))
-    grad_q = _pullback(w_q, v_q, ur_q, (_adj(k) @ proj_p @ am).swapaxes(-1, -2))
+    grad_p = _basis_gradient(pi_p, z_p, am @ proj_q_t @ _adj(k), 2 * cfg.rank_p > d_a)
+    grad_q = _basis_gradient(pi_q, z_q, (_adj(k) @ proj_p @ am).swapaxes(-1, -2), 2 * cfg.rank_q > d_b)
     grad = np.concatenate([grad_p, grad_q], axis=-1).reshape(params.shape)
     if params.ndim == 1:
         return float(f[0]), grad
@@ -242,15 +223,19 @@ def objective_value_and_grad(
 
 
 def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
-    """Multi-restart gradient descent over the projector parameters.
+    """Multi-restart gradient descent over the basis coordinates of the projector pair.
 
     Restarts descend as one stack, each halving its step on non-decrease
     (counted in ``RestartTrace.rejected``) and taking the Barzilai-Borwein
     step ``s.y / y.y``, or 1.5 times the last where ``s.y <= 0``, capped at
     ``STEP_MAX``, on acceptance, until ``GRAD_TOL``, a step below
-    ``STEP_MIN`` or ``MAX_ITERS`` steps (``restart_trace`` says which).  They
-    are seeded by index and computed row by row, so enlarging ``cfg.restarts``
-    only ever adds candidates; the first with the lowest objective wins.
+    ``STEP_MIN`` or ``MAX_ITERS`` steps (``restart_trace`` says which).
+    Restart ``r`` starts from the ``r``-th row of
+    ``default_rng(cfg.rng_seed).standard_normal((cfg.restarts, n))``, the
+    coordinates of :func:`objective_value_and_grad`, and rows are computed
+    one by one, so enlarging ``cfg.restarts`` only appends candidates; the
+    first with the lowest objective wins.  Its projectors are built by
+    :func:`projector_from_coords`, from the ``Q`` factor of each basis.
     ``min_value`` is the commutator norm of that pair from
     :func:`product_commutator_norm`, which also gives ``cooccurrence_weight``,
     not the square root of the objective, whose cancellation hides norms below
@@ -265,10 +250,10 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
         raise ValueError(f"rank_q must satisfy 0 < rank < {d_b}, got {cfg.rank_q}")
     if cfg.restarts < 1:
         raise ValueError("restarts must be positive")
-    n_params = d_a * d_a + d_b * d_b
+    n_p = 2 * d_a * _side_cols(d_a, cfg.rank_p)
+    n_params = n_p + 2 * d_b * _side_cols(d_b, cfg.rank_q)
 
-    rngs = [np.random.default_rng([cfg.rng_seed, r]) for r in range(cfg.restarts)]
-    x = np.stack([rng.normal(0.0, 1.5, size=n_params) for rng in rngs])
+    x = np.random.default_rng(cfg.rng_seed).standard_normal((cfg.restarts, n_params))
     f, grad = objective_value_and_grad(amp, x, cfg)
     step = np.full(cfg.restarts, STEP_INIT)
     iters = np.zeros(cfg.restarts, dtype=int)
@@ -300,8 +285,8 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
         live = live[~stalled]
 
     best = int(np.argmin(f))
-    p = parametrize_projector(x[best, : d_a * d_a], d_a, cfg.rank_p)
-    q = parametrize_projector(x[best, d_a * d_a :], d_b, cfg.rank_q)
+    p = projector_from_coords(x[best, :n_p], d_a, cfg.rank_p)
+    q = projector_from_coords(x[best, n_p:], d_b, cfg.rank_q)
     min_value, weight = product_commutator_norm(amp, p, q)
     return SearchResult(
         min_value=min_value,

@@ -1,7 +1,9 @@
 """Search helpers that only the tests use, as references for the stacked kernel.
 
 ``objective`` evaluates the search objective at a concrete pair of
-projectors, where the library only evaluates it at generator parameters;
+projectors, where the library only evaluates it at basis coordinates;
+``parametrize_projector`` builds a projector through the exponential map,
+a random-projector source independent of the search's coordinates;
 ``random_product_pair`` draws a factorized pair of given ranks;
 ``bloch_projectors`` stacks the projectors of the oracle's Bloch grid.
 """
@@ -9,8 +11,38 @@ projectors, where the library only evaluates it at generator parameters;
 import numpy as np
 
 from mereo import AmplitudeMatrix, NontrivialityConvention, ProductProperty, Property, SearchConfig, SystemDims
-from mereo import parametrize_projector
 from mereo.search import _bloch_grid, _objective_terms
+
+
+def hermitian_from_params(params, d: int) -> np.ndarray:
+    """Hermitian generators from real parameters of shape ``(..., d*d)``.
+
+    Layout: d diagonal entries first, then the (real, imaginary) parts of
+    ``H[i, j]`` for each off-diagonal position i < j in lexicographic order.
+    """
+    params = np.asarray(params, dtype=float)
+    if params.ndim == 0 or params.shape[-1] != d * d:
+        raise ValueError(f"expected {d * d} parameters for dimension {d}, got {params.shape[-1:] or 1}")
+    h = np.zeros(params.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    i, j = np.triu_indices(d, 1)
+    h.real[..., diag, diag] = params[..., :d]
+    h.real[..., i, j] = h.real[..., j, i] = params[..., d::2]
+    h.imag[..., i, j] = params[..., d + 1 :: 2]
+    h.imag[..., j, i] = -params[..., d + 1 :: 2]
+    return h
+
+
+def parametrize_projector(params, d: int, rank: int) -> Property:
+    """Rank-``rank`` projector ``U diag(1_rank, 0) U^dag`` with ``U = exp(i H(params))``.
+
+    Built by ``Property.from_unitary``: from the columns of ``U`` on its
+    smaller side, so above ``rank = d / 2`` as ``I - U_c U_c^dag``.
+    """
+    if not 0 <= rank <= d:
+        raise ValueError(f"rank must be between 0 and {d}, got {rank}")
+    w, v = np.linalg.eigh(hermitian_from_params(np.asarray(params, dtype=float).reshape(-1), d))
+    return Property.from_unitary((v * np.exp(1j * w)) @ v.conj().T, rank)
 
 
 def objective(amp: AmplitudeMatrix, p: Property, q: Property, cfg: SearchConfig) -> float:

@@ -31,7 +31,6 @@ from mereo import (
     marginal_entropy,
     minimize,
     objective_value_and_grad,
-    parametrize_projector,
     partial_trace,
     product_commutator_norm,
     property_from_span,
@@ -39,7 +38,7 @@ from mereo import (
     symmetric_projector,
 )
 
-from search_reference import bloch_projectors
+from search_reference import bloch_projectors, parametrize_projector
 
 AT_LEAST_ONE = NontrivialityConvention.AT_LEAST_ONE
 BOTH = NontrivialityConvention.BOTH
@@ -237,7 +236,8 @@ def test_criterion_10_gradient_check():
     ok = True
     for dims in ((2, 2), (3, 3)):
         amp = sample_amp(rng, *dims)
-        n = dims[0] ** 2 + dims[1] ** 2
+        # rank-1 factors: a complex basis vector each, 2 d reals
+        n = 2 * dims[0] + 2 * dims[1]
         for trial in range(50):
             cfg = SearchConfig(rank_p=1, rank_q=1, exclude_exclusive=bool(trial % 2))
             params = rng.normal(size=n)

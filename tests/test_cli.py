@@ -2,11 +2,12 @@
 
 import json
 import types
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from mereo import SystemDims, Tolerances, __version__, cli, lattice_amplitudes
+from mereo import SearchConfig, SystemDims, Tolerances, __version__, cli, lattice_amplitudes, minimize
 from mereo.io import matrix_to_json_dict, random_amplitude
 
 from holism_reference import pairwise_tables_loop
@@ -178,6 +179,16 @@ class TestSearch:
         assert sum(t["iterations"] for t in trace) == first["results"]["iterations_used"]
         assert set(trace[0]) == {"objective", "iterations", "stop_reason", "rejected"}
         assert all(0 <= t["rejected"] < t["iterations"] for t in trace)
+
+    def test_restart_trace_serializes_as_asdict(self, capsys):
+        argv = ["search", "--random-seed", "3", "--dims", "3", "3", "--restarts", "5", "--seed", "8",
+                "--exclude-exclusive"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        cfg = SearchConfig(restarts=5, exclude_exclusive=True, rng_seed=8)
+        trace = minimize(random_amplitude(3, SystemDims(3, 3)), cfg).restart_trace
+        # the same bytes and key order as dataclasses.asdict
+        assert f'"restart_trace": {json.dumps([asdict(t) for t in trace])}, ' in out
 
 
 class TestDensity:
@@ -428,6 +439,21 @@ class TestReportShape:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0] == f"input error: {names}"
+
+    @pytest.mark.parametrize("argv, source", [
+        (["certify", "--preset", "bell2", "--dims", "3", "3"], "--preset"),
+        (["search", "--preset", "bell2", "--restarts", "2", "--dims", "3", "3"], "--preset"),
+        (["lattice", "--gamma", "amp.json", "--k", "2", "--dims", "2", "2"], "--gamma"),
+        (["entropy", "--preset", "maxent3", "--dims", "3", "3"], "--preset"),
+    ])
+    def test_dims_without_random_seed_is_input_error(self, capsys, monkeypatch, argv, source):
+        # an echoed --dims that the amplitude does not have would misstate the run
+        monkeypatch.setattr(cli, "load_matrix", lambda path: pytest.fail("file read before the check"))
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: --dims ") and source in lines[0]
 
 
 class TestRepeatedCalls:

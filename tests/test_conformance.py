@@ -4,8 +4,8 @@
 the ``d_a d_b``-dimensional joint space.  These tests rebuild the joint dyad
 and ``kron(P, Q)`` explicitly and require both routes to agree, across
 dimensions, amplitude ranks, certifier witnesses and random pairs.  The
-search gradient is a pullback through the generator; it is checked against
-the route that differentiates the projector along every basis direction.  The
+search gradient is a pullback to the basis coordinates; it is checked against
+the route that differentiates the projector along every coordinate.  The
 Bloch grid oracle reads each pair's objective off one overlap; it is checked
 against the route that forms every ``W = P amp Q^T`` as a 2x2 block product.
 """
@@ -27,12 +27,12 @@ from mereo import (
     ginibre,
     make_holistic,
     objective_value_and_grad,
-    parametrize_projector,
     product_commutator_norm,
+    projector_from_coords,
 )
 from mereo import cli
 from mereo.io import matrix_from_json_dict
-from mereo.search import EXCLUDE_FLOOR, _objective_terms, hermitian_from_params
+from mereo.search import EXCLUDE_FLOOR, _objective_terms
 from search_reference import bloch_projectors, objective, random_product_pair
 
 AGREE = 1e-12
@@ -109,26 +109,28 @@ def test_completeness_deviation_matches_sum_of_member_projectors(argv, tmp_path)
 
 
 def projector_and_tangents(params, d, rank):
-    """Projector ``U_r U_r^dag``, ``U = exp(i H)``, and its derivative along each basis generator."""
-    basis = hermitian_from_params(np.eye(d * d), d)
-    w, vmat = np.linalg.eigh(hermitian_from_params(params, d))
-    phase = np.exp(1j * w)
-    dw = w[:, None] - w[None, :]
-    near = np.abs(dw) < 1e-9
-    confluent = 1j * np.exp(1j * (w[:, None] + w[None, :]) / 2.0)
-    g = np.where(near, confluent, (phase[:, None] - phase[None, :]) / np.where(near, 1.0, dw))
-    ur = ((vmat * phase) @ vmat.conj().T)[:, :rank]
-    m = np.einsum("ij,pjk,kl->pil", vmat.conj().T, basis, vmat)
-    dur = np.einsum("ij,pjk,kl->pil", vmat, g[None, :, :] * m, vmat.conj().T)[:, :, :rank]
-    dproj = np.einsum("pik,jk->pij", dur, ur.conj()) + np.einsum("ik,pjk->pij", ur, dur.conj())
-    return ur @ ur.conj().T, dproj
+    """Projector from basis coordinates and its derivative along each real coordinate.
+
+    ``dPi = (I - Pi) dY G^-1 Y^dag + h.c.`` with ``G^-1 Y^dag`` the pseudo-inverse
+    of ``Y``, negated on the complement side (``2 rank > d``).
+    """
+    k = min(rank, d - rank)
+    proj = projector_from_coords(params, d, rank).matrix
+    complement = 2 * rank > d
+    pi = np.eye(d) - proj if complement else proj
+    y = params.reshape(d, k, 2) @ np.array([1.0, 1.0j])
+    units = np.eye(2 * d * k).reshape(2 * d * k, d, k, 2) @ np.array([1.0, 1.0j])
+    dpi = np.einsum("ij,pjk,kl->pil", np.eye(d) - pi, units, np.linalg.pinv(y))
+    dpi = dpi + dpi.conj().transpose(0, 2, 1)
+    return proj, -dpi if complement else dpi
 
 
 def tangent_gradient(amp, params, cfg):
-    """Objective gradient as ``Re Tr[K^dag dW]`` over the tangent tensors, O(d^5)."""
+    """Objective gradient as ``Re Tr[K^dag dW]`` over the tangent tensors."""
     d_a, d_b = amp.dims
-    proj_p, dp = projector_and_tangents(params[: d_a * d_a], d_a, cfg.rank_p)
-    proj_q, dq = projector_and_tangents(params[d_a * d_a :], d_b, cfg.rank_q)
+    n_p = 2 * d_a * min(cfg.rank_p, d_a - cfg.rank_p)
+    proj_p, dp = projector_and_tangents(params[:n_p], d_a, cfg.rank_p)
+    proj_q, dq = projector_and_tangents(params[n_p:], d_b, cfg.rank_q)
     am = amp.matrix
     w = proj_p @ am @ proj_q.T
     nw = frob(w)
@@ -140,41 +142,32 @@ def tangent_gradient(amp, params, cfg):
     return np.concatenate([grad_p, grad_q])
 
 
-def params_from_hermitian(h):
-    d = h.shape[0]
-    i, j = np.triu_indices(d, 1)
-    pairs = np.stack([h[i, j].real, h[i, j].imag], axis=1).reshape(-1)
-    return np.concatenate([np.diag(h).real, pairs])
-
-
 @pytest.mark.parametrize("dims", [(2, 2), (3, 4), (5, 5), (6, 6)])
 def test_adjoint_gradient_matches_tangent_route(dims):
     d_a, d_b = dims
     rng = np.random.default_rng([23, d_a, d_b])
     for rank_p, rank_q in {(1, 1), (d_a - 1, d_b - 1)}:
+        k_a, k_b = min(rank_p, d_a - rank_p), min(rank_q, d_b - rank_q)
+        n_p = 2 * d_a * k_a
         for hinge in (False, True):
             cfg = SearchConfig(rank_p=rank_p, rank_q=rank_q, exclude_exclusive=hinge)
-            # a repeated generator eigenvalue sends every factor through the
-            # confluent branch of the divided differences
-            u_a = np.linalg.qr(ginibre(SystemDims(d_a, d_a), rng))[0]
-            u_b = np.linalg.qr(ginibre(SystemDims(d_b, d_b), rng))[0]
-            spec_a = np.concatenate([[0.7, 0.7], rng.normal(size=d_a - 2)])
-            spec_b = np.concatenate([[-1.2, -1.2], rng.normal(size=d_b - 2)])
-            repeated = np.concatenate([
-                params_from_hermitian((u_a * spec_a) @ u_a.conj().T),
-                params_from_hermitian((u_b * spec_b) @ u_b.conj().T),
+            # random bases, the canonical ones, and bases far from
+            # orthonormal, their entries scaled over two decades
+            canonical = np.concatenate([
+                np.eye(d_a)[:, :k_a].astype(complex).reshape(-1).view(float),
+                np.eye(d_b)[:, :k_b].astype(complex).reshape(-1).view(float),
             ])
-            points = [rng.normal(0.0, 1.5, size=d_a * d_a + d_b * d_b) for _ in range(3)]
-            points += [np.zeros(d_a * d_a + d_b * d_b), repeated]
+            skewed = rng.standard_normal(canonical.size) * np.geomspace(0.1, 10.0, canonical.size)
+            points = [rng.standard_normal(canonical.size) for _ in range(3)] + [canonical, skewed]
             for params in points:
                 g = ginibre(SystemDims(d_a, d_b), rng)
                 if hinge:
                     # keep P amp Q^T under the floor, so the hinge is active
-                    p = parametrize_projector(params[: d_a * d_a], d_a, rank_p).matrix
+                    p = projector_from_coords(params[:n_p], d_a, rank_p).matrix
                     g = g - (1.0 - 1e-3) * (p @ g)
                 amp = AmplitudeMatrix.normalized(g)
                 if hinge:
-                    q = parametrize_projector(params[d_a * d_a :], d_b, rank_q)
+                    q = projector_from_coords(params[n_p:], d_b, rank_q)
                     assert objective(amp, Property(p), q, cfg) > objective(
                         amp, Property(p), q, SearchConfig(exclude_exclusive=False)
                     )

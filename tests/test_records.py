@@ -20,7 +20,7 @@ from mereo import (
     certify_rank1,
     cli,
     minimize,
-    parametrize_projector,
+    projector_from_coords,
 )
 from mereo.io import (
     load_matrix,
@@ -29,6 +29,7 @@ from mereo.io import (
     property_to_json_dict,
     random_amplitude,
 )
+from search_reference import parametrize_projector
 
 
 def run_report(argv, tmp_path):
@@ -126,13 +127,18 @@ def test_search_argmin_rebuilds_exactly(tmp_path, d, rank):
     lambda d: st.lists(st.floats(-4.0, 4.0), min_size=d * d, max_size=d * d)
 ))
 def test_every_rank_round_trips_through_json(params):
+    # the search's coordinates take 2 d min(rank, d - rank) <= d^2 of the reals
     d = int(round(len(params) ** 0.5))
     for rank in range(d + 1):
-        prop = parametrize_projector(np.array(params), d, rank)
-        record = json.loads(json.dumps(property_to_json_dict(prop)))
-        assert record["basis"]["cols"] == min(rank, d - rank)
-        assert property_from_json_dict(record).complement == prop.complement
-        assert_same_bytes(record, prop)
+        k = min(rank, d - rank)
+        for prop in (
+            parametrize_projector(np.array(params), d, rank),
+            projector_from_coords(np.array(params[: 2 * d * k]), d, rank),
+        ):
+            record = json.loads(json.dumps(property_to_json_dict(prop)))
+            assert prop.rank == rank and record["basis"]["cols"] == k
+            assert property_from_json_dict(record).complement == prop.complement
+            assert_same_bytes(record, prop)
 
 
 def good_record():

@@ -21,10 +21,10 @@ from mereo import (
     make_holistic,
     minimize,
     objective_value_and_grad,
-    parametrize_projector,
+    projector_from_coords,
 )
 from mereo.io import random_amplitude
-from search_reference import objective
+from search_reference import objective, parametrize_projector
 
 BELL = AmplitudeMatrix(np.eye(2) / np.sqrt(2))
 PRODUCT = AmplitudeMatrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
@@ -35,6 +35,11 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def random_amp(rng, d_a, d_b):
     g = ginibre(SystemDims(d_a, d_b), rng)
     return AmplitudeMatrix(g / np.linalg.norm(g))
+
+
+def n_coords(d, rank):
+    """Real coordinates of a rank-``rank`` projector on ``C^d``: a complex basis of its smaller side."""
+    return 2 * d * min(rank, d - rank)
 
 
 def fd_gradient(amp, params, cfg, h=1e-5):
@@ -82,6 +87,38 @@ class TestParametrizeProjector:
             parametrize_projector(np.zeros(3), 2, 1)
 
 
+class TestProjectorFromCoords:
+    def test_canonical_basis_gives_canonical_projector(self):
+        for d in range(2, 7):
+            for rank in range(d + 1):
+                k = min(rank, d - rank)
+                coords = np.eye(d)[:, :k].astype(complex).reshape(-1).view(float)
+                p = projector_from_coords(coords, d, rank)
+                span = np.diag([1.0] * k + [0.0] * (d - k))
+                expected = np.eye(d) - span if 2 * rank > d else span
+                assert p.rank == rank and p.basis.shape == (d, k)
+                assert frob(p.matrix - expected) <= 1e-15
+
+    def test_depends_on_the_span_only(self):
+        # Y and Y A span the same subspace for any invertible A
+        rng = np.random.default_rng(0)
+        for d, rank in ((2, 1), (4, 2), (5, 3), (6, 5)):
+            k = min(rank, d - rank)
+            y = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+            a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            p, pa = (projector_from_coords(m.reshape(-1).view(float), d, rank) for m in (y, y @ a))
+            assert frob(p.matrix - pa.matrix) <= 1e-12
+            assert frob(p.matrix @ p.matrix - p.matrix) <= 1e-12
+            assert frob(p.matrix - p.matrix.conj().T) <= 1e-12
+            # the span of Y is the range, or the kernel above d / 2
+            side = p.matrix @ y if 2 * rank <= d else y - p.matrix @ y
+            assert frob(side - y) <= 1e-12
+
+    def test_wrong_param_count(self):
+        with pytest.raises(ValueError, match="expected 8 parameters"):
+            projector_from_coords(np.zeros(6), 4, 3)
+
+
 class TestObjective:
     def test_bell_diag_pair_hand_value(self):
         # independent oracle: direct commutator of the 4x4 matrices
@@ -114,7 +151,7 @@ class TestGradient:
     def test_against_central_differences(self, dims):
         rng = np.random.default_rng(1)
         amp = random_amp(rng, *dims)
-        n = dims[0] ** 2 + dims[1] ** 2
+        n = n_coords(dims[0], 1) + n_coords(dims[1], 1)
         for trial in range(10):
             cfg = SearchConfig(rank_p=1, rank_q=1, exclude_exclusive=bool(trial % 2))
             params = rng.normal(size=n)
@@ -128,8 +165,9 @@ class TestGradient:
         # the stacked descent relies on rows not depending on the stack
         rng = np.random.default_rng(2)
         amp = random_amp(rng, *dims)
-        params = rng.normal(0.0, 1.5, size=(9, dims[0] ** 2 + dims[1] ** 2))
         for cfg in (SearchConfig(), SearchConfig(rank_p=dims[0] - 1, exclude_exclusive=True)):
+            n = n_coords(dims[0], cfg.rank_p) + n_coords(dims[1], cfg.rank_q)
+            params = rng.standard_normal((9, n))
             values, grads = objective_value_and_grad(amp, params, cfg)
             assert values.shape == (9,) and grads.shape == params.shape
             for r in range(9):
@@ -220,7 +258,7 @@ class TestMinimize:
         assert [t.stop_reason for t in trace] == ["grad_tol"] * cfg.restarts
         assert max(t.iterations for t in trace) <= 100
 
-    @pytest.mark.parametrize("d, exclude", [(2, False), (3, False), (4, True), (6, True)])
+    @pytest.mark.parametrize("d, exclude", [(3, False), (4, True), (6, False), (6, True)])
     def test_steps_follow_the_barzilai_borwein_rule(self, d, exclude, monkeypatch):
         # reference: the step rule replayed in plain Python from the kernel
         # calls of single restarts (rows do not depend on the stack)
@@ -272,37 +310,25 @@ class TestMinimize:
         res = minimize(amp, SearchConfig(restarts=8, exclude_exclusive=True, rng_seed=1))
         assert abs(res.min_value - expected) <= 1e-6
 
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_maximal_ranks_reach_the_cooccurrence_gap(self, d):
+        # at ranks (d - 1, d - 1) the least commutator norm of a holistic
+        # amplitude is sqrt(2 delta (1 - delta)), delta = s_min^2
+        for seed in range(1, 5):
+            amp = random_amplitude(seed, SystemDims(d, d))
+            res = minimize(amp, SearchConfig(rank_p=d - 1, rank_q=d - 1, rng_seed=seed))
+            delta = amp.singular_values[-1] ** 2
+            gap = np.sqrt(2.0 * delta * (1.0 - delta))
+            assert abs(res.min_value - gap) <= 1e-9 * gap
+
     def test_invalid_ranks(self):
-        with pytest.raises(ValueError):
-            minimize(BELL, SearchConfig(rank_p=2, rank_q=1))
-
-    def test_cached_generator_layout_is_read_only(self):
-        for d in (2, 3, 6):
-            layout = search._generator_layout(d)
-            assert layout is search._generator_layout(d)
-            for a in layout:
-                with pytest.raises(ValueError):
-                    a[0] = a[0]  # the same value, so a writable cache stays intact
-
-    def test_cached_layout_replays_uncached_descent(self, monkeypatch):
-        cases = []
-        for d in (2, 3, 4, 6):
-            amp = random_amp(np.random.default_rng([31, d]), d, d)
-            for ranks in sorted({(1, 1), (d - 1, d - 1)}):
-                cfg = SearchConfig(rank_p=ranks[0], rank_q=ranks[1], restarts=4,
-                                   exclude_exclusive=True, rng_seed=d)
-                cases.append((amp, cfg))
-
-        def summary(res):
-            return res.min_value, res.iterations_used, res.restart_trace
-
-        monkeypatch.setattr(search, "MAX_ITERS", 150)
-        cached = [summary(minimize(amp, cfg)) for amp, cfg in cases]
-        # reference: index arrays rebuilt on every call
-        monkeypatch.setattr(
-            search, "_generator_layout", lambda d: (np.arange(d), *np.triu_indices(d, 1))
-        )
-        assert [summary(minimize(amp, cfg)) for amp, cfg in cases] == cached
+        amp = random_amp(np.random.default_rng(7), 3, 4)
+        for rank_p, rank_q in ((0, 1), (3, 1), (1, 0), (1, 4)):
+            with pytest.raises(ValueError, match="rank_"):
+                minimize(amp, SearchConfig(rank_p=rank_p, rank_q=rank_q))
+        for rank in (-1, 4):
+            with pytest.raises(ValueError, match="rank must be"):
+                projector_from_coords(np.zeros(0), 3, rank)
 
     def test_no_cooccurring_near_commuters_for_invertible(self):
         # invertible amplitudes admit no commuting pair with nonzero overlap

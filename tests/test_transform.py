@@ -18,10 +18,10 @@ from mereo import (
     ginibre,
     is_repeatable,
     kron,
-    parametrize_projector,
     partial_trace,
     swap_operator,
 )
+from search_reference import parametrize_projector
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
