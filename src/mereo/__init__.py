@@ -11,7 +11,7 @@ repeatable atomic operations.
 __version__ = "0.1.0"
 
 from .config import ENV_OVERRIDE, InvariantViolation, Tolerances, active_tolerances
-from .doubleket import AmplitudeMatrix, DoubleKet, apply_local, swap_operator, unvec, vec
+from .doubleket import AmplitudeMatrix, swap_operator
 from .holism import (
     HolismVerdict,
     NontrivialityConvention,
@@ -22,7 +22,7 @@ from .holism import (
     marginal_entropy,
     product_commutator_norm,
 )
-from .linalg import SystemDims, frob, ginibre, hs_inner, kron, partial_trace
+from .linalg import SystemDims, frob, ginibre, partial_trace
 from .properties import (
     Property,
     State,
@@ -59,7 +59,6 @@ __all__ = [
     "EXCLUDE_FLOOR",
     "AmplitudeMatrix",
     "ChoiMatrix",
-    "DoubleKet",
     "HolismVerdict",
     "InvariantViolation",
     "NontrivialityConvention",
@@ -72,7 +71,6 @@ __all__ = [
     "Tolerances",
     "Verdict",
     "active_tolerances",
-    "apply_local",
     "brute_force_grid_d2",
     "certify_rank1",
     "choi",
@@ -84,10 +82,8 @@ __all__ = [
     "from_property",
     "ginibre",
     "has_property",
-    "hs_inner",
     "is_nontrivial",
     "is_repeatable",
-    "kron",
     "lattice_amplitudes",
     "make_holistic",
     "marginal_entropy",
@@ -101,7 +97,5 @@ __all__ = [
     "property_from_span",
     "swap_operator",
     "symmetric_projector",
-    "unvec",
-    "vec",
     "__version__",
 ]

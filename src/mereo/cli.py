@@ -31,10 +31,12 @@ from .holism import (
     lattice_amplitudes,
     marginal_entropy,
     schmidt_rank,
+    stacked_singular_values,
 )
 from .io import (
     PRESET_NAMES,
     load_matrix,
+    matrix_records,
     matrix_to_json_dict,
     preset_amplitude,
     property_to_json_dict,
@@ -201,7 +203,8 @@ def cmd_lattice(args, tols: Tolerances) -> dict:
     amp, source = _resolve_amplitude(args)
     members = lattice_amplitudes(amp, args.k, args.seed)
     conv = NontrivialityConvention(args.convention)
-    ranks = schmidt_rank(np.array([m.singular_values for m in members]), tols)
+    s = stacked_singular_values(members)
+    ranks = schmidt_rank(s, tols)
     holistic = holistic_at_rank(ranks, amp.dims, conv)
     # members are unit vectors v_i, so each projector is the rank-1 |v_i><v_i|,
     # which the report leaves to its amplitude.  With the Gram matrix
@@ -210,7 +213,7 @@ def cmd_lattice(args, tols: Tolerances) -> dict:
     # that is sqrt(2) |g_ij| sqrt(1 - |g_ij|^2); on it, where 1 - |g_ii|^2
     # would cancel, v_i - g_ii v_i = (1 - g_ii) v_i gives sqrt(2) |g_ii|
     # |1 - g_ii|, which does not.  The projectors sum to vecs^T conj(vecs)
-    vecs = np.array([m.matrix.reshape(-1) for m in members])
+    vecs = members.reshape(args.k, -1)
     g = vecs.conj() @ vecs.T
     prod = np.abs(g)
     residual_sq = 1.0 - prod * prod
@@ -220,12 +223,12 @@ def cmd_lattice(args, tols: Tolerances) -> dict:
     np.fill_diagonal(comm, np.sqrt(2.0) * np.abs(g_ii) * np.abs(1.0 - g_ii))
     member_records = [
         {
-            "amplitude": matrix_to_json_dict(m.matrix),
+            "amplitude": record,
             "rank": int(rank),
             "holistic": bool(hol),
-            "smallest_singular_value": float(m.singular_values[-1]),
+            "smallest_singular_value": float(smin),
         }
-        for m, rank, hol in zip(members, ranks, holistic)
+        for record, rank, hol, smin in zip(matrix_records(members), ranks, holistic, s[:, -1])
     ]
     return {
         "gamma_source": source,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 ENV_OVERRIDE = "MEREO_TOL_OVERRIDE"
 
@@ -42,7 +42,8 @@ class Tolerances:
                 raise ValueError(f"tolerance {name} must be finite and > 0, got {value!r}")
 
     def as_dict(self) -> dict[str, float]:
-        return asdict(self)
+        # vars, not dataclasses.asdict: the same keys in field order, without a deep copy
+        return dict(vars(self))
 
 
 def active_tolerances() -> Tolerances:

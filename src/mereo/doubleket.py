@@ -1,19 +1,16 @@
-"""Vectorization calculus pairing bipartite state vectors with matrices.
+"""Amplitude matrices of bipartite pure states, and the swap operator.
 
-A ``d_a x d_b`` matrix ``M`` and the vector ``sum_ij M[i, j] |i>|j>`` carry
-the same data; flattening is row-major so that the correspondence locks to
-``linalg.kron``'s index convention.  The identity everything downstream
-leans on is
+A ``d_a x d_b`` matrix ``M`` carries the same data as the state vector
+``sum_ij M[i, j] |i>|j>``, flattened row-major so that the correspondence
+locks to ``np.kron``'s index convention (first factor slow):
 
-    kron(a, b) @ vec(m) == vec(a @ m @ b.T)
+    np.kron(a, b) @ m.reshape(-1) == (a @ m @ b.T).reshape(-1)
 
-with a plain (unconjugated) transpose on ``b``.  A conformance test guards
-this pairing; if you change one convention you must change both.
+with a plain (unconjugated) transpose on ``b``.  The certifier's replay
+leans on this identity, and a conformance test guards it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,32 +23,6 @@ UNIT_NORM_SLACK = 1e-9
 # Norm below which ``normalized`` refuses to scale: the direction of such a
 # matrix is set by the rounding of its entries, not by the data.
 NORMALIZE_MIN_NORM = 1e-12
-
-
-@dataclass(frozen=True)
-class DoubleKet:
-    """Vector on a bipartite space, tagged with its factor dimensions."""
-
-    vector: np.ndarray
-    dims: SystemDims
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-            raise ValueError("double-ket vector contains non-finite entries")
-        dims = SystemDims(int(self.dims[0]), int(self.dims[1]))
-        if v.size != dims.d_a * dims.d_b:
-            raise ValueError(
-                f"vector length {v.size} does not match dims {dims.d_a}x{dims.d_b}"
-            )
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
 
 
 class AmplitudeMatrix:
@@ -103,16 +74,6 @@ class AmplitudeMatrix:
         return f"AmplitudeMatrix({d_a}x{d_b}, schmidt={np.round(self.singular_values, 6)})"
 
 
-def vec(amp: AmplitudeMatrix) -> DoubleKet:
-    """Row-major flattening of the amplitude matrix; a unit vector."""
-    return DoubleKet(amp.matrix.reshape(-1), amp.dims)
-
-
-def unvec(ket: DoubleKet) -> AmplitudeMatrix:
-    """Inverse of :func:`vec`; rejects vectors that are not unit norm."""
-    return AmplitudeMatrix(np.asarray(ket.vector).reshape(ket.dims))
-
-
 def swap_operator(d: int) -> np.ndarray:
     """Unitary on ``H_d (x) H_d`` exchanging the factors.
 
@@ -126,21 +87,3 @@ def swap_operator(d: int) -> np.ndarray:
         for b in range(d):
             e[b * d + a, a * d + b] = 1.0
     return e
-
-
-def apply_local(a, b, amp: AmplitudeMatrix) -> DoubleKet:
-    """Act with ``a (x) b`` on the vectorized amplitude matrix.
-
-    Computed on the matrix side as ``a @ amp @ b.T``; equals the Kronecker
-    route ``kron(a, b) @ vec(amp)``.  ``a`` and ``b`` may be rectangular, in
-    which case the output dims follow their row counts.
-    """
-    a = as_matrix(a, name="a")
-    b = as_matrix(b, name="b")
-    d_a, d_b = amp.dims
-    if a.shape[1] != d_a:
-        raise ValueError(f"a has {a.shape[1]} columns, expected {d_a}")
-    if b.shape[1] != d_b:
-        raise ValueError(f"b has {b.shape[1]} columns, expected {d_b}")
-    out = a @ amp.matrix @ b.T
-    return DoubleKet(out.reshape(-1), SystemDims(a.shape[0], b.shape[0]))

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import InvariantViolation, Tolerances
-from .doubleket import AmplitudeMatrix, vec
+from .doubleket import AmplitudeMatrix
 from .linalg import SystemDims, frob
 from .properties import Property, is_nontrivial
 
@@ -98,8 +98,8 @@ class HolismVerdict:
 
 
 def make_holistic(amp: AmplitudeMatrix, *, tols: Tolerances = Tolerances()) -> Property:
-    """Rank-1 projector onto the vectorized amplitude matrix."""
-    v = vec(amp).vector
+    """Rank-1 projector onto the row-major vectorized amplitude matrix."""
+    v = amp.matrix.reshape(-1)
     return Property(np.outer(v, v.conj()), tols=tols)
 
 
@@ -127,6 +127,16 @@ def product_commutator_norm(amp: AmplitudeMatrix, p: Property, q: Property) -> R
     c = complex(np.vdot(amp.matrix, w))
     norm = float(np.sqrt(2.0 * frob(w - c * amp.matrix) ** 2 + 4.0 * c.imag * c.imag))
     return Replay(norm, frob(w))
+
+
+def stacked_singular_values(stack: np.ndarray) -> np.ndarray:
+    """Singular values of each matrix of a ``(..., m, n)`` stack, descending.
+
+    They come from the full SVD, as :class:`AmplitudeMatrix` takes them:
+    ``compute_uv=False`` may differ in the last bit, and rank verdicts and
+    printed values must see the certifier's singular values bit for bit.
+    """
+    return np.linalg.svd(stack, full_matrices=True)[1]
 
 
 def schmidt_rank(s, tols: Tolerances):
@@ -231,8 +241,8 @@ def _exclusive_witness(
     )
 
 
-def lattice_amplitudes(amp: AmplitudeMatrix, k: int, rng_seed: int) -> list[AmplitudeMatrix]:
-    """Extend ``amp`` to ``k`` HS-orthonormal amplitude matrices.
+def lattice_amplitudes(amp: AmplitudeMatrix, k: int, rng_seed: int) -> np.ndarray:
+    """Extend ``amp`` to ``k`` HS-orthonormal amplitude matrices, stacked.
 
     Stream contract: draw ``j`` is the ``j``-th ``(2, d_a, d_b)`` block (real,
     then imaginary part, over ``sqrt(2)``) of one PCG64 stream seeded by
@@ -241,7 +251,12 @@ def lattice_amplitudes(amp: AmplitudeMatrix, k: int, rng_seed: int) -> list[Ampl
     with each column's phase fixed so that ``R`` has a positive real
     diagonal, as Gram-Schmidt in stream order gives.  A draw dependent on
     the columns before it is skipped and the next draw of the stream takes
-    its place.  Member 0 is ``amp.matrix`` itself.
+    its place.
+
+    Returns a read-only ``(k, d_a, d_b)`` complex array; member 0 is
+    ``amp.matrix`` bit for bit.  Members are not wrapped in
+    :class:`AmplitudeMatrix`: take their singular values from one
+    :func:`stacked_singular_values` call.
     """
     d_a, d_b = amp.dims
     total = d_a * d_b
@@ -265,7 +280,8 @@ def lattice_amplitudes(amp: AmplitudeMatrix, k: int, rng_seed: int) -> list[Ampl
         x = np.column_stack([np.delete(x, dependent[0], axis=1), draws(1)])
     members = (q * (diag / np.abs(diag))).T.reshape(k, d_a, d_b)
     members[0] = amp.matrix
-    return [AmplitudeMatrix(m) for m in members]
+    members.setflags(write=False)
+    return members
 
 
 def marginal_entropy(amp: AmplitudeMatrix) -> tuple[float, float]:

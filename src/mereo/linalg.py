@@ -3,7 +3,7 @@
 Plain complex numpy arrays are the carrier for every operator in the
 library; the wrappers here add the shape/finiteness validation the rest of
 the code relies on.  Index conventions are fixed once: Kronecker products
-are row-major with the first factor slow, i.e. ``kron(a, b)`` maps the
+are row-major with the first factor slow, i.e. ``np.kron(a, b)`` maps the
 basis pair ``(i, k), (j, l)`` to entry ``(i * rows_b + k, j * cols_b + l)``.
 """
 
@@ -40,10 +40,6 @@ def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a, name="a"), as_matrix(b, name="b"))
-
-
 def partial_trace(m, dims: SystemDims, which: str = "first") -> np.ndarray:
     """Trace out one tensor factor of an operator on a bipartite space.
 
@@ -61,15 +57,6 @@ def partial_trace(m, dims: SystemDims, which: str = "first") -> np.ndarray:
     if which == "second":
         return np.einsum("ijkj->ik", t)
     raise ValueError("which must be 'first' or 'second'")
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product ``Tr(a^dag b)``."""
-    a = as_matrix(a, name="a")
-    b = as_matrix(b, name="b")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
 
 
 def ginibre(dims: SystemDims, rng: np.random.Generator) -> np.ndarray:

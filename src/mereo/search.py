@@ -37,6 +37,7 @@ from .holism import (
     holistic_at_rank,
     product_commutator_norm,
     schmidt_rank,
+    stacked_singular_values,
 )
 from .linalg import SystemDims
 from .properties import Property
@@ -399,9 +400,7 @@ def density_scan(
     draws = np.random.default_rng(rng_seed).standard_normal((samples, *dims, 2))
     stack = draws.view(complex)[..., 0]
     stack /= np.linalg.norm(stack, axis=(-2, -1), keepdims=True)
-    # the full SVD, as AmplitudeMatrix takes it: compute_uv=False may differ in
-    # the last bit, and the rank rule must see the certifier's singular values
-    s = np.linalg.svd(stack)[1]
+    s = stacked_singular_values(stack)
     rank = schmidt_rank(s, tols)
     hol_one = holistic_at_rank(rank, dims, NontrivialityConvention.AT_LEAST_ONE)
     hol_both = holistic_at_rank(rank, dims, NontrivialityConvention.BOTH)

@@ -6,6 +6,9 @@ dependent draws from the same stream.  ``pairwise_tables_loop`` is the
 row-by-row form of the lattice report's commutator and product tables.
 ``gram_schmidt_hs`` and ``holistic_lattice`` are the general Gram-Schmidt and
 the d_a*d_b-square dyad lattice, which the command line does not use.
+``lattice_results_loop`` is the ``lattice`` command's ``results`` built one
+``AmplitudeMatrix`` per member, each with its own SVD and record;
+``rank2_3x3_matrix`` is a rank-deficient input for it.
 """
 
 import warnings
@@ -13,8 +16,10 @@ import warnings
 import numpy as np
 
 from mereo import AmplitudeMatrix, Property, SystemDims, Tolerances, frob, ginibre
-from mereo import lattice_amplitudes, make_holistic
-from mereo.holism import LATTICE_REDRAW_NORM
+from mereo import NontrivialityConvention, lattice_amplitudes, make_holistic
+from mereo.cli import _resolve_amplitude
+from mereo.holism import LATTICE_REDRAW_NORM, holistic_at_rank, schmidt_rank
+from mereo.io import matrix_to_json_dict
 from mereo.linalg import as_matrix
 
 
@@ -66,11 +71,19 @@ def mgs_lattice(amp: AmplitudeMatrix, k: int, rng_seed: int) -> list[np.ndarray]
     return family
 
 
+def rank2_3x3_matrix() -> np.ndarray:
+    """A unit-norm 3x3 matrix of rank 2: its last singular value is rounding, far below ``tol_rank``."""
+    rng = np.random.default_rng(17)
+    u = np.linalg.qr(ginibre(SystemDims(3, 3), rng))[0]
+    v = np.linalg.qr(ginibre(SystemDims(3, 3), rng))[0]
+    return u[:, :2] @ np.diag([0.8, 0.6]) @ v[:, :2].conj().T
+
+
 def holistic_lattice(
     amp: AmplitudeMatrix, k: int, rng_seed: int, *, tols: Tolerances = Tolerances()
 ) -> list[Property]:
     """``k`` pairwise mutually exclusive rank-1 joint properties seeded by ``amp``."""
-    return [make_holistic(member, tols=tols) for member in lattice_amplitudes(amp, k, rng_seed)]
+    return [make_holistic(AmplitudeMatrix(m), tols=tols) for m in lattice_amplitudes(amp, k, rng_seed)]
 
 
 def pairwise_tables_loop(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,3 +99,39 @@ def pairwise_tables_loop(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         prod[i] = np.abs(g)
         comm[i] = np.sqrt(2.0) * prod[i] * np.linalg.norm(vecs - g[:, None] * v, axis=1)
     return comm, prod
+
+
+def lattice_results_loop(args, tols: Tolerances) -> dict:
+    """``results`` of ``mereo lattice`` for parsed ``args``, member by member."""
+    amp, source = _resolve_amplitude(args)
+    members = [AmplitudeMatrix(m) for m in lattice_amplitudes(amp, args.k, args.seed)]
+    conv = NontrivialityConvention(args.convention)
+    ranks = schmidt_rank(np.array([m.singular_values for m in members]), tols)
+    holistic = holistic_at_rank(ranks, amp.dims, conv)
+    vecs = np.array([m.matrix.reshape(-1) for m in members])
+    g = vecs.conj() @ vecs.T
+    prod = np.abs(g)
+    residual_sq = 1.0 - prod * prod
+    np.fill_diagonal(residual_sq, 0.0)
+    comm = np.sqrt(2.0) * prod * np.sqrt(residual_sq)
+    g_ii = np.diagonal(g)
+    np.fill_diagonal(comm, np.sqrt(2.0) * np.abs(g_ii) * np.abs(1.0 - g_ii))
+    member_records = [
+        {
+            "amplitude": matrix_to_json_dict(m.matrix),
+            "rank": int(rank),
+            "holistic": bool(hol),
+            "smallest_singular_value": float(m.singular_values[-1]),
+        }
+        for m, rank, hol in zip(members, ranks, holistic)
+    ]
+    return {
+        "gamma_source": source,
+        "dims": list(amp.dims),
+        "k": args.k,
+        "convention": conv.value,
+        "members": member_records,
+        "pairwise_commutator_norms": comm.tolist(),
+        "pairwise_product_norms": prod.tolist(),
+        "completeness_deviation": frob(vecs.T @ vecs.conj() - np.eye(vecs.shape[1])),
+    }

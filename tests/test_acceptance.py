@@ -25,7 +25,6 @@ from mereo import (
     from_property,
     ginibre,
     has_property,
-    kron,
     lattice_amplitudes,
     make_holistic,
     marginal_entropy,
@@ -38,6 +37,7 @@ from mereo import (
     symmetric_projector,
 )
 
+from doubleket_reference import kron
 from search_reference import bloch_projectors, parametrize_projector
 
 AT_LEAST_ONE = NontrivialityConvention.AT_LEAST_ONE
@@ -207,7 +207,7 @@ def test_criterion_7_marginal_entropies():
 
 
 def test_criterion_8_lattice_construction():
-    amps = lattice_amplitudes(BELL, 4, rng_seed=808)
+    amps = [AmplitudeMatrix(m) for m in lattice_amplitudes(BELL, 4, rng_seed=808)]
     props = [make_holistic(a) for a in amps]
     ok = frob(sum(p.matrix for p in props) - np.eye(4)) <= 1e-9
     for i in range(4):

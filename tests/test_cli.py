@@ -10,7 +10,7 @@ import pytest
 from mereo import SearchConfig, SystemDims, Tolerances, __version__, cli, lattice_amplitudes, minimize
 from mereo.io import matrix_to_json_dict, random_amplitude
 
-from holism_reference import pairwise_tables_loop
+from holism_reference import lattice_results_loop, pairwise_tables_loop, rank2_3x3_matrix
 
 
 def run_cli(args, capsys):
@@ -234,6 +234,26 @@ class TestDensity:
         assert lines[100][:101] == lines[300][:101]
 
 
+LATTICE_DIMS = [(2, 2), (2, 3), (3, 3), (3, 5), (4, 4), (4, 6), (5, 5), (6, 6), (7, 7)]
+# k full and half, both conventions; presets; a --random-seed equal to --seed,
+# whose first completion draw is parallel to the amplitude and is redrawn
+LATTICE_CASES = [
+    ["--random-seed", str(i), "--dims", str(a), str(b), "--k", str(k), "--seed", str(40 + i),
+     "--convention", conv]
+    for i, (a, b) in enumerate(LATTICE_DIMS)
+    for k in (a * b, a * b // 2)
+    for conv in ("atleastone", "both")
+] + [
+    ["--preset", preset, "--k", str(k), "--seed", "3", "--convention", conv]
+    for preset in ("bell2", "product2")
+    for k in (4, 2)
+    for conv in ("atleastone", "both")
+] + [
+    ["--random-seed", str(n), "--dims", str(a), str(b), "--k", str(a * b), "--seed", str(n)]
+    for n, (a, b) in ((0, (3, 3)), (5, (4, 6)), (7, (7, 7)))
+]
+
+
 class TestLattice:
     def test_bell_full_lattice(self, capsys):
         code, report = run_cli(
@@ -284,7 +304,7 @@ class TestLattice:
         assert len(records) == len(members)
         for record, member in zip(records, members):
             assert "projector" not in record
-            assert parsed_matrix(record["amplitude"]).tobytes() == member.matrix.tobytes()
+            assert parsed_matrix(record["amplitude"]).tobytes() == member.tobytes()
 
     def test_seed_collision_is_redrawn(self, capsys):
         # --seed defaults to 0, and random_amplitude(0) draws from the same
@@ -305,10 +325,29 @@ class TestLattice:
         )
         assert code == 0
         members = lattice_amplitudes(random_amplitude(3, SystemDims(*dims)), k, 8)
-        comm, prod = pairwise_tables_loop(np.array([m.matrix.reshape(-1) for m in members]))
+        comm, prod = pairwise_tables_loop(np.array([m.reshape(-1) for m in members]))
         results = report["results"]
         assert np.abs(np.array(results["pairwise_commutator_norms"]) - comm).max() <= 2e-15
         assert np.abs(np.array(results["pairwise_product_norms"]) - prod).max() <= 2e-15
+
+    @pytest.mark.parametrize("argv", LATTICE_CASES, ids=" ".join)
+    def test_results_match_member_loop(self, argv, capsys):
+        # one stacked SVD and one record pass give the bytes that one
+        # AmplitudeMatrix per member gave
+        self.assert_results_match_member_loop(["lattice", *argv], capsys)
+
+    @pytest.mark.parametrize("k", [9, 4])
+    def test_rank_deficient_results_match_member_loop(self, k, tmp_path, capsys):
+        gamma = tmp_path / "rank2.json"
+        gamma.write_text(json.dumps(matrix_to_json_dict(rank2_3x3_matrix())))
+        self.assert_results_match_member_loop(["lattice", "--gamma", str(gamma), "--k", str(k)], capsys)
+
+    @staticmethod
+    def assert_results_match_member_loop(argv, capsys):
+        code, report = run_cli(argv, capsys)
+        assert code == 0
+        expected = lattice_results_loop(cli.build_parser().parse_args(argv), Tolerances())
+        assert json.dumps(report["results"]) == json.dumps(expected)
 
 
 class TestEntropy:

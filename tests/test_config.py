@@ -1,5 +1,7 @@
 """Central tolerance configuration and environment overrides."""
 
+import dataclasses
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -107,3 +109,11 @@ class TestValidation:
     def test_as_dict_keeps_field_order(self):
         # config_echo prints the record in this order
         assert list(Tolerances().as_dict()) == [f.name for f in fields(Tolerances)]
+
+    @pytest.mark.parametrize("tols", [Tolerances(), Tolerances(tol_rank=1e-3, tol_support=2.5e-8)])
+    def test_as_dict_prints_as_dataclasses_asdict(self, tols):
+        # config_echo must keep its keys, order and bytes
+        assert json.dumps(tols.as_dict()) == json.dumps(dataclasses.asdict(tols))
+        echo = tols.as_dict()
+        echo["tol_rank"] = 0.5
+        assert tols.tol_rank != 0.5 and tols.as_dict()["tol_rank"] == tols.tol_rank

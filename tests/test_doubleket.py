@@ -2,20 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mereo import (
-    AmplitudeMatrix,
-    DoubleKet,
-    SystemDims,
-    apply_local,
-    frob,
-    hs_inner,
-    kron,
-    swap_operator,
-    symmetric_projector,
-    unvec,
-    vec,
-)
+from mereo import AmplitudeMatrix, SystemDims, frob, swap_operator, symmetric_projector
+
+from doubleket_reference import DoubleKet, apply_local, hs_inner, kron, unvec, vec
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -137,6 +129,24 @@ class TestApplyLocal:
         amp = random_amp(rng, 2, 3)
         with pytest.raises(ValueError):
             apply_local(np.eye(3), np.eye(3), amp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    st.integers(0, 2**32 - 1),
+)
+def test_kron_vec_identity(shape, seed):
+    # kron(a, b) @ vec(m) == vec(a @ m @ b.T), with a plain transpose on b,
+    # for any factor dims and rectangular a, b
+    rows_a, d_a, rows_b, d_b = shape
+    rng = np.random.default_rng(seed)
+    amp = random_amp(rng, d_a, d_b)
+    a = rng.standard_normal((rows_a, d_a)) + 1j * rng.standard_normal((rows_a, d_a))
+    b = rng.standard_normal((rows_b, d_b)) + 1j * rng.standard_normal((rows_b, d_b))
+    kron_route = kron(a, b) @ vec(amp).vector
+    matrix_route = (a @ amp.matrix @ b.T).reshape(-1)
+    assert np.linalg.norm(kron_route - matrix_route) <= 1e-12 * frob(a) * frob(b)
 
 
 class TestIsometry:

@@ -15,17 +15,17 @@ from mereo import (
     certify_rank1,
     frob,
     ginibre,
-    hs_inner,
     lattice_amplitudes,
     make_holistic,
     marginal_entropy,
     partial_trace,
     product_commutator_norm,
 )
-from mereo.holism import holistic_at_rank, schmidt_rank
+from mereo.holism import holistic_at_rank, schmidt_rank, stacked_singular_values
 from mereo.io import random_amplitude
 
-from holism_reference import gram_schmidt_hs, holistic_lattice, mgs_lattice
+from doubleket_reference import hs_inner
+from holism_reference import gram_schmidt_hs, holistic_lattice, mgs_lattice, rank2_3x3_matrix
 
 AT_LEAST_ONE = NontrivialityConvention.AT_LEAST_ONE
 BOTH = NontrivialityConvention.BOTH
@@ -297,19 +297,19 @@ class TestOrthonormalizationMatchesReference:
         out = lattice_amplitudes(amp, k, rng_seed=4)
         family = mgs_lattice(amp, k, rng_seed=4)
         assert len(out) == k
-        assert max(np.abs(m.matrix - f).max() for m, f in zip(out, family)) <= 1e-13
+        assert max(np.abs(m - f).max() for m, f in zip(out, family)) <= 1e-13
 
     def test_lattice_amplitudes_repeat_bit_for_bit(self, dims):
         amp = random_amp(np.random.default_rng(11), *dims)
         k = dims[0] * dims[1]
         first = lattice_amplitudes(amp, k, rng_seed=4)
         second = lattice_amplitudes(amp, k, rng_seed=4)
-        assert [m.matrix.tobytes() for m in first] == [m.matrix.tobytes() for m in second]
+        assert [m.tobytes() for m in first] == [m.tobytes() for m in second]
 
     def test_lattice_member_zero_is_the_input(self, dims):
         amp = random_amp(np.random.default_rng(11), *dims)
         for k in (1, 2, dims[0] * dims[1]):
-            assert lattice_amplitudes(amp, k, rng_seed=4)[0].matrix.tobytes() == amp.matrix.tobytes()
+            assert lattice_amplitudes(amp, k, rng_seed=4)[0].tobytes() == amp.matrix.tobytes()
 
     def test_seed_collision_skips_the_parallel_draw(self, dims):
         # random_amplitude(s) and lattice_amplitudes(..., rng_seed=s) seed the
@@ -320,8 +320,8 @@ class TestOrthonormalizationMatchesReference:
         k = dims[0] * dims[1]
         out = lattice_amplitudes(amp, k, rng_seed=5)
         family = mgs_lattice(amp, k, rng_seed=5)
-        assert max(np.abs(m.matrix - f).max() for m, f in zip(out, family)) <= 1e-13
-        vecs = np.array([m.matrix.reshape(-1) for m in out])
+        assert max(np.abs(m - f).max() for m, f in zip(out, family)) <= 1e-13
+        vecs = np.array([m.reshape(-1) for m in out])
         assert np.abs(vecs.conj() @ vecs.T - np.eye(k)).max() <= 1e-14
 
     def test_gram_schmidt_hs(self, dims):
@@ -333,6 +333,30 @@ class TestOrthonormalizationMatchesReference:
             basis.append(residual / frob(residual))
         out = gram_schmidt_hs(seeds, SystemDims(*dims))
         assert [m.matrix.tobytes() for m in out] == [b.tobytes() for b in basis]
+
+
+class TestStackedMembers:
+    @pytest.mark.parametrize("amp, k, rank0", [
+        (PRODUCT, 4, 1), (PRODUCT, 2, 1), (BELL, 4, 2), (AmplitudeMatrix(rank2_3x3_matrix()), 9, 2),
+        (random_amplitude(1, SystemDims(4, 6)), 24, 4), (random_amplitude(2, SystemDims(7, 7)), 49, 7),
+    ])
+    def test_singular_values_are_amplitude_matrix_bytes(self, amp, k, rank0):
+        # compute_uv=False differs from these in the last bit on most of these members
+        members = lattice_amplitudes(amp, k, rng_seed=3)
+        s = stacked_singular_values(members)
+        assert s.shape == (k, min(amp.dims))
+        for m, row in zip(members, s):
+            assert row.tobytes() == AmplitudeMatrix(m).singular_values.tobytes()
+        assert schmidt_rank(s[0], Tolerances()) == rank0
+
+    def test_members_are_one_read_only_array(self):
+        amp = random_amplitude(1, SystemDims(2, 3))
+        for k in (1, 3, 6):
+            members = lattice_amplitudes(amp, k, rng_seed=3)
+            assert members.shape == (k, 2, 3) and members.dtype == complex
+            assert not members.flags.writeable
+            with pytest.raises(ValueError):
+                members[0, 0, 0] = 0.0
 
 
 class TestHolisticLattice:
@@ -351,7 +375,7 @@ class TestHolisticLattice:
                     assert frob(props[i].matrix @ props[j].matrix) <= 1e-10
 
     def test_members_certify_when_invertible(self):
-        amps = lattice_amplitudes(BELL, 4, rng_seed=7)
+        amps = [AmplitudeMatrix(m) for m in lattice_amplitudes(BELL, 4, rng_seed=7)]
         assert frob(amps[0].matrix - BELL.matrix) <= 1e-12
         for amp in amps:
             if amp.singular_values[-1] > 1e-7:

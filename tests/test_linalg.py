@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from mereo import SystemDims, frob, hs_inner, kron, partial_trace, swap_operator
+from mereo import SystemDims, frob, partial_trace, swap_operator
+
+from doubleket_reference import hs_inner, kron
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -17,10 +17,10 @@ from mereo import (
     from_property,
     ginibre,
     is_repeatable,
-    kron,
     partial_trace,
     swap_operator,
 )
+from doubleket_reference import kron
 from search_reference import parametrize_projector
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
