@@ -31,7 +31,6 @@ from .holism import (
     lattice_amplitudes,
     marginal_entropy,
     schmidt_rank,
-    stacked_singular_values,
 )
 from .io import (
     PRESET_NAMES,
@@ -42,7 +41,7 @@ from .io import (
     property_to_json_dict,
     random_amplitude,
 )
-from .linalg import SystemDims, frob
+from .linalg import SystemDims, frob, stacked_singular_values
 from .properties import (
     State,
     Verdict,

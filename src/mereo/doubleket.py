@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SystemDims, as_matrix, frob
+from .linalg import SystemDims, as_matrix, frob, stacked_singular_values
 
 # Largest |Tr(m^dag m) - 1| an amplitude matrix may carry.  A construction
 # check, not a verdict: matrices scaled by ``normalized`` land within ~1e-15,
@@ -28,9 +28,10 @@ NORMALIZE_MIN_NORM = 1e-12
 class AmplitudeMatrix:
     """Coefficient matrix of a bipartite pure state, unit Hilbert-Schmidt norm.
 
-    The singular values (squared, the Schmidt weights) are cached at
-    construction together with the singular subspaces used by the holism
-    certifier.
+    The singular values (squared, the Schmidt weights) are computed at
+    construction by :func:`stacked_singular_values`; the singular subspaces
+    only on the first :meth:`svd` call, which the certifier makes for a
+    co-occurring witness alone.
     """
 
     __slots__ = ("matrix", "singular_values", "_u", "_v")
@@ -44,13 +45,11 @@ class AmplitudeMatrix:
             )
         m = m.copy()
         m.setflags(write=False)
-        u, s, vh = np.linalg.svd(m, full_matrices=True)
-        s = s.copy()
+        s = stacked_singular_values(m)
         s.setflags(write=False)
         self.matrix = m
         self.singular_values = s
-        self._u = u
-        self._v = vh.conj().T
+        self._u = self._v = None
 
     @classmethod
     def normalized(cls, matrix) -> "AmplitudeMatrix":
@@ -66,7 +65,14 @@ class AmplitudeMatrix:
         return SystemDims(self.matrix.shape[0], self.matrix.shape[1])
 
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached decomposition ``matrix = u @ diag(s) @ v.conj().T``."""
+        """Decomposition ``matrix = u @ diag(s) @ v.conj().T``, ``u`` and ``v`` computed once.
+
+        ``s`` is :attr:`singular_values`; the full SVD's own values may differ
+        from it in the last bit and are dropped.
+        """
+        if self._u is None:
+            u, _, vh = np.linalg.svd(self.matrix, full_matrices=True)
+            self._u, self._v = u, vh.conj().T
         return self._u, self.singular_values, self._v
 
     def __repr__(self) -> str:

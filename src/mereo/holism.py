@@ -129,16 +129,6 @@ def product_commutator_norm(amp: AmplitudeMatrix, p: Property, q: Property) -> R
     return Replay(norm, frob(w))
 
 
-def stacked_singular_values(stack: np.ndarray) -> np.ndarray:
-    """Singular values of each matrix of a ``(..., m, n)`` stack, descending.
-
-    They come from the full SVD, as :class:`AmplitudeMatrix` takes them:
-    ``compute_uv=False`` may differ in the last bit, and rank verdicts and
-    printed values must see the certifier's singular values bit for bit.
-    """
-    return np.linalg.svd(stack, full_matrices=True)[1]
-
-
 def schmidt_rank(s, tols: Tolerances):
     """Number of singular values above ``tol_rank``, along the last axis of ``s``."""
     return np.sum(np.asarray(s) > tols.tol_rank, axis=-1)
@@ -173,20 +163,22 @@ def certify_rank1(
     it is not holistic, the co-occurring witness projects onto the leading
     ``r`` singular subspaces: solutions of ``P @ amp @ Q.T == amp`` contain
     the column and row spaces.  An exclusive witness always exists.  Witness
-    factors are built by ``Property.from_basis`` from the SVD's columns.
+    factors are built by ``Property.from_basis`` from the SVD's columns, and
+    only that witness asks ``amp`` for ``U`` and ``V``.
 
     Every witness is replayed once through :func:`product_commutator_norm`; a
     replay above ``tol_compat`` raises :class:`InvariantViolation`.  The
     co-occurring bound adds ``sqrt(2) ||s[r:]||``, since truncating ``s[r:]``
     leaves the residual ``sqrt(2 delta (1 - delta))``, ``delta = ||s[r:]||^2``.
     """
-    u, s, v = amp.svd()
+    s = amp.singular_values
     r = int(schmidt_rank(s, tols))
     holistic = bool(holistic_at_rank(r, amp.dims, convention))
 
     lambda1 = None
     if not holistic:
         # Q = (V_r V_r^dag)^T projects onto the columns of conj(V_r)
+        u, _, v = amp.svd()
         lambda1 = ProductProperty(
             Property.from_unitary(u, r), Property.from_unitary(v.conj(), r), convention
         )
@@ -256,7 +248,7 @@ def lattice_amplitudes(amp: AmplitudeMatrix, k: int, rng_seed: int) -> np.ndarra
     Returns a read-only ``(k, d_a, d_b)`` complex array; member 0 is
     ``amp.matrix`` bit for bit.  Members are not wrapped in
     :class:`AmplitudeMatrix`: take their singular values from one
-    :func:`stacked_singular_values` call.
+    ``linalg.stacked_singular_values`` call.
     """
     d_a, d_b = amp.dims
     total = d_a * d_b

@@ -7,10 +7,23 @@ rank.  A rank-``r`` projector on ``C^d`` is described by a complex basis
 coordinates of Edelman, Arias and Smith: ``P = Pi = Y G^-1 Y^dag`` with
 ``G = Y^dag Y``, or ``P = I - Pi`` when ``2 r > d``.  The search so runs in
 an unconstrained real space of ``2 d k`` coordinates per factor, and no
-step needs an eigendecomposition.  The gradient pulls the cotangent ``L``
-of each projector back to its basis as ``+-2 (I - Pi) S Y G^-1`` with
-``S = (L + L^dag) / 2``, in O(d^2 k).  The kernel works row by row on
-stacked coordinates, so restarts run as one stack.
+step needs an eigendecomposition.
+
+For projectors, ``W = P amp Q^T`` has ``<amp, W> = Tr(amp^dag P amp Q^T) =
+||W||^2 =: n2`` (``P^2 = P = P^dag`` and ``Q^T = conj(Q)``), so the squared
+commutator norm is ``2 n2 - 2 n2^2`` at every rank, and the objective a
+function of ``n2`` alone.  With ``M_q = amp Q^T`` and ``M_p = P amp``,
+``dn2 = Re Tr[M_q M_q^dag dP] = Re Tr[M_p^T conj(M_p) dQ]``; the basis
+pullback then gives
+
+    grad_P = +-(4 - 8 n2 - h) (I - Pi_P) M_q (M_q^dag Z_P),   Z = Y G^-1,
+
+with ``h = 2 (EXCLUDE_FLOOR - sqrt(n2)) / sqrt(n2)`` where the hinge is
+active, else 0, and the sign negative on the complement side, where
+``(I - Pi_P) M_q = W`` (else ``M_q - W``).  ``grad_Q`` is the same with
+``(I - Pi_Q) M_p^T`` and ``conj(M_p) Z_Q``.  Every product has a ``d x k``
+factor, O(d^2 k) a pair, and no ``d x d`` projector is formed.  The kernel
+works row by row on stacked coordinates, so restarts run as one stack.
 
 The descent is monotone: a candidate ``x - step * grad`` is kept only if it
 lowers the objective, else the step halves.  After a kept step the next one
@@ -37,9 +50,8 @@ from .holism import (
     holistic_at_rank,
     product_commutator_norm,
     schmidt_rank,
-    stacked_singular_values,
 )
-from .linalg import SystemDims
+from .linalg import SystemDims, stacked_singular_values
 from .properties import Property
 
 # Well above tolerances, well below typical co-occurrence weights.  It also
@@ -137,41 +149,20 @@ def projector_from_coords(params, d: int, rank: int) -> Property:
     return Property.from_basis(np.linalg.qr(_bases(params, d, k))[0], complement=2 * rank > d)
 
 
-def _projectors(params: np.ndarray, d: int, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked projectors ``P`` from basis coordinates, and ``Pi``, ``Z = Y G^-1`` for the gradient."""
+def _side(params: np.ndarray, d: int, rank: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Stacked bases ``Y``, ``Z = Y G^-1`` (``G = Y^dag Y``) and whether ``P`` is the complement side."""
     y = _bases(params, d, _side_cols(d, rank))
-    z = y @ np.linalg.inv(_adj(y) @ y)
-    pi = z @ _adj(y)
-    return (np.eye(d) - pi if 2 * rank > d else pi), pi, z
+    return y, y @ np.linalg.inv(_adj(y) @ y), 2 * rank > d
 
 
-def _basis_gradient(pi: np.ndarray, z: np.ndarray, lmat: np.ndarray, complement: bool) -> np.ndarray:
-    """Gradient of ``Re Tr[L dP]`` in the basis coordinates of ``P``, one row per stacked pair.
+def _objective_from_n2(n2: np.ndarray, exclude_exclusive: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(objective, comm2)`` of a projector pair from ``n2 = ||P amp Q^T||^2``.
 
-    ``dPi = (I - Pi) dY G^-1 Y^dag + h.c.`` gives ``Re Tr[L dPi] = Re Tr[grad^dag dY]``
-    with ``grad = 2 (I - Pi) S Y G^-1`` and ``S = (L + L^dag) / 2``; ``dP = -dPi``
-    on the complement side.  The real gradient reads ``(Re, Im)`` of ``grad``
-    in the layout of :func:`projector_from_coords`.
+    ``comm2 = 2 n2 - 2 n2^2`` is the squared commutator norm (``<amp, W> = n2``
+    for projectors); the objective adds the hinge when ``exclude_exclusive``.
     """
-    sz = (lmat + _adj(lmat)) @ z
-    grad = sz - pi @ sz
-    if complement:
-        grad = -grad
-    return grad.reshape(grad.shape[0], -1).view(float)
-
-
-def _objective_terms(
-    amp_matrix: np.ndarray, w: np.ndarray, exclude_exclusive: bool
-) -> tuple[np.ndarray, ...]:
-    """``(objective, comm2, n2, c)`` of stacked ``W = P amp Q^T``, per leading index.
-
-    ``comm2 = 2 n2 - 2 Re(c^2)`` is the squared commutator norm, ``n2 = ||W||^2``,
-    ``c = <amp, W>_HS``; the objective adds the hinge when ``exclude_exclusive``.
-    """
-    n2 = np.einsum("...ik,...ik->...", w.conj(), w).real
-    c = np.einsum("ik,...ik->...", amp_matrix.conj(), w)
-    comm2 = 2.0 * n2 - 2.0 * (c.real**2 - c.imag**2)
-    return _with_hinge(comm2, n2, exclude_exclusive), comm2, n2, c
+    comm2 = 2.0 * (n2 - n2 * n2)
+    return _with_hinge(comm2, n2, exclude_exclusive), comm2
 
 
 def _with_hinge(comm2: np.ndarray, n2: np.ndarray, exclude_exclusive: bool) -> np.ndarray:
@@ -190,7 +181,8 @@ def objective_value_and_grad(
     and of ``Q`` (``2 d_b k_b``), ``k = min(rank, d - rank)`` in the layout of
     :func:`projector_from_coords`.  Leading axes stack pairs, computed row by
     row so that a row's result does not depend on the stack; 1-D gives
-    ``(float, grad)``.
+    ``(float, grad)``.  Every product has a ``d x k`` or ``k x d`` factor: no
+    ``d x d`` projector is formed.
     """
     d_a, d_b = amp.dims
     n_p = 2 * d_a * _side_cols(d_a, cfg.rank_p)
@@ -199,25 +191,42 @@ def objective_value_and_grad(
     if params.ndim == 0 or params.shape[-1] != n:
         raise ValueError(f"expected {n} parameters, got {params.shape[-1:] or 1}")
     x = params.reshape(-1, n)
-    proj_p, pi_p, z_p = _projectors(x[:, :n_p], d_a, cfg.rank_p)
-    proj_q, pi_q, z_q = _projectors(x[:, n_p:], d_b, cfg.rank_q)
-    proj_q_t = proj_q.swapaxes(-1, -2)
+    y_p, z_p, comp_p = _side(x[:, :n_p], d_a, cfg.rank_p)
+    y_q, z_q, comp_q = _side(x[:, n_p:], d_b, cfg.rank_q)
 
+    # M_q = amp Q^T and M_p = P amp, with Pi_Q^T = conj(Z_q) Y_q^T and Pi_P = Z_p Y_p^dag;
+    # a complement side is amp minus its rank-k term
     am = amp.matrix
-    w = proj_p @ am @ proj_q_t
-    f, _, n2, c = _objective_terms(am, w, cfg.exclude_exclusive)
-    k = 4.0 * (w - np.conj(c)[:, None, None] * am)
+    m_q = (am @ z_q.conj()) @ y_q.swapaxes(-1, -2)
+    if comp_q:
+        m_q = am - m_q
+    y_p_adj = _adj(y_p)
+    w = z_p @ (y_p_adj @ m_q)
+    m_p = z_p @ (y_p_adj @ am)
+    if comp_p:
+        w, m_p = m_q - w, am - m_p
+    n2 = np.einsum("...ik,...ik->...", w.conj(), w).real
+    f, _ = _objective_from_n2(n2, cfg.exclude_exclusive)
+
+    # df = (2 - 4 n2 - h / 2) dn2 with dn2 = Re Tr[M_q M_q^dag dP], resp.
+    # Re Tr[M_p^T conj(M_p) dQ]; the pullback of each to its basis is
+    # +-2 (I - Pi) M M^dag Z, and (I - Pi) M is M - W on the range side, W on the complement
+    scale = 4.0 - 8.0 * n2
     if cfg.exclude_exclusive:
         nw = np.sqrt(n2)
         gap = EXCLUDE_FLOOR - nw
         hinged = (gap > 0.0) & (nw > HINGE_NORM_MIN)
-        k = k - np.where(hinged, 2.0 * gap / np.where(hinged, nw, 1.0), 0.0)[:, None, None] * w
-
-    # d f = Re Tr[K^dag dW] with dW = dP (amp Q^T), so L_P = amp Q^T K^dag;
-    # resp. dW = (P amp) dQ^T, so L_Q = (K^dag P amp)^T
-    grad_p = _basis_gradient(pi_p, z_p, am @ proj_q_t @ _adj(k), 2 * cfg.rank_p > d_a)
-    grad_q = _basis_gradient(pi_q, z_q, (_adj(k) @ proj_p @ am).swapaxes(-1, -2), 2 * cfg.rank_q > d_b)
-    grad = np.concatenate([grad_p, grad_q], axis=-1).reshape(params.shape)
+        scale = scale - np.where(hinged, 2.0 * gap / np.where(hinged, nw, 1.0), 0.0)
+    scale = scale[:, None, None]
+    w_t = w.swapaxes(-1, -2)
+    r_p = w if comp_p else m_q - w
+    r_q = w_t if comp_q else m_p.swapaxes(-1, -2) - w_t
+    grad_p = (-scale if comp_p else scale) * (r_p @ (_adj(m_q) @ z_p))
+    grad_q = (-scale if comp_q else scale) * (r_q @ (m_p.conj() @ z_q))
+    rows = x.shape[0]
+    grad = np.concatenate(
+        [grad_p.reshape(rows, -1).view(float), grad_q.reshape(rows, -1).view(float)], axis=-1
+    ).reshape(params.shape)
     if params.ndim == 1:
         return float(f[0]), grad
     return f.reshape(params.shape[:-1]), grad
@@ -350,8 +359,7 @@ def brute_force_grid_d2(
         z = np.multiply.outer(bras[0, start : start + chunk], kets[0])
         z += np.multiply.outer(bras[1, start : start + chunk], kets[1])
         n2 = z.real**2 + z.imag**2
-        comm2 = 2.0 * (n2 - n2 * n2)
-        obj = _with_hinge(comm2, n2, exclude_exclusive)
+        obj, comm2 = _objective_from_n2(n2, exclude_exclusive)
         a_off, b_idx = divmod(int(np.argmin(obj)), n)
         if obj[a_off, b_idx] < best_obj:
             best_obj = float(obj[a_off, b_idx])

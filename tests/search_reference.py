@@ -5,13 +5,17 @@ projectors, where the library only evaluates it at basis coordinates;
 ``parametrize_projector`` builds a projector through the exponential map,
 a random-projector source independent of the search's coordinates;
 ``random_product_pair`` draws a factorized pair of given ranks;
-``bloch_projectors`` stacks the projectors of the oracle's Bloch grid.
+``bloch_projectors`` stacks the projectors of the oracle's Bloch grid;
+``dense_objective_value_and_grad`` is the search kernel on dense ``d x d``
+projectors, with the cotangent of ``W = P amp Q^T`` pulled back through
+``S = (L + L^dag) / 2``, the reference for the library's closed form in
+``n2 = ||W||^2``.
 """
 
 import numpy as np
 
 from mereo import AmplitudeMatrix, NontrivialityConvention, ProductProperty, Property, SearchConfig, SystemDims
-from mereo.search import _bloch_grid, _objective_terms
+from mereo.search import EXCLUDE_FLOOR, HINGE_NORM_MIN, _adj, _bases, _bloch_grid, _side_cols, _with_hinge
 
 
 def hermitian_from_params(params, d: int) -> np.ndarray:
@@ -43,6 +47,74 @@ def parametrize_projector(params, d: int, rank: int) -> Property:
         raise ValueError(f"rank must be between 0 and {d}, got {rank}")
     w, v = np.linalg.eigh(hermitian_from_params(np.asarray(params, dtype=float).reshape(-1), d))
     return Property.from_unitary((v * np.exp(1j * w)) @ v.conj().T, rank)
+
+
+def _projectors(params: np.ndarray, d: int, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked projectors ``P`` from basis coordinates, and ``Pi``, ``Z = Y G^-1`` for the gradient."""
+    y = _bases(params, d, _side_cols(d, rank))
+    z = y @ np.linalg.inv(_adj(y) @ y)
+    pi = z @ _adj(y)
+    return (np.eye(d) - pi if 2 * rank > d else pi), pi, z
+
+
+def _basis_gradient(pi: np.ndarray, z: np.ndarray, lmat: np.ndarray, complement: bool) -> np.ndarray:
+    """Gradient of ``Re Tr[L dP]`` in the basis coordinates of ``P``, one row per stacked pair.
+
+    ``dPi = (I - Pi) dY G^-1 Y^dag + h.c.`` gives ``Re Tr[L dPi] = Re Tr[grad^dag dY]``
+    with ``grad = 2 (I - Pi) S Y G^-1`` and ``S = (L + L^dag) / 2``; ``dP = -dPi``
+    on the complement side.  The real gradient reads ``(Re, Im)`` of ``grad``
+    in the layout of ``projector_from_coords``.
+    """
+    sz = (lmat + _adj(lmat)) @ z
+    grad = sz - pi @ sz
+    if complement:
+        grad = -grad
+    return grad.reshape(grad.shape[0], -1).view(float)
+
+
+def _objective_terms(
+    amp_matrix: np.ndarray, w: np.ndarray, exclude_exclusive: bool
+) -> tuple[np.ndarray, ...]:
+    """``(objective, comm2, n2, c)`` of stacked ``W = P amp Q^T``, per leading index.
+
+    ``comm2 = 2 n2 - 2 Re(c^2)`` is the squared commutator norm, ``n2 = ||W||^2``,
+    ``c = <amp, W>_HS``; the objective adds the hinge when ``exclude_exclusive``.
+    """
+    n2 = np.einsum("...ik,...ik->...", w.conj(), w).real
+    c = np.einsum("ik,...ik->...", amp_matrix.conj(), w)
+    comm2 = 2.0 * n2 - 2.0 * (c.real**2 - c.imag**2)
+    return _with_hinge(comm2, n2, exclude_exclusive), comm2, n2, c
+
+
+def dense_objective_value_and_grad(
+    amp: AmplitudeMatrix, params: np.ndarray, cfg: SearchConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Objective and gradient of stacked coordinate rows ``(rows, n)`` through dense projectors.
+
+    ``d f = Re Tr[K^dag dW]`` with ``K = 4 (W - conj(c) amp)``, less the hinge
+    term; ``dW = dP (amp Q^T)`` gives ``L_P = amp Q^T K^dag`` and
+    ``dW = (P amp) dQ^T`` gives ``L_Q = (K^dag P amp)^T``.
+    """
+    d_a, d_b = amp.dims
+    n_p = 2 * d_a * _side_cols(d_a, cfg.rank_p)
+    x = np.asarray(params, dtype=float)
+    proj_p, pi_p, z_p = _projectors(x[:, :n_p], d_a, cfg.rank_p)
+    proj_q, pi_q, z_q = _projectors(x[:, n_p:], d_b, cfg.rank_q)
+    proj_q_t = proj_q.swapaxes(-1, -2)
+
+    am = amp.matrix
+    w = proj_p @ am @ proj_q_t
+    f, _, n2, c = _objective_terms(am, w, cfg.exclude_exclusive)
+    k = 4.0 * (w - np.conj(c)[:, None, None] * am)
+    if cfg.exclude_exclusive:
+        nw = np.sqrt(n2)
+        gap = EXCLUDE_FLOOR - nw
+        hinged = (gap > 0.0) & (nw > HINGE_NORM_MIN)
+        k = k - np.where(hinged, 2.0 * gap / np.where(hinged, nw, 1.0), 0.0)[:, None, None] * w
+
+    grad_p = _basis_gradient(pi_p, z_p, am @ proj_q_t @ _adj(k), 2 * cfg.rank_p > d_a)
+    grad_q = _basis_gradient(pi_q, z_q, (_adj(k) @ proj_p @ am).swapaxes(-1, -2), 2 * cfg.rank_q > d_b)
+    return f, np.concatenate([grad_p, grad_q], axis=-1)
 
 
 def objective(amp: AmplitudeMatrix, p: Property, q: Property, cfg: SearchConfig) -> float:

@@ -5,7 +5,9 @@ the ``d_a d_b``-dimensional joint space.  These tests rebuild the joint dyad
 and ``kron(P, Q)`` explicitly and require both routes to agree, across
 dimensions, amplitude ranks, certifier witnesses and random pairs.  The
 search gradient is a pullback to the basis coordinates; it is checked against
-the route that differentiates the projector along every coordinate.  The
+the route that differentiates the projector along every coordinate, and the
+closed form in ``n2 = ||P amp Q^T||^2`` against the kernel on dense
+projectors.  The
 Bloch grid oracle reads each pair's objective off one overlap; it is checked
 against the route that forms every ``W = P amp Q^T`` as a 2x2 block product.
 """
@@ -14,6 +16,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mereo import (
     AmplitudeMatrix,
@@ -32,8 +36,15 @@ from mereo import (
 )
 from mereo import cli
 from mereo.io import matrix_from_json_dict
-from mereo.search import EXCLUDE_FLOOR, _objective_terms
-from search_reference import bloch_projectors, objective, random_product_pair
+from mereo.search import EXCLUDE_FLOOR
+from search_reference import (
+    _objective_terms,
+    bloch_projectors,
+    dense_objective_value_and_grad,
+    objective,
+    parametrize_projector,
+    random_product_pair,
+)
 
 AGREE = 1e-12
 
@@ -174,6 +185,52 @@ def test_adjoint_gradient_matches_tangent_route(dims):
                 _, grad = objective_value_and_grad(amp, params, cfg)
                 ref = tangent_gradient(amp, params, cfg)
                 assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+KERNEL_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 5), (4, 4), (4, 6), (5, 5), (6, 6), (8, 8), (12, 12)]
+
+
+@pytest.mark.parametrize("dims", KERNEL_DIMS)
+def test_closed_form_kernel_matches_dense_projectors(dims):
+    # ranks (1, 1), maximal, mixed range/complement sides and d/2, hinge off
+    # and on; half the rows scaled over two decades, far from orthonormal
+    d_a, d_b = dims
+    for rank_p, rank_q in sorted({(1, 1), (d_a - 1, d_b - 1), (1, d_b - 1), (d_a - 1, 1), (d_a // 2, d_b // 2)}):
+        for hinge in (False, True):
+            rng = np.random.default_rng([29, d_a, d_b, rank_p, rank_q, hinge])
+            cfg = SearchConfig(rank_p=rank_p, rank_q=rank_q, exclude_exclusive=hinge)
+            n_p = 2 * d_a * min(rank_p, d_a - rank_p)
+            n = n_p + 2 * d_b * min(rank_q, d_b - rank_q)
+            rows = rng.standard_normal((16, n))
+            rows[8:] *= np.geomspace(0.1, 10.0, n)
+            g = ginibre(SystemDims(d_a, d_b), rng)
+            if hinge:
+                # keep row 0's P amp Q^T under the floor, so the hinge is active there
+                p = projector_from_coords(rows[0, :n_p], d_a, rank_p).matrix
+                g = g - (1.0 - 1e-3) * (p @ g)
+            amp = AmplitudeMatrix.normalized(g)
+            f, grad = objective_value_and_grad(amp, rows, cfg)
+            f_ref, grad_ref = dense_objective_value_and_grad(amp, rows, cfg)
+            if hinge:
+                q = projector_from_coords(rows[0, n_p:], d_b, rank_q).matrix
+                assert frob(p @ amp.matrix @ q.T) < EXCLUDE_FLOOR
+            assert np.max(np.abs(f - f_ref)) <= 1e-14
+            err = np.linalg.norm(grad - grad_ref, axis=-1)
+            assert np.all(err <= 1e-11 * np.linalg.norm(grad_ref, axis=-1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 6), st.integers(1, 6)), st.integers(0, 2**32 - 1))
+def test_overlap_equals_squared_cooccurrence_weight(dims, seed):
+    # <amp, P amp Q^T> = ||P amp Q^T||^2 for projectors P, Q of any ranks:
+    # the identity that makes the objective a function of n2 alone
+    d_a, d_b = dims
+    rng = np.random.default_rng(seed)
+    amp = AmplitudeMatrix.normalized(ginibre(SystemDims(d_a, d_b), rng))
+    p = parametrize_projector(rng.normal(size=d_a * d_a), d_a, int(rng.integers(0, d_a + 1)))
+    q = parametrize_projector(rng.normal(size=d_b * d_b), d_b, int(rng.integers(0, d_b + 1)))
+    w = p.matrix @ amp.matrix @ q.matrix.T
+    assert abs(np.vdot(amp.matrix, w) - np.vdot(w, w).real) <= 1e-14
 
 
 def block_product_grid(amp, resolution):

@@ -21,7 +21,8 @@ from mereo import (
     partial_trace,
     product_commutator_norm,
 )
-from mereo.holism import holistic_at_rank, schmidt_rank, stacked_singular_values
+from mereo.holism import holistic_at_rank, schmidt_rank
+from mereo.linalg import stacked_singular_values
 from mereo.io import random_amplitude
 
 from doubleket_reference import hs_inner
@@ -179,6 +180,41 @@ class TestCertifyRank1:
     def test_rejects_trivial_factor_dimensions(self):
         with pytest.raises(ValueError):
             certify_rank1(AmplitudeMatrix(np.array([[1.0, 0.0]])), AT_LEAST_ONE)
+
+
+def count_full_svds(monkeypatch) -> list:
+    """Shapes passed to ``np.linalg.svd`` with ``U`` and ``V`` requested, from now on."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+class TestSingularSubspacesOnDemand:
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (5, 5)])
+    def test_full_rank_certify_computes_no_subspaces(self, dims, monkeypatch):
+        calls = count_full_svds(monkeypatch)
+        amp = random_amp(np.random.default_rng(dims), *dims)
+        for conv in (AT_LEAST_ONE, BOTH):
+            verdict = certify_rank1(amp, conv)
+            assert verdict.holistic and verdict.lambda1_witness is None
+        assert calls == []
+
+    @pytest.mark.parametrize("dims, rank", [((2, 2), 1), ((3, 3), 2), ((4, 5), 3)])
+    def test_rank_deficient_certify_computes_them_once(self, dims, rank, monkeypatch):
+        calls = count_full_svds(monkeypatch)
+        amp = exact_rank_amp(np.random.default_rng(dims), *dims, rank)
+        for conv in (AT_LEAST_ONE, AT_LEAST_ONE, BOTH):
+            assert certify_rank1(amp, conv).lambda1_witness is not None
+        assert calls == [dims]
+        u, s, v = amp.svd()
+        assert s is amp.singular_values and calls == [dims]
 
 
 class TestRankRule:
@@ -341,7 +377,7 @@ class TestStackedMembers:
         (random_amplitude(1, SystemDims(4, 6)), 24, 4), (random_amplitude(2, SystemDims(7, 7)), 49, 7),
     ])
     def test_singular_values_are_amplitude_matrix_bytes(self, amp, k, rank0):
-        # compute_uv=False differs from these in the last bit on most of these members
+        # one stacked call gives each member the bits it gets alone
         members = lattice_amplitudes(amp, k, rng_seed=3)
         s = stacked_singular_values(members)
         assert s.shape == (k, min(amp.dims))
