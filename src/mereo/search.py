@@ -208,9 +208,7 @@ def objective_value_and_grad(
     n2 = np.einsum("...ik,...ik->...", w.conj(), w).real
     f, _ = _objective_from_n2(n2, cfg.exclude_exclusive)
 
-    # df = (2 - 4 n2 - h / 2) dn2 with dn2 = Re Tr[M_q M_q^dag dP], resp.
-    # Re Tr[M_p^T conj(M_p) dQ]; the pullback of each to its basis is
-    # +-2 (I - Pi) M M^dag Z, and (I - Pi) M is M - W on the range side, W on the complement
+    # the gradient of the module docstring, (4 - 8 n2 - h) (I - Pi) M (M^dag Z)
     scale = 4.0 - 8.0 * n2
     if cfg.exclude_exclusive:
         nw = np.sqrt(n2)
@@ -218,9 +216,8 @@ def objective_value_and_grad(
         hinged = (gap > 0.0) & (nw > HINGE_NORM_MIN)
         scale = scale - np.where(hinged, 2.0 * gap / np.where(hinged, nw, 1.0), 0.0)
     scale = scale[:, None, None]
-    w_t = w.swapaxes(-1, -2)
     r_p = w if comp_p else m_q - w
-    r_q = w_t if comp_q else m_p.swapaxes(-1, -2) - w_t
+    r_q = (w if comp_q else m_p - w).swapaxes(-1, -2)
     grad_p = (-scale if comp_p else scale) * (r_p @ (_adj(m_q) @ z_p))
     grad_q = (-scale if comp_q else scale) * (r_q @ (m_p.conj() @ z_q))
     rows = x.shape[0]
