@@ -36,7 +36,6 @@ from .io import (
     PRESET_NAMES,
     load_matrix,
     matrix_records,
-    matrix_to_json_dict,
     preset_amplitude,
     property_to_json_dict,
     random_amplitude,
@@ -124,7 +123,6 @@ def cmd_certify(args, tols: Tolerances) -> dict:
     for conv in _conventions_for_flag(args.convention):
         verdicts[conv.value] = _verdict_dict(certify_rank1(amp, conv, tols=tols))
     return {
-        "gamma": matrix_to_json_dict(amp.matrix),
         "gamma_source": source,
         "dims": list(amp.dims),
         "singular_values": [float(x) for x in amp.singular_values],
@@ -418,27 +416,27 @@ def main(argv=None) -> int:
             tols = replace(tols, tol_rank=float(args.tol_rank))
         t_start = time.perf_counter()
         results = globals()[f"cmd_{args.command}"](args, tols)
+        elapsed = time.perf_counter() - t_start
+        report = {
+            "command": args.command,
+            "version": __version__,
+            "config_echo": _config_echo(args, tols),
+            "results": results,
+            "timings": {"total_s": elapsed},
+        }
+        # no indent: CPython's C encoder only runs without one; floats print as repr either way
+        text = json.dumps(report)
+        if args.out:
+            # a directory or a missing parent is an OSError here, so an input error
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - t_start
-
-    report = {
-        "command": args.command,
-        "version": __version__,
-        "config_echo": _config_echo(args, tols),
-        "results": results,
-        "timings": {"total_s": elapsed},
-    }
-    # no indent: CPython's C encoder only runs without one; floats print as repr either way
-    text = json.dumps(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
+    if not args.out:
         print(text)
 
     if args.command == "demo" and not results["all_passed"]:

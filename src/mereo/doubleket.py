@@ -53,9 +53,14 @@ class AmplitudeMatrix:
 
     @classmethod
     def normalized(cls, matrix) -> "AmplitudeMatrix":
-        """Build from any nonzero matrix by scaling to unit norm."""
+        """Build from any nonzero matrix of finite norm by scaling to unit norm."""
         m = as_matrix(matrix, name="amplitude matrix")
-        n = frob(m)
+        # finite entries can still square past the largest double; no rescaling,
+        # so every finite-norm input keeps its bits
+        with np.errstate(over="ignore"):
+            n = frob(m)
+        if not np.isfinite(n):
+            raise ValueError("cannot normalize: the norm of the amplitude matrix overflows")
         if n < NORMALIZE_MIN_NORM:
             raise ValueError("cannot normalize a zero matrix")
         return cls(m / n)

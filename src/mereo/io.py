@@ -45,7 +45,7 @@ def _parse_record(data, *, min_cols: int) -> np.ndarray:
         cols = int(data["cols"])
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e400) overflows
         raise ValueError(f"malformed matrix record: {exc}") from exc
     if rows < 1 or cols < min_cols:
         raise ValueError(f"matrix record needs rows >= 1 and cols >= {min_cols}, got {rows}x{cols}")

@@ -57,6 +57,21 @@ class TestCertify:
         assert verdicts["both"]["holistic"] is True
         assert verdicts["atleastone"]["holistic"] is False
 
+    @pytest.mark.parametrize("convention, verdicts", [
+        ("atleastone", ["atleastone"]),
+        ("bothreport", ["atleastone", "both"]),
+    ])
+    def test_results_hold_no_copy_of_the_input(self, tmp_path, capsys, convention, verdicts):
+        # the input is fixed by gamma_source and config_echo, so results do not repeat it
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps(matrix_to_json_dict(np.diag([1.0, 0.5]))))
+        code, report = run_cli(["certify", "--gamma", str(path), "--convention", convention], capsys)
+        assert code == 0
+        results = report["results"]
+        assert sorted(results) == ["dims", "gamma_source", "singular_values", "verdicts"]
+        assert results["gamma_source"] == {"kind": "file", "path": str(path)}
+        assert sorted(results["verdicts"]) == verdicts
+
     def test_zero_matrix_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps(matrix_to_json_dict(np.zeros((2, 2)))))
@@ -478,6 +493,32 @@ class TestReportShape:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0] == f"input error: {names}"
+
+    @pytest.mark.parametrize("out, names", [
+        (".", "Is a directory"),
+        ("missing/report.json", "No such file or directory"),
+    ])
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys, out, names):
+        code = cli.main(["certify", "--preset", "bell2", "--out", str(tmp_path / out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:") and names in lines[0]
+
+    @pytest.mark.parametrize("text, names", [
+        ('{"rows": 1e400, "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}',
+         "malformed matrix record"),
+        ('{"rows": 2, "cols": 2, "re": [1e200, 0, 0, 1e200], "im": [0, 0, 0, 0]}',
+         "norm of the amplitude matrix overflows"),
+    ], ids=["rows-overflow", "norm-overflow"])
+    def test_out_of_range_gamma_is_input_error(self, tmp_path, capsys, text, names):
+        path = tmp_path / "gamma.json"
+        path.write_text(text)
+        code = cli.main(["certify", "--gamma", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:") and names in lines[0]
 
     @pytest.mark.parametrize("argv, source", [
         (["certify", "--preset", "bell2", "--dims", "3", "3"], "--preset"),

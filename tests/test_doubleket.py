@@ -1,5 +1,7 @@
 """Vectorization conventions: the one spot where two index orders must agree."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,17 @@ class TestAmplitudeMatrix:
     def test_normalized_rejects_zero(self):
         with pytest.raises(ValueError):
             AmplitudeMatrix.normalized(np.zeros((2, 2)))
+
+    def test_normalized_rejects_an_overflowing_norm_without_warnings(self):
+        # finite entries whose squares pass the largest double: no warning, no scaling
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="norm of the amplitude matrix overflows"):
+                AmplitudeMatrix.normalized(np.full((2, 2), 1e200 - 1e200j))
+
+    def test_normalized_large_finite_norm_keeps_its_bits(self):
+        m = np.array([[1e150, 3e149j], [0.0, -2e150]])
+        assert AmplitudeMatrix.normalized(m).matrix.tobytes() == (m / frob(m)).tobytes()
 
     def test_cached_factors_reconstruct(self):
         # matrix == u @ diag(s) @ v^dag with unitary u, v, s descending

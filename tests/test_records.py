@@ -153,6 +153,7 @@ def good_record():
     lambda r: r["basis"].update(re=[2.0 * x for x in r["basis"]["re"]]),
     lambda r: r["basis"].update(re=[float("nan")] * 3),
     lambda r: r.pop("basis"),
+    lambda r: r["basis"].update(rows=json.loads("1e400")),  # inf, which int() cannot take
 ])
 def test_malformed_records_are_rejected(edit):
     record = good_record()
