@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -324,7 +325,11 @@ def cmd_demo(args, tols: Tolerances) -> dict:
 
 
 def _check_flags(args) -> None:
-    """Reject negative seeds and sizes below 1 by flag; numpy's own messages name none."""
+    """Reject negative seeds and sizes below 1 by flag; numpy's own messages name none.
+
+    An ``--out`` that names a directory, or a file in a missing directory, is
+    rejected here too, before the command runs and writes anything else.
+    """
     for name in ("random_seed", "seed"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
@@ -332,6 +337,12 @@ def _check_flags(args) -> None:
     dims = getattr(args, "dims", None)
     if dims is not None and min(dims) < 1:
         raise ValueError(f"--dims must be positive, got {dims[0]} {dims[1]}")
+    if args.out:
+        if os.path.isdir(args.out):
+            raise ValueError(f"--out {args.out}: Is a directory")
+        parent = os.path.dirname(args.out) or "."
+        if not os.path.isdir(parent):
+            raise ValueError(f"--out {args.out}: No such file or directory: {parent}")
 
 
 def _config_echo(args, tols: Tolerances) -> dict:
@@ -427,7 +438,8 @@ def main(argv=None) -> int:
         # no indent: CPython's C encoder only runs without one; floats print as repr either way
         text = json.dumps(report)
         if args.out:
-            # a directory or a missing parent is an OSError here, so an input error
+            # a directory or a missing parent was rejected before the command ran;
+            # any other OSError here (no permission, say) is an input error too
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
     except InvariantViolation as exc:

@@ -22,15 +22,20 @@ with ``h = 2 (EXCLUDE_FLOOR - sqrt(n2)) / sqrt(n2)`` where the hinge is
 active, else 0, and the sign negative on the complement side, where
 ``(I - Pi_P) M_q = W`` (else ``M_q - W``).  ``grad_Q`` is the same with
 ``(I - Pi_Q) M_p^T`` and ``conj(M_p) Z_Q``.  Every product has a ``d x k``
-factor, O(d^2 k) a pair, and no ``d x d`` projector is formed.  The kernel
-works row by row on stacked coordinates, so restarts run as one stack.
+factor, O(d^2 k) a pair, and no ``d x d`` projector is formed.  At
+``k = 1`` (ranks 1 and ``d - 1``) the Gram matrix is the scalar
+``G = ||y||^2``, the sum of squares of the side's coordinates, and
+``Z = y (1 / G)``; only ``k >= 2`` inverts the ``k x k`` Gram stack.  The
+kernel works row by row on stacked coordinates, so restarts run as one stack.
 
 The descent is monotone: a candidate ``x - step * grad`` is kept only if it
 lowers the objective, else the step halves.  After a kept step the next one
 is the Barzilai-Borwein step ``s.y / y.y`` (``s`` the move, ``y`` the change
 of gradient) where ``s.y > 0``, else 1.5 times the last, capped at
 ``STEP_MAX`` either way.  Each restart reports how many candidates it
-rejected.
+rejected.  The stack is compacted: it holds the live restarts only, updated
+by whole-array selections, and a restart that stops has its final state
+written out and its row dropped in that iteration.
 
 With ``exclude_exclusive`` a hinge penalty keeps the search away from the
 always-present exclusive solutions (``P @ amp @ Q.T == 0``), so the
@@ -150,26 +155,37 @@ def projector_from_coords(params, d: int, rank: int) -> Property:
 
 
 def _side(params: np.ndarray, d: int, rank: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Stacked bases ``Y``, ``Z = Y G^-1`` (``G = Y^dag Y``) and whether ``P`` is the complement side."""
-    y = _bases(params, d, _side_cols(d, rank))
-    return y, y @ np.linalg.inv(_adj(y) @ y), 2 * rank > d
+    """Stacked bases ``Y``, ``Z = Y G^-1`` (``G = Y^dag Y``) and whether ``P`` is the complement side.
+
+    At ``k = 1`` the Gram matrix is the scalar ``||y||^2``, the sum of squares
+    of the real coordinates, so no ``k x k`` inverse is taken.
+    """
+    k = _side_cols(d, rank)
+    y = _bases(params, d, k)
+    if k == 1:
+        z = y * (1.0 / (params * params).sum(axis=-1))[:, None, None]
+    else:
+        z = y @ np.linalg.inv(_adj(y) @ y)
+    return y, z, 2 * rank > d
 
 
-def _objective_from_n2(n2: np.ndarray, exclude_exclusive: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``(objective, comm2)`` of a projector pair from ``n2 = ||P amp Q^T||^2``.
+def _objective_from_n2(n2: np.ndarray, gap: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(objective, comm2)`` of projector pairs from ``n2 = ||W||^2``, ``W = P amp Q^T``.
 
     ``comm2 = 2 n2 - 2 n2^2`` is the squared commutator norm (``<amp, W> = n2``
-    for projectors); the objective adds the hinge when ``exclude_exclusive``.
+    for projectors).  Given the hinge ``gap = EXCLUDE_FLOOR - ||W||``, the
+    objective adds ``max(0, gap)^2``, built over ``gap``; else it is ``comm2``.
+    Both are built in place, so a call allocates one array the size of ``n2``.
     """
-    comm2 = 2.0 * (n2 - n2 * n2)
-    return _with_hinge(comm2, n2, exclude_exclusive), comm2
-
-
-def _with_hinge(comm2: np.ndarray, n2: np.ndarray, exclude_exclusive: bool) -> np.ndarray:
-    """Objective from ``comm2`` and ``n2 = ||W||^2``: the hinge is added when ``exclude_exclusive``."""
-    if not exclude_exclusive:
-        return comm2
-    return comm2 + np.maximum(0.0, EXCLUDE_FLOOR - np.sqrt(n2)) ** 2
+    comm2 = np.multiply(n2, n2)
+    np.subtract(n2, comm2, out=comm2)
+    comm2 *= 2.0
+    if gap is None:
+        return comm2, comm2
+    obj = np.maximum(gap, 0.0, out=gap)
+    np.square(obj, out=obj)
+    obj += comm2
+    return obj, comm2
 
 
 def objective_value_and_grad(
@@ -206,27 +222,84 @@ def objective_value_and_grad(
     if comp_p:
         w, m_p = m_q - w, am - m_p
     n2 = np.einsum("...ik,...ik->...", w.conj(), w).real
-    f, _ = _objective_from_n2(n2, cfg.exclude_exclusive)
-
     # the gradient of the module docstring, (4 - 8 n2 - h) (I - Pi) M (M^dag Z)
     scale = 4.0 - 8.0 * n2
+    gap = None
     if cfg.exclude_exclusive:
         nw = np.sqrt(n2)
         gap = EXCLUDE_FLOOR - nw
         hinged = (gap > 0.0) & (nw > HINGE_NORM_MIN)
-        scale = scale - np.where(hinged, 2.0 * gap / np.where(hinged, nw, 1.0), 0.0)
+        scale -= np.where(hinged, 2.0 * gap / np.where(hinged, nw, 1.0), 0.0)
+    f, _ = _objective_from_n2(n2, gap)  # last use of gap: the hinge is built over it
     scale = scale[:, None, None]
-    r_p = w if comp_p else m_q - w
-    r_q = (w if comp_q else m_p - w).swapaxes(-1, -2)
-    grad_p = (-scale if comp_p else scale) * (r_p @ (_adj(m_q) @ z_p))
-    grad_q = (-scale if comp_q else scale) * (r_q @ (m_p.conj() @ z_q))
+    # each side is written into its columns of one real array, viewed as complex
     rows = x.shape[0]
-    grad = np.concatenate(
-        [grad_p.reshape(rows, -1).view(float), grad_q.reshape(rows, -1).view(float)], axis=-1
-    ).reshape(params.shape)
+    grad = np.empty((rows, n))
+    grad_p = grad[:, :n_p].view(complex).reshape(z_p.shape)
+    grad_q = grad[:, n_p:].view(complex).reshape(z_q.shape)
+    np.matmul(w if comp_p else m_q - w, _adj(m_q) @ z_p, out=grad_p)
+    np.matmul((w if comp_q else m_p - w).swapaxes(-1, -2), m_p.conj() @ z_q, out=grad_q)
+    grad_p *= -scale if comp_p else scale
+    grad_q *= -scale if comp_q else scale
+    grad = grad.reshape(params.shape)
     if params.ndim == 1:
         return float(f[0]), grad
     return f.reshape(params.shape[:-1]), grad
+
+
+def _descend(
+    amp: AmplitudeMatrix, x: np.ndarray, cfg: SearchConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """The descent of :func:`minimize` from the start rows ``x``, all restarts as one stack.
+
+    Returns, one row per restart, its final coordinates and objective, its
+    iterations (the loop counter when it stopped), its rejected candidates
+    and its stop reason.
+    """
+    f, grad = objective_value_and_grad(amp, x, cfg)
+    step = np.full(x.shape[0], STEP_INIT)
+    rej = np.zeros(x.shape[0], dtype=int)
+    # x, f, grad, step and rej hold the live restarts only, row i for restart
+    # live[i]; a restart's final state goes to the full-size outputs below
+    # when it stops, and its row is dropped
+    live = np.arange(x.shape[0])
+    x_out, f_out = np.empty_like(x), np.empty_like(f)
+    iters, rejected = np.empty_like(rej), np.empty_like(rej)
+    reason = [""] * x.shape[0]
+
+    def retire(stopped: np.ndarray, it: int, why: str) -> tuple[np.ndarray, ...]:
+        """Write the stopped rows to the outputs; the live state without them."""
+        rows = live[stopped]
+        x_out[rows], f_out[rows], rejected[rows], iters[rows] = x[stopped], f[stopped], rej[stopped], it
+        for r in rows.tolist():
+            reason[r] = why
+        keep = ~stopped
+        return live[keep], x[keep], f[keep], grad[keep], step[keep], rej[keep]
+
+    for it in range(1, MAX_ITERS + 1):
+        done = np.sqrt((grad * grad).sum(axis=-1)) <= GRAD_TOL
+        if done.any():
+            live, x, f, grad, step, rej = retire(done, it, "grad_tol")
+            if not live.size:
+                break
+        cand = x - step[:, None] * grad
+        f_cand, grad_cand = objective_value_and_grad(amp, cand, cfg)
+        better = f_cand < f
+        # Barzilai-Borwein step s.y / y.y from an accepted move, row by row;
+        # where the curvature s.y is not positive, grow the step instead
+        s, y = cand - x, grad_cand - grad
+        sy, yy = (s * y).sum(axis=-1), (y * y).sum(axis=-1)
+        bb = np.divide(sy, yy, out=1.5 * step, where=sy > 0.0)
+        step = np.where(better, np.minimum(bb, STEP_MAX), 0.5 * step)
+        x = np.where(better[:, None], cand, x)
+        f = np.where(better, f_cand, f)
+        grad = np.where(better[:, None], grad_cand, grad)
+        rej += ~better
+        stalled = ~better & (step < STEP_MIN)
+        if stalled.any():
+            live, x, f, grad, step, rej = retire(stalled, it, "step_underflow")
+    retire(np.ones(live.size, dtype=bool), MAX_ITERS, "max_iters")
+    return x_out, f_out, iters, rejected, reason
 
 
 def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
@@ -261,36 +334,7 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
     n_params = n_p + 2 * d_b * _side_cols(d_b, cfg.rank_q)
 
     x = np.random.default_rng(cfg.rng_seed).standard_normal((cfg.restarts, n_params))
-    f, grad = objective_value_and_grad(amp, x, cfg)
-    step = np.full(cfg.restarts, STEP_INIT)
-    iters = np.zeros(cfg.restarts, dtype=int)
-    rejected = np.zeros(cfg.restarts, dtype=int)
-    reason = np.full(cfg.restarts, "max_iters", dtype=object)
-    live = np.arange(cfg.restarts)
-    for _ in range(MAX_ITERS):
-        iters[live] += 1
-        done = np.linalg.norm(grad[live], axis=-1) <= GRAD_TOL
-        reason[live[done]] = "grad_tol"
-        live = live[~done]
-        if not live.size:
-            break
-        cand = x[live] - step[live, None] * grad[live]
-        f_cand, grad_cand = objective_value_and_grad(amp, cand, cfg)
-        better = f_cand < f[live]
-        acc = live[better]
-        # Barzilai-Borwein step s.y / y.y from the accepted move, row by row;
-        # where the curvature s.y is not positive, grow the step instead
-        s, y = cand[better] - x[acc], grad_cand[better] - grad[acc]
-        sy, yy = (s * y).sum(axis=-1), (y * y).sum(axis=-1)
-        bb = np.divide(sy, yy, out=1.5 * step[acc], where=sy > 0.0)
-        step[acc] = np.minimum(bb, STEP_MAX)
-        x[acc], f[acc], grad[acc] = cand[better], f_cand[better], grad_cand[better]
-        rejected[live[~better]] += 1
-        step[live[~better]] *= 0.5
-        stalled = ~better & (step[live] < STEP_MIN)
-        reason[live[stalled]] = "step_underflow"
-        live = live[~stalled]
-
+    x, f, iters, rejected, reason = _descend(amp, x, cfg)
     best = int(np.argmin(f))
     p = projector_from_coords(x[best, :n_p], d_a, cfg.rank_p)
     q = projector_from_coords(x[best, n_p:], d_b, cfg.rank_q)
@@ -303,7 +347,7 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
         converged=reason[best] == "grad_tol",
         cooccurrence_weight=weight,
         restart_trace=tuple(
-            RestartTrace(float(f[r]), int(iters[r]), str(reason[r]), int(rejected[r]))
+            RestartTrace(float(f[r]), int(iters[r]), reason[r], int(rejected[r]))
             for r in range(cfg.restarts)
         ),
     )
@@ -356,7 +400,8 @@ def brute_force_grid_d2(
         z = np.multiply.outer(bras[0, start : start + chunk], kets[0])
         z += np.multiply.outer(bras[1, start : start + chunk], kets[1])
         n2 = z.real**2 + z.imag**2
-        obj, comm2 = _objective_from_n2(n2, exclude_exclusive)
+        gap = EXCLUDE_FLOOR - np.sqrt(n2) if exclude_exclusive else None
+        obj, comm2 = _objective_from_n2(n2, gap)
         a_off, b_idx = divmod(int(np.argmin(obj)), n)
         if obj[a_off, b_idx] < best_obj:
             best_obj = float(obj[a_off, b_idx])

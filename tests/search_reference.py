@@ -9,13 +9,22 @@ a random-projector source independent of the search's coordinates;
 ``dense_objective_value_and_grad`` is the search kernel on dense ``d x d``
 projectors, with the cotangent of ``W = P amp Q^T`` pulled back through
 ``S = (L + L^dag) / 2``, the reference for the library's closed form in
-``n2 = ||W||^2``.
+``n2 = ||W||^2``; ``descend_one_by_one`` is the descent of ``minimize``, one
+restart at a time in plain Python, the reference for its stacked loop.
 """
 
 import numpy as np
 
-from mereo import AmplitudeMatrix, NontrivialityConvention, ProductProperty, Property, SearchConfig, SystemDims
-from mereo.search import EXCLUDE_FLOOR, HINGE_NORM_MIN, _adj, _bases, _bloch_grid, _side_cols, _with_hinge
+from mereo import (
+    AmplitudeMatrix,
+    NontrivialityConvention,
+    ProductProperty,
+    Property,
+    SearchConfig,
+    SystemDims,
+    search,
+)
+from mereo.search import EXCLUDE_FLOOR, HINGE_NORM_MIN, _adj, _bases, _bloch_grid, _side_cols
 
 
 def hermitian_from_params(params, d: int) -> np.ndarray:
@@ -83,7 +92,8 @@ def _objective_terms(
     n2 = np.einsum("...ik,...ik->...", w.conj(), w).real
     c = np.einsum("ik,...ik->...", amp_matrix.conj(), w)
     comm2 = 2.0 * n2 - 2.0 * (c.real**2 - c.imag**2)
-    return _with_hinge(comm2, n2, exclude_exclusive), comm2, n2, c
+    f = comm2 + np.maximum(0.0, EXCLUDE_FLOOR - np.sqrt(n2)) ** 2 if exclude_exclusive else comm2
+    return f, comm2, n2, c
 
 
 def dense_objective_value_and_grad(
@@ -153,3 +163,39 @@ def bloch_projectors(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     proj[:, 1, 0] = amp1 * amp0
     proj[:, 1, 1] = amp1 * np.conj(amp1)
     return proj, tg, pg
+
+
+def descend_one_by_one(amp: AmplitudeMatrix, starts: np.ndarray, cfg: SearchConfig) -> list[tuple]:
+    """Per start row, ``(final coordinates, objective, iterations, stop_reason, rejected)``.
+
+    The rule of ``search.minimize`` for a single restart: stop at a gradient
+    norm of ``GRAD_TOL``; else try ``x - step * grad``, keep it if it lowers
+    the objective and take the Barzilai-Borwein step ``s.y / y.y`` (1.5 times
+    the last where ``s.y <= 0``) capped at ``STEP_MAX``, else halve the step
+    and stop below ``STEP_MIN``; stop after ``MAX_ITERS`` iterations.  The
+    sums are the row sums of the stacked loop, so the arithmetic is the same.
+    """
+    kernel = search.objective_value_and_grad
+    out = []
+    for x in starts:
+        f, grad = kernel(amp, x, cfg)
+        step, rejected, reason, iterations = search.STEP_INIT, 0, "max_iters", search.MAX_ITERS
+        for it in range(1, search.MAX_ITERS + 1):
+            if np.sqrt((grad * grad).sum()) <= search.GRAD_TOL:
+                reason, iterations = "grad_tol", it
+                break
+            cand = x - step * grad
+            f_cand, grad_cand = kernel(amp, cand, cfg)
+            if f_cand < f:
+                s, y = cand - x, grad_cand - grad
+                sy = (s * y).sum()
+                step = min(sy / (y * y).sum() if sy > 0.0 else 1.5 * step, search.STEP_MAX)
+                x, f, grad = cand, f_cand, grad_cand
+            else:
+                rejected += 1
+                step *= 0.5
+                if step < search.STEP_MIN:
+                    reason, iterations = "step_underflow", it
+                    break
+        out.append((x, f, iterations, reason, rejected))
+    return out

@@ -505,6 +505,15 @@ class TestReportShape:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:") and names in lines[0]
 
+    @pytest.mark.parametrize("out", [".", "missing/report.json"])
+    def test_unwritable_out_is_rejected_before_the_command_writes(self, tmp_path, capsys, out):
+        scan = tmp_path / "scan.csv"
+        code = cli.main(["density", "--dims", "2", "2", "--samples", "10",
+                         "--csv", str(scan), "--out", str(tmp_path / out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, len(captured.err.splitlines())) == (2, "", 1)
+        assert not scan.exists()
+
     @pytest.mark.parametrize("text, names", [
         ('{"rows": 1e400, "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}',
          "malformed matrix record"),

@@ -23,8 +23,8 @@ from mereo import (
     objective_value_and_grad,
     projector_from_coords,
 )
-from mereo.io import random_amplitude
-from search_reference import objective, parametrize_projector
+from mereo.io import preset_amplitude, random_amplitude
+from search_reference import descend_one_by_one, objective, parametrize_projector
 
 BELL = AmplitudeMatrix(np.eye(2) / np.sqrt(2))
 PRODUCT = AmplitudeMatrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
@@ -298,6 +298,33 @@ class TestMinimize:
         if not exclude:  # cases chosen so that the cap binds on some steps
             assert branches["capped"] > 0, branches
 
+    @pytest.mark.parametrize("d, ranks, exclude, max_iters", [
+        (6, (1, 1), True, None),
+        (4, (3, 3), False, None),  # complement sides
+        (5, (2, 2), False, None),  # k = 2: the inverted Gram matrix
+        (4, (3, 3), False, 400),  # grad_tol, step_underflow and max_iters in one stack
+    ], ids=["rank1-hinge", "complement", "k2", "three-stops"])
+    def test_stacked_descent_replays_one_restart_at_a_time(
+        self, d, ranks, exclude, max_iters, monkeypatch
+    ):
+        if max_iters is not None:
+            monkeypatch.setattr(search, "MAX_ITERS", max_iters)
+        amp = random_amplitude(3, SystemDims(d, d))
+        cfg = SearchConfig(rank_p=ranks[0], rank_q=ranks[1], restarts=16,
+                           exclude_exclusive=exclude, rng_seed=3)
+        starts = np.random.default_rng(cfg.rng_seed).standard_normal((16, n_coords(d, ranks[0]) * 2))
+        expected = descend_one_by_one(amp, starts, cfg)
+        x, f, iters, rejected, reason = search._descend(amp, starts.copy(), cfg)
+        for r, (x_r, f_r, iters_r, reason_r, rejected_r) in enumerate(expected):
+            assert x[r].tobytes() == x_r.tobytes()
+            assert (f[r], iters[r], reason[r], rejected[r]) == (f_r, iters_r, reason_r, rejected_r)
+        trace = minimize(amp, cfg).restart_trace
+        assert [(t.objective, t.iterations, t.stop_reason, t.rejected) for t in trace] == [
+            e[1:] for e in expected
+        ]
+        if max_iters is not None:
+            assert set(reason) == {"grad_tol", "step_underflow", "max_iters"}
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_hinge_equilibrium_is_set_by_the_floor(self, d):
         # at ranks (1, 1) the restricted objective is 2x^2 - 2x^4 + (floor - x)^2
@@ -364,6 +391,37 @@ class TestBruteForceGrid:
             grid_val, _ = brute_force_grid_d2(amp, 12, False)
             opt_val = minimize(amp, SearchConfig(restarts=8, rng_seed=13)).min_value
             assert opt_val <= grid_val + 1e-6
+
+    @pytest.mark.parametrize("name, resolution, exclude, value, angles", [
+        ("bell2", 12, False, 2.613021139891053e-17,
+         (2.8559933214452666, 0.0, 0.28559933214452665, 3.141592653589793)),
+        ("bell2", 12, True, 6.338779100328612e-16,
+         (1.9991953250116865, 5.235987755982988, 1.1423973285781066, 4.1887902047863905)),
+        ("bell2", 24, False, 1.6520287610887036e-17,
+         (0.2731819698773733, 0.0, 2.86841068371242, 3.141592653589793)),
+        ("bell2", 24, True, 0.0177719105523106,
+         (0.13659098493868665, 3.926990816987241, 3.0050016686511065, 5.235987755982988)),
+        ("product2", 12, False, 0.0, (0.0, 0.0, 0.0, 0.0)),
+        ("product2", 12, True, 0.0, (0.0, 0.0, 0.0, 0.0)),
+        ("product2", 24, False, 0.0, (0.0, 0.0, 0.0, 0.0)),
+        ("product2", 24, True, 0.0, (0.0, 0.0, 0.0, 0.0)),
+        ("random7", 12, False, 0.0045686716154882375,
+         (1.1423973285781066, 0.5235987755982988, 1.9991953250116865, 5.235987755982988)),
+        ("random7", 12, True, 0.023480824487580564,
+         (1.4279966607226333, 5.235987755982988, 0.8567979964335799, 2.617993877991494)),
+        ("random7", 24, False, 0.0007048612345882891,
+         (0.9561368945708066, 4.974188368183839, 0.8195459096321199, 2.8797932657906435)),
+        ("random7", 24, True, 0.023609139266157864,
+         (1.7756828042029265, 3.926990816987241, 0.5463639397547466, 2.8797932657906435)),
+    ])
+    def test_outputs_are_pinned_bit_for_bit(self, name, resolution, exclude, value, angles):
+        # a rewrite of the scan's arithmetic must keep every bit: the Bell
+        # amplitude has many tied grid points, so a rounding change moves its angles
+        if name == "random7":
+            amp = random_amplitude(7, SystemDims(2, 2))
+        else:
+            amp = preset_amplitude(name)
+        assert brute_force_grid_d2(amp, resolution, exclude) == (value, angles)
 
     def test_rejects_wrong_dims(self):
         with pytest.raises(ValueError):
