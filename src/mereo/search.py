@@ -28,6 +28,27 @@ factor, O(d^2 k) a pair, and no ``d x d`` projector is formed.  At
 ``Z = y (1 / G)``; only ``k >= 2`` inverts the ``k x k`` Gram stack.  The
 kernel works row by row on stacked coordinates, so restarts run as one stack.
 
+When both sides have ``k = 1`` and one factor, say ``Q = u u^dag / ||u||^2``,
+is a rank-1 projector (not a complement side), ``W`` has rank one and the
+kernel needs ``d``-vectors only.  With ``v = amp conj(u)`` and ``z = y^dag v``
+(``y`` the basis of ``P``), ``M_q = v u^T / ||u||^2`` and ``W = (P v) u^T /
+||u||^2``, so ``n2 = ||P v||^2 / ||u||^2``, which is ``|z|^2 / (||y||^2
+||u||^2)`` when ``P`` is rank-1 too.  In ``grad_P``, ``M_q^dag Z_P = conj(u)
+conj(z) / (||u||^2 ||y||^2)`` and ``u^T conj(u) = ||u||^2``; in ``grad_Q``,
+``M_p^T conj(M_p) = amp^T P^T conj(P) conj(amp) = amp^T conj(P amp)``
+(``P^T = conj(P)``, ``P^2 = P``) acting on ``Z_Q = u / ||u||^2``.
+Hence
+
+    grad_P = +-(4 - 8 n2 - h) (I - Pi_P) v conj(z) / (||y||^2 ||u||^2),
+    grad_Q = (4 - 8 n2 - h) (I - Pi_Q) amp^T conj(P v) / ||u||^2,
+
+with the sign negative on a complement side as before.  When only ``P`` is
+rank-1, ``W^T = Q amp^T P^T`` gives the same terms with ``amp^T`` and the
+roles swapped.  Pairs with both sides complement (maximal ranks) and every
+``k >= 2`` side keep the matrix form: there ``W`` has full rank, and ``n2``
+must come from ``W`` itself, because a Gram form ``||M_q||^2 - ||Pi_P
+M_q||^2`` cancels when ``W`` is small.
+
 The descent is monotone: a candidate ``x - step * grad`` is kept only if it
 lowers the objective, else the step halves.  After a kept step the next one
 is the Barzilai-Borwein step ``s.y / y.y`` (``s`` the move, ``y`` the change
@@ -80,8 +101,9 @@ HINGE_NORM_MIN = 1e-12
 # tol_rank (either side) is counted as near the threshold: its rank, and so its
 # verdict, would flip if tol_rank moved by that factor
 NEAR_RANK_TOL_FACTOR = 10.0
-# overlap entries per grid-oracle chunk (512 KB of complex), whatever the resolution
-GRID_CHUNK_ENTRIES = 1 << 15
+# overlap entries per grid-oracle chunk (128 KB of complex), whatever the
+# resolution: a block and its ~6 temporaries then fit in a 2 MiB L2 cache
+GRID_CHUNK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -188,6 +210,67 @@ def _objective_from_n2(n2: np.ndarray, gap: np.ndarray | None = None) -> tuple[n
     return obj, comm2
 
 
+def _matrix_terms(
+    am: np.ndarray, x_p: np.ndarray, x_q: np.ndarray, d_a: int, d_b: int, cfg: SearchConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(n2, dir_P, dir_Q)`` from products with the ``d x k`` bases, at any ranks.
+
+    ``dir = (I - Pi) M (M^dag Z)`` of the module docstring, unsigned, one
+    ``(rows, d, k)`` stack per side.
+    """
+    y_p, z_p, comp_p = _side(x_p, d_a, cfg.rank_p)
+    y_q, z_q, comp_q = _side(x_q, d_b, cfg.rank_q)
+    # M_q = amp Q^T and M_p = P amp, with Pi_Q^T = conj(Z_q) Y_q^T and Pi_P = Z_p Y_p^dag;
+    # a complement side is amp minus its rank-k term
+    m_q = (am @ z_q.conj()) @ y_q.swapaxes(-1, -2)
+    if comp_q:
+        m_q = am - m_q
+    y_p_adj = _adj(y_p)
+    w = z_p @ (y_p_adj @ m_q)
+    m_p = z_p @ (y_p_adj @ am)
+    if comp_p:
+        w, m_p = m_q - w, am - m_p
+    n2 = np.einsum("...ik,...ik->...", w.conj(), w).real
+    dir_p = (w if comp_p else m_q - w) @ (_adj(m_q) @ z_p)
+    dir_q = (w if comp_q else m_p - w).swapaxes(-1, -2) @ (m_p.conj() @ z_q)
+    return n2, dir_p, dir_q
+
+
+def _rank_one_terms(
+    am: np.ndarray, x_y: np.ndarray, x_u: np.ndarray, comp_y: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(n2, dir_Y, dir_U)`` of ``W = P amp Q^T`` when ``Q = u u^dag / ||u||^2`` and ``P`` has ``k = 1``.
+
+    ``x_y`` and ``x_u`` are the coordinates of ``P``'s basis ``y`` and of
+    ``u``; ``comp_y`` says whether ``P`` is the complement side.  The
+    identities are those of the module docstring, on ``(rows, d)`` vectors;
+    products with ``amp`` are einsums, which compute each row alone (a 2-D
+    product through BLAS gemm may round one row differently from a 1-row call).
+    """
+    gy = (x_y * x_y).sum(axis=-1)
+    gu = (x_u * x_u).sum(axis=-1)
+    y, u = x_y.view(complex), x_u.view(complex)
+    u_bar = u.conj()
+    v = np.einsum("am,rm->ra", am, u_bar)
+    z = np.einsum("ra,ra->r", y.conj(), v)
+    pi_v = y * (z / gy)[:, None]
+    gyu = gy * gu
+    if comp_y:
+        # P v = v - Pi v, and (I - Pi) v = P v
+        p_v = v - pi_v
+        perp_v = p_v
+        n2 = np.einsum("ra,ra->r", p_v.conj(), p_v).real / gu
+    else:
+        p_v = pi_v
+        perp_v = v - pi_v
+        n2 = (z.real * z.real + z.imag * z.imag) / gyu
+    dir_y = perp_v * (z.conj() / gyu)[:, None]
+    t = np.einsum("am,ra->rm", am, p_v.conj())
+    dir_u = t - u * (np.einsum("rm,rm->r", u_bar, t) / gu)[:, None]
+    dir_u /= gu[:, None]
+    return n2, dir_y, dir_u
+
+
 def objective_value_and_grad(
     amp: AmplitudeMatrix, params: np.ndarray, cfg: SearchConfig
 ) -> tuple[float | np.ndarray, np.ndarray]:
@@ -198,31 +281,30 @@ def objective_value_and_grad(
     :func:`projector_from_coords`.  Leading axes stack pairs, computed row by
     row so that a row's result does not depend on the stack; 1-D gives
     ``(float, grad)``.  Every product has a ``d x k`` or ``k x d`` factor: no
-    ``d x d`` projector is formed.
+    ``d x d`` projector is formed.  Where both sides have ``k = 1`` and one
+    is a rank-1 projector, ``W`` has rank one and the terms come from
+    ``d``-vectors alone (:func:`_rank_one_terms`); otherwise from ``d x d``
+    matrices built by products with the bases (:func:`_matrix_terms`).
     """
     d_a, d_b = amp.dims
-    n_p = 2 * d_a * _side_cols(d_a, cfg.rank_p)
-    n = n_p + 2 * d_b * _side_cols(d_b, cfg.rank_q)
+    k_a, k_b = _side_cols(d_a, cfg.rank_p), _side_cols(d_b, cfg.rank_q)
+    n_p = 2 * d_a * k_a
+    n = n_p + 2 * d_b * k_b
     params = np.asarray(params, dtype=float)
     if params.ndim == 0 or params.shape[-1] != n:
         raise ValueError(f"expected {n} parameters, got {params.shape[-1:] or 1}")
-    x = params.reshape(-1, n)
-    y_p, z_p, comp_p = _side(x[:, :n_p], d_a, cfg.rank_p)
-    y_q, z_q, comp_q = _side(x[:, n_p:], d_b, cfg.rank_q)
-
-    # M_q = amp Q^T and M_p = P amp, with Pi_Q^T = conj(Z_q) Y_q^T and Pi_P = Z_p Y_p^dag;
-    # a complement side is amp minus its rank-k term
+    x = np.ascontiguousarray(params).reshape(-1, n)
+    x_p, x_q = x[:, :n_p], x[:, n_p:]
+    comp_p, comp_q = 2 * cfg.rank_p > d_a, 2 * cfg.rank_q > d_b
     am = amp.matrix
-    m_q = (am @ z_q.conj()) @ y_q.swapaxes(-1, -2)
-    if comp_q:
-        m_q = am - m_q
-    y_p_adj = _adj(y_p)
-    w = z_p @ (y_p_adj @ m_q)
-    m_p = z_p @ (y_p_adj @ am)
-    if comp_p:
-        w, m_p = m_q - w, am - m_p
-    n2 = np.einsum("...ik,...ik->...", w.conj(), w).real
-    # the gradient of the module docstring, (4 - 8 n2 - h) (I - Pi) M (M^dag Z)
+    if k_a == k_b == 1 and not comp_q:
+        n2, dir_p, dir_q = _rank_one_terms(am, x_p, x_q, comp_p)
+    elif k_a == k_b == 1 and not comp_p:
+        # W^T = Q amp^T P^T: the same terms with the roles of P and Q swapped
+        n2, dir_q, dir_p = _rank_one_terms(am.T, x_q, x_p, comp_q)
+    else:
+        n2, dir_p, dir_q = _matrix_terms(am, x_p, x_q, d_a, d_b, cfg)
+    # the gradient of the module docstring, +-(4 - 8 n2 - h) dir
     scale = 4.0 - 8.0 * n2
     gap = None
     if cfg.exclude_exclusive:
@@ -231,16 +313,13 @@ def objective_value_and_grad(
         hinged = (gap > 0.0) & (nw > HINGE_NORM_MIN)
         scale -= np.where(hinged, 2.0 * gap / np.where(hinged, nw, 1.0), 0.0)
     f, _ = _objective_from_n2(n2, gap)  # last use of gap: the hinge is built over it
-    scale = scale[:, None, None]
+    scale = scale[:, None]
     # each side is written into its columns of one real array, viewed as complex
     rows = x.shape[0]
     grad = np.empty((rows, n))
-    grad_p = grad[:, :n_p].view(complex).reshape(z_p.shape)
-    grad_q = grad[:, n_p:].view(complex).reshape(z_q.shape)
-    np.matmul(w if comp_p else m_q - w, _adj(m_q) @ z_p, out=grad_p)
-    np.matmul((w if comp_q else m_p - w).swapaxes(-1, -2), m_p.conj() @ z_q, out=grad_q)
-    grad_p *= -scale if comp_p else scale
-    grad_q *= -scale if comp_q else scale
+    for cols, d, comp in ((slice(None, n_p), dir_p, comp_p), (slice(n_p, None), dir_q, comp_q)):
+        out = grad[:, cols].view(complex)
+        np.multiply(d.reshape(out.shape), -scale if comp else scale, out=out)
     grad = grad.reshape(params.shape)
     if params.ndim == 1:
         return float(f[0]), grad

@@ -165,7 +165,14 @@ class TestGradient:
         # the stacked descent relies on rows not depending on the stack
         rng = np.random.default_rng(2)
         amp = random_amp(rng, *dims)
-        for cfg in (SearchConfig(), SearchConfig(rank_p=dims[0] - 1, exclude_exclusive=True)):
+        # ranks (1, 1), (d_a - 1, 1) and (1, d_b - 1) take the rank-one route
+        # in both orientations; (d_a - 1, d_b - 1), both sides complement, the matrix route
+        for cfg in (
+            SearchConfig(),
+            SearchConfig(rank_p=dims[0] - 1, exclude_exclusive=True),
+            SearchConfig(rank_q=dims[1] - 1),
+            SearchConfig(rank_p=dims[0] - 1, rank_q=dims[1] - 1, exclude_exclusive=True),
+        ):
             n = n_coords(dims[0], cfg.rank_p) + n_coords(dims[1], cfg.rank_q)
             params = rng.standard_normal((9, n))
             values, grads = objective_value_and_grad(amp, params, cfg)
@@ -422,6 +429,18 @@ class TestBruteForceGrid:
         else:
             amp = preset_amplitude(name)
         assert brute_force_grid_d2(amp, resolution, exclude) == (value, angles)
+
+    @pytest.mark.parametrize("resolution", [12, 24])
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_block_size_does_not_change_the_result(self, resolution, exclude, monkeypatch):
+        # ties go to the first pair in row-major order across blocks as within
+        # one: the Bell amplitude has many exactly tied grid points
+        for amp in (preset_amplitude("bell2"), random_amplitude(7, SystemDims(2, 2))):
+            results = []
+            for entries in (1, 577, 1 << 13, 1 << 22):
+                monkeypatch.setattr(search, "GRID_CHUNK_ENTRIES", entries)
+                results.append(brute_force_grid_d2(amp, resolution, exclude))
+            assert results[1:] == results[:-1]
 
     def test_rejects_wrong_dims(self):
         with pytest.raises(ValueError):
