@@ -28,26 +28,24 @@ factor, O(d^2 k) a pair, and no ``d x d`` projector is formed.  At
 ``Z = y (1 / G)``; only ``k >= 2`` inverts the ``k x k`` Gram stack.  The
 kernel works row by row on stacked coordinates, so restarts run as one stack.
 
-When both sides have ``k = 1`` and one factor, say ``Q = u u^dag / ||u||^2``,
-is a rank-1 projector (not a complement side), ``W`` has rank one and the
-kernel needs ``d``-vectors only.  With ``v = amp conj(u)`` and ``z = y^dag v``
-(``y`` the basis of ``P``), ``M_q = v u^T / ||u||^2`` and ``W = (P v) u^T /
-||u||^2``, so ``n2 = ||P v||^2 / ||u||^2``, which is ``|z|^2 / (||y||^2
-||u||^2)`` when ``P`` is rank-1 too.  In ``grad_P``, ``M_q^dag Z_P = conj(u)
-conj(z) / (||u||^2 ||y||^2)`` and ``u^T conj(u) = ||u||^2``; in ``grad_Q``,
-``M_p^T conj(M_p) = amp^T P^T conj(P) conj(amp) = amp^T conj(P amp)``
-(``P^T = conj(P)``, ``P^2 = P``) acting on ``Z_Q = u / ||u||^2``.
-Hence
+When both factors are rank-1 projectors, ``P = y y^dag / ||y||^2`` and
+``Q = u u^dag / ||u||^2``, ``W`` has rank one and the kernel needs
+``d``-vectors only.  With ``v = amp conj(u)`` and ``z = y^dag v``, ``M_q =
+v u^T / ||u||^2`` and ``W = (P v) u^T / ||u||^2`` with ``P v = y z /
+||y||^2``, so ``n2 = |z|^2 / (||y||^2 ||u||^2)``.  In ``grad_P``, ``M_q^dag
+Z_P = conj(u) conj(z) / (||u||^2 ||y||^2)`` and ``u^T conj(u) = ||u||^2``;
+in ``grad_Q``, ``M_p^T conj(M_p) = amp^T P^T conj(P) conj(amp) = amp^T
+conj(P amp)`` (``P^T = conj(P)``, ``P^2 = P``) acting on ``Z_Q = u /
+||u||^2``.  Hence
 
-    grad_P = +-(4 - 8 n2 - h) (I - Pi_P) v conj(z) / (||y||^2 ||u||^2),
-    grad_Q = (4 - 8 n2 - h) (I - Pi_Q) amp^T conj(P v) / ||u||^2,
+    grad_P = (4 - 8 n2 - h) (I - Pi_P) v conj(z) / (||y||^2 ||u||^2),
+    grad_Q = (4 - 8 n2 - h) (I - Pi_Q) amp^T conj(P v) / ||u||^2.
 
-with the sign negative on a complement side as before.  When only ``P`` is
-rank-1, ``W^T = Q amp^T P^T`` gives the same terms with ``amp^T`` and the
-roles swapped.  Pairs with both sides complement (maximal ranks) and every
-``k >= 2`` side keep the matrix form: there ``W`` has full rank, and ``n2``
-must come from ``W`` itself, because a Gram form ``||M_q||^2 - ||Pi_P
-M_q||^2`` cancels when ``W`` is small.
+Every other pair keeps the matrix form, including ranks ``(1, d - 1)``,
+where ``k = 1`` on both sides but one is a complement side.  At maximal
+ranks, both sides complement, ``W`` has full rank, and ``n2`` must come
+from ``W`` itself, because a Gram form ``||M_q||^2 - ||Pi_P M_q||^2``
+cancels when ``W`` is small.
 
 The descent is monotone: a candidate ``x - step * grad`` is kept only if it
 lowers the objective, else the step halves.  After a kept step the next one
@@ -101,8 +99,9 @@ HINGE_NORM_MIN = 1e-12
 # tol_rank (either side) is counted as near the threshold: its rank, and so its
 # verdict, would flip if tol_rank moved by that factor
 NEAR_RANK_TOL_FACTOR = 10.0
-# overlap entries per grid-oracle chunk (128 KB of complex), whatever the
-# resolution: a block and its ~6 temporaries then fit in a 2 MiB L2 cache
+# overlap entries per grid-oracle chunk (128 KB of complex), so that a block and
+# its ~6 temporaries fit in a 2 MiB L2 cache; a chunk is at least one whole row
+# of R^2 entries, so from resolution R = 91 up it holds R^2
 GRID_CHUNK_ENTRIES = 1 << 13
 
 
@@ -237,12 +236,11 @@ def _matrix_terms(
 
 
 def _rank_one_terms(
-    am: np.ndarray, x_y: np.ndarray, x_u: np.ndarray, comp_y: bool
+    am: np.ndarray, x_y: np.ndarray, x_u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(n2, dir_Y, dir_U)`` of ``W = P amp Q^T`` when ``Q = u u^dag / ||u||^2`` and ``P`` has ``k = 1``.
+    """``(n2, dir_P, dir_Q)`` of ``W = P amp Q^T`` when ``P = y y^dag / ||y||^2`` and ``Q = u u^dag / ||u||^2``.
 
-    ``x_y`` and ``x_u`` are the coordinates of ``P``'s basis ``y`` and of
-    ``u``; ``comp_y`` says whether ``P`` is the complement side.  The
+    ``x_y`` and ``x_u`` are the coordinates of ``y`` and ``u``.  The
     identities are those of the module docstring, on ``(rows, d)`` vectors;
     products with ``amp`` are einsums, which compute each row alone (a 2-D
     product through BLAS gemm may round one row differently from a 1-row call).
@@ -253,22 +251,14 @@ def _rank_one_terms(
     u_bar = u.conj()
     v = np.einsum("am,rm->ra", am, u_bar)
     z = np.einsum("ra,ra->r", y.conj(), v)
-    pi_v = y * (z / gy)[:, None]
+    p_v = y * (z / gy)[:, None]
     gyu = gy * gu
-    if comp_y:
-        # P v = v - Pi v, and (I - Pi) v = P v
-        p_v = v - pi_v
-        perp_v = p_v
-        n2 = np.einsum("ra,ra->r", p_v.conj(), p_v).real / gu
-    else:
-        p_v = pi_v
-        perp_v = v - pi_v
-        n2 = (z.real * z.real + z.imag * z.imag) / gyu
-    dir_y = perp_v * (z.conj() / gyu)[:, None]
+    n2 = (z.real * z.real + z.imag * z.imag) / gyu
+    dir_p = (v - p_v) * (z.conj() / gyu)[:, None]
     t = np.einsum("am,ra->rm", am, p_v.conj())
-    dir_u = t - u * (np.einsum("rm,rm->r", u_bar, t) / gu)[:, None]
-    dir_u /= gu[:, None]
-    return n2, dir_y, dir_u
+    dir_q = t - u * (np.einsum("rm,rm->r", u_bar, t) / gu)[:, None]
+    dir_q /= gu[:, None]
+    return n2, dir_p, dir_q
 
 
 def objective_value_and_grad(
@@ -281,10 +271,10 @@ def objective_value_and_grad(
     :func:`projector_from_coords`.  Leading axes stack pairs, computed row by
     row so that a row's result does not depend on the stack; 1-D gives
     ``(float, grad)``.  Every product has a ``d x k`` or ``k x d`` factor: no
-    ``d x d`` projector is formed.  Where both sides have ``k = 1`` and one
-    is a rank-1 projector, ``W`` has rank one and the terms come from
-    ``d``-vectors alone (:func:`_rank_one_terms`); otherwise from ``d x d``
-    matrices built by products with the bases (:func:`_matrix_terms`).
+    ``d x d`` projector is formed.  Where both factors are rank-1
+    projectors, ``W`` has rank one and the terms come from ``d``-vectors
+    alone (:func:`_rank_one_terms`); otherwise from ``d x d`` matrices built
+    by products with the bases (:func:`_matrix_terms`).
     """
     d_a, d_b = amp.dims
     k_a, k_b = _side_cols(d_a, cfg.rank_p), _side_cols(d_b, cfg.rank_q)
@@ -297,11 +287,8 @@ def objective_value_and_grad(
     x_p, x_q = x[:, :n_p], x[:, n_p:]
     comp_p, comp_q = 2 * cfg.rank_p > d_a, 2 * cfg.rank_q > d_b
     am = amp.matrix
-    if k_a == k_b == 1 and not comp_q:
-        n2, dir_p, dir_q = _rank_one_terms(am, x_p, x_q, comp_p)
-    elif k_a == k_b == 1 and not comp_p:
-        # W^T = Q amp^T P^T: the same terms with the roles of P and Q swapped
-        n2, dir_q, dir_p = _rank_one_terms(am.T, x_q, x_p, comp_q)
+    if k_a == k_b == 1 and not comp_p and not comp_q:
+        n2, dir_p, dir_q = _rank_one_terms(am, x_p, x_q)
     else:
         n2, dir_p, dir_q = _matrix_terms(am, x_p, x_q, d_a, d_b, cfg)
     # the gradient of the module docstring, +-(4 - 8 n2 - h) dir
@@ -460,7 +447,7 @@ def brute_force_grid_d2(
     ``W = P amp Q^T = z |a><b̄|`` with ``z = <a|amp|b̄>``, so ``n2 = c = |z|^2``
     and ``comm2 = 2|z|^2 - 2|z|^4``: the scan needs only the overlaps
     ``Z = A^dag amp B̄`` of the R^2 grid vectors, built a block of rows at a
-    time so memory stays at ``GRID_CHUNK_ENTRIES`` entries.
+    time so memory stays at ``max(GRID_CHUNK_ENTRIES, R^2)`` entries.
     """
     if amp.dims != (2, 2):
         raise ValueError(f"grid oracle only supports dims (2, 2), got {tuple(amp.dims)}")

@@ -165,8 +165,8 @@ class TestGradient:
         # the stacked descent relies on rows not depending on the stack
         rng = np.random.default_rng(2)
         amp = random_amp(rng, *dims)
-        # ranks (1, 1), (d_a - 1, 1) and (1, d_b - 1) take the rank-one route
-        # in both orientations; (d_a - 1, d_b - 1), both sides complement, the matrix route
+        # ranks (1, 1) take the rank-one route; the others have a complement side
+        # and take the matrix route, except at (2, 2), where every rank is 1
         for cfg in (
             SearchConfig(),
             SearchConfig(rank_p=dims[0] - 1, exclude_exclusive=True),
