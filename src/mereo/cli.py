@@ -28,6 +28,7 @@ from .holism import (
     ProductProperty,
     Replay,
     certify_rank1,
+    commutator_norm_sq_from_n2,
     holistic_at_rank,
     lattice_amplitudes,
     marginal_entropy,
@@ -204,21 +205,15 @@ def cmd_lattice(args, tols: Tolerances) -> dict:
     s = stacked_singular_values(members)
     ranks = schmidt_rank(s, tols)
     holistic = holistic_at_rank(ranks, amp.dims, conv)
-    # members are unit vectors v_i, so each projector is the rank-1 |v_i><v_i|,
-    # which the report leaves to its amplitude.  With the Gram matrix
-    # g_ij = <v_i, v_j> the pairwise norms are ||P_i P_j|| = |g_ij| and
-    # ||[P_i, P_j]|| = sqrt(2) |g_ij| ||v_j - g_ij v_i||.  Off the diagonal
-    # that is sqrt(2) |g_ij| sqrt(1 - |g_ij|^2); on it, where 1 - |g_ii|^2
-    # would cancel, v_i - g_ii v_i = (1 - g_ii) v_i gives sqrt(2) |g_ii|
-    # |1 - g_ii|, which does not.  The projectors sum to vecs^T conj(vecs)
+    # member i's projector is |v_i><v_i|, left to its amplitude.  With g_ij =
+    # <v_i, v_j>, ||P_i P_j|| = |g_ij| and ||[P_i, P_j]||^2 is the closed form in
+    # n2 = |g_ij|^2, with n2 = 1 on the diagonal: a projector commutes with
+    # itself.  The projectors sum to vecs^T conj(vecs)
     vecs = members.reshape(args.k, -1)
-    g = vecs.conj() @ vecs.T
-    prod = np.abs(g)
-    residual_sq = 1.0 - prod * prod
-    np.fill_diagonal(residual_sq, 0.0)
-    comm = np.sqrt(2.0) * prod * np.sqrt(residual_sq)
-    g_ii = np.diagonal(g)
-    np.fill_diagonal(comm, np.sqrt(2.0) * np.abs(g_ii) * np.abs(1.0 - g_ii))
+    prod = np.abs(vecs.conj() @ vecs.T)
+    n2 = prod * prod
+    np.fill_diagonal(n2, 1.0)
+    comm = np.sqrt(commutator_norm_sq_from_n2(n2))
     member_records = [
         {
             "amplitude": record,

@@ -103,30 +103,51 @@ def make_holistic(amp: AmplitudeMatrix, *, tols: Tolerances = Tolerances()) -> P
     return Property(np.outer(v, v.conj()), tols=tols)
 
 
+def commutator_norm_sq(amp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``||[X, dyad]||_F^2``, ``X`` Hermitian, from ``vec(W) = X vec(amp)``, over ``w``'s leading axes.
+
+    For a pair, ``X = P (x) Q`` and ``W = P @ amp @ Q.T``.  With ``a =
+    vec(amp)`` (unit norm), ``c = <a, vec(W)>`` and ``r = vec(W) - c a``,
+    orthogonal to ``a``, ``a^dag X = vec(W)^dag`` gives ``[X, a a^dag] =
+    2i (Im c) a a^dag + r a^dag - a r^dag``: three HS-orthogonal terms, so
+
+        ||[X, a a^dag]||_F^2 = 2 ||W - c amp||_F^2 + 4 (Im c)^2.
+
+    No idempotency is assumed, and nothing cancels: a small norm comes from
+    a small residual.  Each row is computed alone (``np.vecdot``).
+    """
+    a = amp.reshape(-1)
+    x = w.reshape(w.shape[:-2] + (-1,))
+    c = np.vecdot(a, x)
+    r = x - c[..., None] * a
+    return 2.0 * np.vecdot(r, r).real + 4.0 * c.imag * c.imag
+
+
+def commutator_norm_sq_from_n2(n2):
+    """:func:`commutator_norm_sq` of a projector pair in ``n2 = ||W||_F^2``: ``2 (n2 - n2^2)``.
+
+    ``X^2 = X = X^dag`` gives ``c = ||X a||^2 = n2`` and ``||r||^2 = n2 - n2^2``.
+    Kept where ``W`` has rank one and is never formed: the search kernel at
+    rank-1 factors, the Bloch grid and the lattice tables (``n2 = |g_ij|^2``).
+    It cancels as ``n2 -> 1``, which at ranks (1, 1) takes a nearly product
+    amplitude (``n2`` is at most the top squared singular value).
+    """
+    return 2.0 * (n2 - n2 * n2)
+
+
 def product_commutator_norm(amp: AmplitudeMatrix, p: Property, q: Property) -> Replay:
     """Replay of the pair ``p (x) q`` against the joint dyad of ``amp``.
 
-    Computed on the matrix side, without forming any ``d_a d_b``-square
-    operator: ``(p (x) q) vec(amp) = vec(W)`` with ``W = p @ amp @ q.T``, and
-    with ``c = <amp, W>_HS`` and ``R = W - c amp`` (orthogonal to ``amp``)
-    the commutator splits into three orthogonal parts, so
-
-        ||[p (x) q, dyad]||_F^2 = 2 ||R||_F^2 + 4 (Im c)^2
-
-    exactly for unit-norm ``amp``.  Unlike ``2 ||W||^2 - 2 Re(c^2)`` this
-    form does not cancel, so it resolves norms far below ``tol_compat``.
-    No threshold applies, and the norm is defined for trivial pairs too.
-    The :class:`Replay` adds ``||W||_F`` from the same product.
+    :func:`commutator_norm_sq` of ``W = p @ amp @ q.T``: the measured norm of
+    the matrices the pair holds, with no ``d_a d_b``-square operator formed.
+    It resolves norms far below ``tol_compat`` and is defined for trivial
+    pairs too.  The :class:`Replay` adds ``||W||_F`` from the same product.
     """
     d_a, d_b = amp.dims
     if p.dim != d_a or q.dim != d_b:
-        raise ValueError(
-            f"pair dims ({p.dim}, {q.dim}) do not match amplitude dims ({d_a}, {d_b})"
-        )
+        raise ValueError(f"pair dims ({p.dim}, {q.dim}) do not match amplitude dims ({d_a}, {d_b})")
     w = p.matrix @ amp.matrix @ q.matrix.T
-    c = complex(np.vdot(amp.matrix, w))
-    norm = float(np.sqrt(2.0 * frob(w - c * amp.matrix) ** 2 + 4.0 * c.imag * c.imag))
-    return Replay(norm, frob(w))
+    return Replay(float(np.sqrt(commutator_norm_sq(amp.matrix, w))), frob(w))
 
 
 def schmidt_rank(s, tols: Tolerances):

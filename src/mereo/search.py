@@ -9,12 +9,12 @@ coordinates of Edelman, Arias and Smith: ``P = Pi = Y G^-1 Y^dag`` with
 an unconstrained real space of ``2 d k`` coordinates per factor, and no
 step needs an eigendecomposition.
 
-For projectors, ``W = P amp Q^T`` has ``<amp, W> = Tr(amp^dag P amp Q^T) =
-||W||^2 =: n2`` (``P^2 = P = P^dag`` and ``Q^T = conj(Q)``), so the squared
-commutator norm is ``2 n2 - 2 n2^2`` at every rank, and the objective a
-function of ``n2`` alone.  With ``M_q = amp Q^T`` and ``M_p = P amp``,
-``dn2 = Re Tr[M_q M_q^dag dP] = Re Tr[M_p^T conj(M_p) dQ]``; the basis
-pullback then gives
+The objective is ``holism``'s squared commutator norm: its general form in
+``W = P amp Q^T`` wherever ``W`` is formed, which does not cancel, else its
+closed form ``2 (n2 - n2^2)``, ``n2 = ||W||^2``.  The two agree for
+projectors, so the gradient is that of a function of ``n2``.  With ``M_q =
+amp Q^T`` and ``M_p = P amp``, ``dn2 = Re Tr[M_q M_q^dag dP] = Re Tr[M_p^T
+conj(M_p) dQ]``; the basis pullback then gives
 
     grad_P = +-(4 - 8 n2 - h) (I - Pi_P) M_q (M_q^dag Z_P),   Z = Y G^-1,
 
@@ -42,10 +42,8 @@ conj(P amp)`` (``P^T = conj(P)``, ``P^2 = P``) acting on ``Z_Q = u /
     grad_Q = (4 - 8 n2 - h) (I - Pi_Q) amp^T conj(P v) / ||u||^2.
 
 Every other pair keeps the matrix form, including ranks ``(1, d - 1)``,
-where ``k = 1`` on both sides but one is a complement side.  At maximal
-ranks, both sides complement, ``W`` has full rank, and ``n2`` must come
-from ``W`` itself, because a Gram form ``||M_q||^2 - ||Pi_P M_q||^2``
-cancels when ``W`` is small.
+where ``k = 1`` on both sides but one is a complement side, and maximal
+ranks, where ``W`` nears ``amp`` at the minimum and the closed form would cancel.
 
 The descent is monotone: a candidate ``x - step * grad`` is kept only if it
 lowers the objective, else the step halves.  After a kept step the next one
@@ -71,6 +69,8 @@ from .config import Tolerances
 from .doubleket import AmplitudeMatrix
 from .holism import (
     NontrivialityConvention,
+    commutator_norm_sq,
+    commutator_norm_sq_from_n2,
     holistic_at_rank,
     product_commutator_norm,
     schmidt_rank,
@@ -190,29 +190,15 @@ def _side(params: np.ndarray, d: int, rank: int) -> tuple[np.ndarray, np.ndarray
     return y, z, 2 * rank > d
 
 
-def _objective_from_n2(n2: np.ndarray, gap: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``(objective, comm2)`` of projector pairs from ``n2 = ||W||^2``, ``W = P amp Q^T``.
-
-    ``comm2 = 2 n2 - 2 n2^2`` is the squared commutator norm (``<amp, W> = n2``
-    for projectors).  Given the hinge ``gap = EXCLUDE_FLOOR - ||W||``, the
-    objective adds ``max(0, gap)^2``, built over ``gap``; else it is ``comm2``.
-    Both are built in place, so a call allocates one array the size of ``n2``.
-    """
-    comm2 = np.multiply(n2, n2)
-    np.subtract(n2, comm2, out=comm2)
-    comm2 *= 2.0
-    if gap is None:
-        return comm2, comm2
-    obj = np.maximum(gap, 0.0, out=gap)
-    np.square(obj, out=obj)
-    obj += comm2
-    return obj, comm2
+def _add_hinge(comm2: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """The objective with the hinge, ``comm2 + max(0, gap)^2`` with ``gap = EXCLUDE_FLOOR - ||W||``."""
+    return comm2 + np.square(np.maximum(gap, 0.0))
 
 
 def _matrix_terms(
     am: np.ndarray, x_p: np.ndarray, x_q: np.ndarray, d_a: int, d_b: int, cfg: SearchConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(n2, dir_P, dir_Q)`` from products with the ``d x k`` bases, at any ranks.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(comm2, n2, dir_P, dir_Q)`` from products with the ``d x k`` bases, at any ranks.
 
     ``dir = (I - Pi) M (M^dag Z)`` of the module docstring, unsigned, one
     ``(rows, d, k)`` stack per side.
@@ -232,13 +218,13 @@ def _matrix_terms(
     n2 = np.einsum("...ik,...ik->...", w.conj(), w).real
     dir_p = (w if comp_p else m_q - w) @ (_adj(m_q) @ z_p)
     dir_q = (w if comp_q else m_p - w).swapaxes(-1, -2) @ (m_p.conj() @ z_q)
-    return n2, dir_p, dir_q
+    return commutator_norm_sq(am, w), n2, dir_p, dir_q
 
 
 def _rank_one_terms(
     am: np.ndarray, x_y: np.ndarray, x_u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(n2, dir_P, dir_Q)`` of ``W = P amp Q^T`` when ``P = y y^dag / ||y||^2`` and ``Q = u u^dag / ||u||^2``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(comm2, n2, dir_P, dir_Q)`` of ``W = P amp Q^T`` when ``P = y y^dag / ||y||^2`` and ``Q = u u^dag / ||u||^2``.
 
     ``x_y`` and ``x_u`` are the coordinates of ``y`` and ``u``.  The
     identities are those of the module docstring, on ``(rows, d)`` vectors;
@@ -258,7 +244,7 @@ def _rank_one_terms(
     t = np.einsum("am,ra->rm", am, p_v.conj())
     dir_q = t - u * (np.einsum("rm,rm->r", u_bar, t) / gu)[:, None]
     dir_q /= gu[:, None]
-    return n2, dir_p, dir_q
+    return commutator_norm_sq_from_n2(n2), n2, dir_p, dir_q
 
 
 def objective_value_and_grad(
@@ -270,11 +256,10 @@ def objective_value_and_grad(
     and of ``Q`` (``2 d_b k_b``), ``k = min(rank, d - rank)`` in the layout of
     :func:`projector_from_coords`.  Leading axes stack pairs, computed row by
     row so that a row's result does not depend on the stack; 1-D gives
-    ``(float, grad)``.  Every product has a ``d x k`` or ``k x d`` factor: no
-    ``d x d`` projector is formed.  Where both factors are rank-1
-    projectors, ``W`` has rank one and the terms come from ``d``-vectors
-    alone (:func:`_rank_one_terms`); otherwise from ``d x d`` matrices built
-    by products with the bases (:func:`_matrix_terms`).
+    ``(float, grad)``.  No ``d x d`` projector is formed: the terms come from
+    ``d``-vectors where both factors are rank-1 projectors
+    (:func:`_rank_one_terms`), else from products with the bases
+    (:func:`_matrix_terms`), which form ``W`` and its general-form norm.
     """
     d_a, d_b = amp.dims
     k_a, k_b = _side_cols(d_a, cfg.rank_p), _side_cols(d_b, cfg.rank_q)
@@ -288,18 +273,17 @@ def objective_value_and_grad(
     comp_p, comp_q = 2 * cfg.rank_p > d_a, 2 * cfg.rank_q > d_b
     am = amp.matrix
     if k_a == k_b == 1 and not comp_p and not comp_q:
-        n2, dir_p, dir_q = _rank_one_terms(am, x_p, x_q)
+        f, n2, dir_p, dir_q = _rank_one_terms(am, x_p, x_q)
     else:
-        n2, dir_p, dir_q = _matrix_terms(am, x_p, x_q, d_a, d_b, cfg)
+        f, n2, dir_p, dir_q = _matrix_terms(am, x_p, x_q, d_a, d_b, cfg)
     # the gradient of the module docstring, +-(4 - 8 n2 - h) dir
     scale = 4.0 - 8.0 * n2
-    gap = None
     if cfg.exclude_exclusive:
         nw = np.sqrt(n2)
         gap = EXCLUDE_FLOOR - nw
         hinged = (gap > 0.0) & (nw > HINGE_NORM_MIN)
         scale -= np.where(hinged, 2.0 * gap / np.where(hinged, nw, 1.0), 0.0)
-    f, _ = _objective_from_n2(n2, gap)  # last use of gap: the hinge is built over it
+        f = _add_hinge(f, gap)
     scale = scale[:, None]
     # each side is written into its columns of one real array, viewed as complex
     rows = x.shape[0]
@@ -346,8 +330,8 @@ def _descend(
         done = np.sqrt((grad * grad).sum(axis=-1)) <= GRAD_TOL
         if done.any():
             live, x, f, grad, step, rej = retire(done, it, "grad_tol")
-            if not live.size:
-                break
+        if not live.size:  # after either retirement, this one or last iteration's stall
+            break
         cand = x - step[:, None] * grad
         f_cand, grad_cand = objective_value_and_grad(amp, cand, cfg)
         better = f_cand < f
@@ -384,8 +368,8 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
     :func:`projector_from_coords`, from the ``Q`` factor of each basis.
     ``min_value`` is the commutator norm of that pair from
     :func:`product_commutator_norm`, which also gives ``cooccurrence_weight``,
-    not the square root of the objective, whose cancellation hides norms below
-    about 1e-8; results replay by construction.  At ranks (1, 1) with
+    so results replay by construction.  The objective is cancellation-free
+    wherever ``W`` is formed (see the module docstring).  At ranks (1, 1) with
     ``exclude_exclusive`` the minimum is 0.0235757, set by the hinge floor
     and not by the amplitude (see ``EXCLUDE_FLOOR``).
     """
@@ -444,8 +428,8 @@ def brute_force_grid_d2(
     penalized) objective, together with the argmin angles
     ``(theta_p, phi_p, theta_q, phi_q)``; ties go to the first pair in
     row-major order.  A pair ``P = |a><a|``, ``Q = |b><b|`` gives
-    ``W = P amp Q^T = z |a><b̄|`` with ``z = <a|amp|b̄>``, so ``n2 = c = |z|^2``
-    and ``comm2 = 2|z|^2 - 2|z|^4``: the scan needs only the overlaps
+    ``W = P amp Q^T = z |a><b̄|`` with ``z = <a|amp|b̄>``, so ``n2 = |z|^2``
+    and the closed form in ``n2`` applies: the scan needs only the overlaps
     ``Z = A^dag amp B̄`` of the R^2 grid vectors, built a block of rows at a
     time so memory stays at ``max(GRID_CHUNK_ENTRIES, R^2)`` entries.
     """
@@ -466,8 +450,8 @@ def brute_force_grid_d2(
         z = np.multiply.outer(bras[0, start : start + chunk], kets[0])
         z += np.multiply.outer(bras[1, start : start + chunk], kets[1])
         n2 = z.real**2 + z.imag**2
-        gap = EXCLUDE_FLOOR - np.sqrt(n2) if exclude_exclusive else None
-        obj, comm2 = _objective_from_n2(n2, gap)
+        comm2 = commutator_norm_sq_from_n2(n2)
+        obj = _add_hinge(comm2, EXCLUDE_FLOOR - np.sqrt(n2)) if exclude_exclusive else comm2
         a_off, b_idx = divmod(int(np.argmin(obj)), n)
         if obj[a_off, b_idx] < best_obj:
             best_obj = float(obj[a_off, b_idx])

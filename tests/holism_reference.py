@@ -18,7 +18,7 @@ import numpy as np
 from mereo import AmplitudeMatrix, Property, SystemDims, Tolerances, frob, ginibre
 from mereo import NontrivialityConvention, lattice_amplitudes, make_holistic
 from mereo.cli import _resolve_amplitude
-from mereo.holism import LATTICE_REDRAW_NORM, holistic_at_rank, schmidt_rank
+from mereo.holism import LATTICE_REDRAW_NORM, commutator_norm_sq_from_n2, holistic_at_rank, schmidt_rank
 from mereo.io import matrix_to_json_dict
 from mereo.linalg import as_matrix
 
@@ -109,13 +109,10 @@ def lattice_results_loop(args, tols: Tolerances) -> dict:
     ranks = schmidt_rank(np.array([m.singular_values for m in members]), tols)
     holistic = holistic_at_rank(ranks, amp.dims, conv)
     vecs = np.array([m.matrix.reshape(-1) for m in members])
-    g = vecs.conj() @ vecs.T
-    prod = np.abs(g)
-    residual_sq = 1.0 - prod * prod
-    np.fill_diagonal(residual_sq, 0.0)
-    comm = np.sqrt(2.0) * prod * np.sqrt(residual_sq)
-    g_ii = np.diagonal(g)
-    np.fill_diagonal(comm, np.sqrt(2.0) * np.abs(g_ii) * np.abs(1.0 - g_ii))
+    prod = np.abs(vecs.conj() @ vecs.T)
+    n2 = prod * prod
+    np.fill_diagonal(n2, 1.0)
+    comm = np.sqrt(commutator_norm_sq_from_n2(n2))
     member_records = [
         {
             "amplitude": matrix_to_json_dict(m.matrix),

@@ -35,12 +35,14 @@ from mereo import (
     projector_from_coords,
 )
 from mereo import cli
+from mereo.holism import commutator_norm_sq
 from mereo.io import matrix_from_json_dict
 from mereo.search import EXCLUDE_FLOOR
 from search_reference import (
     _objective_terms,
     bloch_projectors,
     dense_objective_value_and_grad,
+    hermitian_from_params,
     objective,
     parametrize_projector,
     random_product_pair,
@@ -80,6 +82,19 @@ def test_replay_matches_composite_route(dims):
         for p, q in pairs:
             matrix_side = product_commutator_norm(amp, p, q).commutator_norm
             assert abs(matrix_side - composite_commutator_norm(amp, p, q)) <= AGREE
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 3)])
+def test_general_form_holds_for_hermitian_pairs(dims):
+    # the general form assumes no idempotency: any Hermitian A (x) B will do
+    rng = np.random.default_rng([23, *dims])
+    amp = AmplitudeMatrix.normalized(ginibre(SystemDims(*dims), rng))
+    dyad = make_holistic(amp).matrix
+    for _ in range(5):
+        a, b = (hermitian_from_params(rng.normal(size=d * d), d) for d in dims)
+        joint = np.kron(a, b)
+        expected = frob(joint @ dyad - dyad @ joint) ** 2
+        assert abs(commutator_norm_sq(amp.matrix, a @ amp.matrix @ b.T) - expected) <= AGREE * expected
 
 
 @pytest.mark.parametrize("argv", [
@@ -227,10 +242,19 @@ def test_overlap_equals_squared_cooccurrence_weight(dims, seed):
     d_a, d_b = dims
     rng = np.random.default_rng(seed)
     amp = AmplitudeMatrix.normalized(ginibre(SystemDims(d_a, d_b), rng))
-    p = parametrize_projector(rng.normal(size=d_a * d_a), d_a, int(rng.integers(0, d_a + 1)))
-    q = parametrize_projector(rng.normal(size=d_b * d_b), d_b, int(rng.integers(0, d_b + 1)))
-    w = p.matrix @ amp.matrix @ q.matrix.T
-    assert abs(np.vdot(amp.matrix, w) - np.vdot(w, w).real) <= 1e-14
+    pairs = [
+        (parametrize_projector(rng.normal(size=d_a * d_a), d_a, int(rng.integers(0, d_a + 1))),
+         parametrize_projector(rng.normal(size=d_b * d_b), d_b, int(rng.integers(0, d_b + 1))))
+        for _ in range(4)
+    ]
+    w = np.stack([p.matrix @ amp.matrix @ q.matrix.T for p, q in pairs])
+    for w_r in w:
+        assert abs(np.vdot(amp.matrix, w_r) - np.vdot(w_r, w_r).real) <= 1e-14
+    # the general form over a W stack is the replay of each pair, row by row
+    comm2 = commutator_norm_sq(amp.matrix, w)
+    assert comm2.shape == (4,)
+    for c2, (p, q) in zip(comm2, pairs):
+        assert np.sqrt(c2) == product_commutator_norm(amp, p, q).commutator_norm
 
 
 def block_product_grid(amp, resolution):

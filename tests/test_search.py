@@ -305,20 +305,21 @@ class TestMinimize:
         if not exclude:  # cases chosen so that the cap binds on some steps
             assert branches["capped"] > 0, branches
 
-    @pytest.mark.parametrize("d, ranks, exclude, max_iters", [
-        (6, (1, 1), True, None),
-        (4, (3, 3), False, None),  # complement sides
-        (5, (2, 2), False, None),  # k = 2: the inverted Gram matrix
-        (4, (3, 3), False, 400),  # grad_tol, step_underflow and max_iters in one stack
+    @pytest.mark.parametrize("amp, ranks, exclude, seed, max_iters", [
+        (random_amplitude(3, SystemDims(6, 6)), (1, 1), True, 3, None),
+        (random_amplitude(3, SystemDims(4, 4)), (3, 3), False, 3, None),  # complement sides
+        (random_amplitude(3, SystemDims(5, 5)), (2, 2), False, 3, None),  # k = 2: the inverted Gram matrix
+        # grad_tol, step_underflow and max_iters in one stack
+        (preset_amplitude("product2"), (1, 1), False, 0, 200),
     ], ids=["rank1-hinge", "complement", "k2", "three-stops"])
     def test_stacked_descent_replays_one_restart_at_a_time(
-        self, d, ranks, exclude, max_iters, monkeypatch
+        self, amp, ranks, exclude, seed, max_iters, monkeypatch
     ):
         if max_iters is not None:
             monkeypatch.setattr(search, "MAX_ITERS", max_iters)
-        amp = random_amplitude(3, SystemDims(d, d))
+        d = amp.dims[0]
         cfg = SearchConfig(rank_p=ranks[0], rank_q=ranks[1], restarts=16,
-                           exclude_exclusive=exclude, rng_seed=3)
+                           exclude_exclusive=exclude, rng_seed=seed)
         starts = np.random.default_rng(cfg.rng_seed).standard_normal((16, n_coords(d, ranks[0]) * 2))
         expected = descend_one_by_one(amp, starts, cfg)
         x, f, iters, rejected, reason = search._descend(amp, starts.copy(), cfg)
@@ -331,6 +332,23 @@ class TestMinimize:
         ]
         if max_iters is not None:
             assert set(reason) == {"grad_tol", "step_underflow", "max_iters"}
+
+    def test_descent_stops_calling_the_kernel_when_no_restart_is_left(self, monkeypatch):
+        # the only restart stops with step_underflow: the loop must end there,
+        # not run on to MAX_ITERS on an empty stack
+        rows = []
+        kernel = search.objective_value_and_grad
+
+        def counting(amp, params, cfg):
+            rows.append(params.shape[0])
+            return kernel(amp, params, cfg)
+
+        monkeypatch.setattr(search, "objective_value_and_grad", counting)
+        res = minimize(preset_amplitude("product2"), SearchConfig(restarts=1, rng_seed=5))
+        (trace,) = res.restart_trace
+        assert trace.stop_reason == "step_underflow"
+        assert 0 not in rows
+        assert len(rows) == trace.iterations + 1
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_hinge_equilibrium_is_set_by_the_floor(self, d):
@@ -354,6 +372,23 @@ class TestMinimize:
             delta = amp.singular_values[-1] ** 2
             gap = np.sqrt(2.0 * delta * (1.0 - delta))
             assert abs(res.min_value - gap) <= 1e-9 * gap
+            assert res.converged
+
+    def test_maximal_rank_objective_resolves_a_small_gap(self):
+        # at the certifier's own subspaces of an amplitude with s_min ~ 1e-6 the
+        # kernel's objective is 2 delta (1 - delta) ~ 2e-12, delta = s_min^2:
+        # a closed form in n2 ~ 1 - delta would keep only ~4 of its digits
+        rng = np.random.default_rng(6)
+        u = np.linalg.qr(ginibre(SystemDims(3, 3), rng))[0]
+        v = np.linalg.qr(ginibre(SystemDims(3, 3), rng))[0]
+        amp = AmplitudeMatrix.normalized(u @ np.diag([0.8, 0.6, 1e-6]) @ v.conj().T)
+        u, s, v = amp.svd()
+        # P = I - |u_3><u_3| and Q = I - |conj(v_3)><conj(v_3)|: complement sides
+        params = np.concatenate([u[:, 2].copy().view(float), v[:, 2].conj().view(float)])
+        f, _ = objective_value_and_grad(amp, params, SearchConfig(rank_p=2, rank_q=2))
+        delta = s[-1] ** 2
+        expected = 2.0 * delta * (1.0 - delta)
+        assert abs(f - expected) <= 1e-9 * expected
 
     def test_invalid_ranks(self):
         amp = random_amp(np.random.default_rng(7), 3, 4)
