@@ -54,6 +54,14 @@ rejected.  The stack is compacted: it holds the live restarts only, updated
 by whole-array selections, and a restart that stops has its final state
 written out and its row dropped in that iteration.
 
+Start bases are orthonormal: each side of a raw normal row is replaced by
+the ``Q`` factor of its QR, which spans the same subspace.  The objective
+does not see a basis's scale, but the step cap does: the gradient scales as
+``1 / ||Y||`` and the curvature as ``1 / ||Y||^2``, so at a raw row's
+``||Y||^2 ~ 2 d k`` the Barzilai-Borwein step wants to exceed ``STEP_MAX``,
+and a restart held at the cap converges only linearly.  The stacked loop
+runs until its slowest restart stops, so that one restart sets its cost.
+
 With ``exclude_exclusive`` a hinge penalty keeps the search away from the
 always-present exclusive solutions (``P @ amp @ Q.T == 0``), so the
 restricted minimum probes the co-occurring branch only.
@@ -352,6 +360,24 @@ def _descend(
     return x_out, f_out, iters, rejected, reason
 
 
+def _start_rows(dims: SystemDims, cfg: SearchConfig) -> np.ndarray:
+    """Start coordinates of the restarts, one row each, with orthonormal bases.
+
+    Row ``r`` is row ``r`` of ``default_rng(cfg.rng_seed).standard_normal((cfg.restarts, n))``
+    with each side's basis ``Y`` replaced by the ``Q`` factor of its QR, so
+    ``Y^dag Y = I`` (see the module docstring for why).  LAPACK factors each
+    matrix of the stack alone, so more restarts only append rows.
+    """
+    d_a, d_b = dims
+    k_a, k_b = _side_cols(d_a, cfg.rank_p), _side_cols(d_b, cfg.rank_q)
+    n_p = 2 * d_a * k_a
+    x = np.random.default_rng(cfg.rng_seed).standard_normal((cfg.restarts, n_p + 2 * d_b * k_b))
+    for cols, d, k in ((slice(None, n_p), d_a, k_a), (slice(n_p, None), d_b, k_b)):
+        q = np.linalg.qr(_bases(x[:, cols], d, k))[0]
+        x[:, cols].view(complex)[...] = q.reshape(cfg.restarts, d * k)
+    return x
+
+
 def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
     """Multi-restart gradient descent over the basis coordinates of the projector pair.
 
@@ -362,9 +388,10 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
     ``STEP_MIN`` or ``MAX_ITERS`` steps (``restart_trace`` says which).
     Restart ``r`` starts from the ``r``-th row of
     ``default_rng(cfg.rng_seed).standard_normal((cfg.restarts, n))``, the
-    coordinates of :func:`objective_value_and_grad`, and rows are computed
-    one by one, so enlarging ``cfg.restarts`` only appends candidates; the
-    first with the lowest objective wins.  Its projectors are built by
+    coordinates of :func:`objective_value_and_grad`, with each side's basis
+    orthonormalized (:func:`_start_rows`; the module docstring says why),
+    and rows are computed one by one, so enlarging ``cfg.restarts`` only
+    appends candidates; the first with the lowest objective wins.  Its projectors are built by
     :func:`projector_from_coords`, from the ``Q`` factor of each basis.
     ``min_value`` is the commutator norm of that pair from
     :func:`product_commutator_norm`, which also gives ``cooccurrence_weight``,
@@ -381,10 +408,7 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
     if cfg.restarts < 1:
         raise ValueError("restarts must be positive")
     n_p = 2 * d_a * _side_cols(d_a, cfg.rank_p)
-    n_params = n_p + 2 * d_b * _side_cols(d_b, cfg.rank_q)
-
-    x = np.random.default_rng(cfg.rng_seed).standard_normal((cfg.restarts, n_params))
-    x, f, iters, rejected, reason = _descend(amp, x, cfg)
+    x, f, iters, rejected, reason = _descend(amp, _start_rows(amp.dims, cfg), cfg)
     best = int(np.argmin(f))
     p = projector_from_coords(x[best, :n_p], d_a, cfg.rank_p)
     q = projector_from_coords(x[best, n_p:], d_b, cfg.rank_q)

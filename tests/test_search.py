@@ -265,8 +265,10 @@ class TestMinimize:
         assert [t.stop_reason for t in trace] == ["grad_tol"] * cfg.restarts
         assert max(t.iterations for t in trace) <= 100
 
-    @pytest.mark.parametrize("d, exclude", [(3, False), (4, True), (6, False), (6, True)])
-    def test_steps_follow_the_barzilai_borwein_rule(self, d, exclude, monkeypatch):
+    @pytest.mark.parametrize("d, exclude, rank", [
+        (3, False, 1), (4, True, 1), (6, False, 1), (6, True, 1), (6, False, 5),
+    ], ids=["3-False", "4-True", "6-False", "6-True", "6-False-maximal"])
+    def test_steps_follow_the_barzilai_borwein_rule(self, d, exclude, rank, monkeypatch):
         # reference: the step rule replayed in plain Python from the kernel
         # calls of single restarts (rows do not depend on the stack)
         calls = []
@@ -282,7 +284,8 @@ class TestMinimize:
         branches = {"bb": 0, "capped": 0}
         for seed in range(6):
             calls.clear()
-            cfg = SearchConfig(restarts=1, exclude_exclusive=exclude, rng_seed=seed)
+            cfg = SearchConfig(rank_p=rank, rank_q=rank, restarts=1, exclude_exclusive=exclude,
+                               rng_seed=seed)
             (trace,) = minimize(amp, cfg).restart_trace
             (x, f, grad), step, rejected = calls[0], search.STEP_INIT, 0
             for cand, f_cand, grad_cand in calls[1:]:
@@ -302,7 +305,9 @@ class TestMinimize:
             assert trace.rejected == rejected
             assert trace.iterations == len(calls) - (trace.stop_reason != "grad_tol")
         assert branches["bb"] > 0, branches
-        if not exclude:  # cases chosen so that the cap binds on some steps
+        # from orthonormal starts the cap binds at maximal ranks, where the
+        # curvature along the smallest singular direction is small
+        if rank == d - 1:
             assert branches["capped"] > 0, branches
 
     @pytest.mark.parametrize("amp, ranks, exclude, seed, max_iters", [
@@ -326,16 +331,18 @@ class TestMinimize:
         for r, (x_r, f_r, iters_r, reason_r, rejected_r) in enumerate(expected):
             assert x[r].tobytes() == x_r.tobytes()
             assert (f[r], iters[r], reason[r], rejected[r]) == (f_r, iters_r, reason_r, rejected_r)
+        # minimize runs the same descent from the orthonormalized start rows
         trace = minimize(amp, cfg).restart_trace
         assert [(t.objective, t.iterations, t.stop_reason, t.rejected) for t in trace] == [
-            e[1:] for e in expected
+            e[1:] for e in descend_one_by_one(amp, search._start_rows(amp.dims, cfg), cfg)
         ]
         if max_iters is not None:
             assert set(reason) == {"grad_tol", "step_underflow", "max_iters"}
 
     def test_descent_stops_calling_the_kernel_when_no_restart_is_left(self, monkeypatch):
         # the only restart stops with step_underflow: the loop must end there,
-        # not run on to MAX_ITERS on an empty stack
+        # not run on to MAX_ITERS on an empty stack.  From its orthonormalized
+        # start the restart converges, so the descent runs from the raw row
         rows = []
         kernel = search.objective_value_and_grad
 
@@ -344,11 +351,46 @@ class TestMinimize:
             return kernel(amp, params, cfg)
 
         monkeypatch.setattr(search, "objective_value_and_grad", counting)
-        res = minimize(preset_amplitude("product2"), SearchConfig(restarts=1, rng_seed=5))
-        (trace,) = res.restart_trace
-        assert trace.stop_reason == "step_underflow"
+        start = np.random.default_rng(5).standard_normal((1, 2 * n_coords(2, 1)))
+        _, _, iters, _, reason = search._descend(
+            preset_amplitude("product2"), start, SearchConfig(restarts=1, rng_seed=5)
+        )
+        assert reason == ["step_underflow"]
         assert 0 not in rows
-        assert len(rows) == trace.iterations + 1
+        assert len(rows) == iters[0] + 1
+
+    @pytest.mark.parametrize("dims, ranks", [
+        ((6, 6), (1, 1)), ((4, 4), (3, 3)), ((5, 5), (2, 2)), ((4, 5), (1, 4)), ((5, 3), (3, 1)),
+    ])
+    def test_start_rows_are_orthonormal_bases_of_the_raw_rows(self, dims, ranks):
+        cfg = SearchConfig(rank_p=ranks[0], rank_q=ranks[1], restarts=32, rng_seed=4)
+        x = search._start_rows(SystemDims(*dims), cfg)
+        raw = np.random.default_rng(cfg.rng_seed).standard_normal(x.shape)
+        n_p = n_coords(dims[0], ranks[0])
+        for row, raw_row in zip(x, raw):
+            for cols, d, rank in ((slice(None, n_p), dims[0], ranks[0]),
+                                  (slice(n_p, None), dims[1], ranks[1])):
+                y = row[cols].view(complex).reshape(d, -1)
+                assert np.abs(y.conj().T @ y - np.eye(y.shape[1])).max() <= 1e-14
+                p = projector_from_coords(row[cols], d, rank).matrix
+                p_raw = projector_from_coords(raw_row[cols], d, rank).matrix
+                assert np.abs(p - p_raw).max() <= 1e-14
+        fewer = search._start_rows(SystemDims(*dims), replace(cfg, restarts=3))
+        assert fewer.tobytes() == x[:3].tobytes()
+
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_longest_restart_is_short(self, d):
+        # the stacked loop runs until its slowest restart stops; from raw
+        # normal starts the step cap held some restarts to linear convergence
+        # (longest 14, 16 and 25 iterations here)
+        longest = max(
+            t.iterations
+            for seed in range(1, 9)
+            for t in minimize(random_amplitude(seed, SystemDims(d, d)),
+                              SearchConfig(restarts=32, exclude_exclusive=True,
+                                           rng_seed=seed)).restart_trace
+        )
+        assert longest <= 13
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_hinge_equilibrium_is_set_by_the_floor(self, d):
