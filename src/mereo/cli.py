@@ -48,6 +48,7 @@ from .properties import (
     Verdict,
     has_property,
     property_from_span,
+    smaller_side,
     symmetric_projector,
 )
 from .search import SearchConfig, brute_force_grid_d2, density_scan, minimize, projector_from_coords
@@ -307,7 +308,7 @@ def cmd_demo(args, tols: Tolerances) -> dict:
     for i in range(10):
         rng = np.random.default_rng([20260809, i])
         rank = 1 + i % (d - 1)
-        proj = projector_from_coords(rng.normal(size=2 * d * min(rank, d - rank)), d, rank)
+        proj = projector_from_coords(rng.normal(size=2 * d * smaller_side(d, rank)[0]), d, rank)
         recovered = extract_property(from_property(proj, tols=tols), tols=tols)
         worst = max(worst, frob(recovered.matrix - proj.matrix))
     items.append({
@@ -440,7 +441,8 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
+        # numpy's MemoryError says how much an input too large asked it to allocate
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     if not args.out:

@@ -41,8 +41,10 @@ def _parse_record(data, *, min_cols: int) -> np.ndarray:
     if not isinstance(data, dict):
         raise ValueError("matrix record must be a JSON object")
     try:
-        rows = int(data["rows"])
-        cols = int(data["cols"])
+        size = data["rows"], data["cols"]
+        rows, cols = map(int, size)
+        if (rows, cols) != size or bool in map(type, size):  # int() truncates 2.7 and takes True, "2"
+            raise ValueError(f"sizes must be integers, got {size[0]!r}x{size[1]!r}")
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e400) overflows
@@ -84,15 +86,15 @@ def property_from_json_dict(data, *, tols: Tolerances = Tolerances()) -> Propert
     dim, cols = b.shape
     if cols > dim:
         raise ValueError(f"projector basis has {cols} columns in dimension {dim}")
-    rank = dim - cols if data["complement"] else cols
-    if data.get("dim") != dim or data.get("rank") != rank:
+    p = Property.from_basis(b, data["complement"])
+    if data.get("dim") != p.dim or data.get("rank") != p.rank:
         raise ValueError(
             f"projector record claims dim {data.get('dim')!r}, rank {data.get('rank')!r}; "
-            f"its basis gives dim {dim}, rank {rank}"
+            f"its basis gives dim {p.dim}, rank {p.rank}"
         )
     if frob(b.conj().T @ b - np.eye(cols)) > tols.tol_recon:
         raise ValueError("projector basis columns are not orthonormal")
-    return Property.from_basis(b, data["complement"])
+    return p
 
 
 def load_matrix(path) -> np.ndarray:

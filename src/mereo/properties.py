@@ -42,6 +42,19 @@ class PropertyCheck:
     overlap: float
 
 
+def smaller_side(dim: int, rank: int) -> tuple[int, bool]:
+    """How a basis-built rank-``rank`` projector on ``C^dim`` is stored: ``(k, complement)``.
+
+    A projector and its complement answer the same yes/no question, so it is
+    stored by a basis of its smaller side, ``k = min(rank, dim - rank)``
+    columns: the complement when ``2 rank > dim``, else the range (a tie
+    keeps the range), as in the Grassmann coordinates of Edelman, Arias and Smith.
+    """
+    if 2 * rank > dim:
+        return dim - rank, True
+    return rank, False
+
+
 class Property:
     """Orthogonal projector with cached rank.
 
@@ -96,15 +109,9 @@ class Property:
 
     @classmethod
     def from_unitary(cls, u: np.ndarray, rank: int) -> "Property":
-        """Projector onto the first ``rank`` columns of the unitary ``u``, by its smaller side.
-
-        That is the range ``u[:, :rank]`` when ``rank <= dim / 2``, else the
-        complement ``u[:, rank:]``, so the basis has ``min(rank, dim - rank)``
-        columns (a tie keeps the range).
-        """
-        if 2 * rank <= u.shape[0]:
-            return cls.from_basis(u[:, :rank])
-        return cls.from_basis(u[:, rank:], complement=True)
+        """Projector onto the first ``rank`` columns of the unitary ``u``, stored by its :func:`smaller_side`."""
+        _, complement = smaller_side(u.shape[0], rank)
+        return cls.from_basis(u[:, rank:] if complement else u[:, :rank], complement)
 
     @property
     def dim(self) -> int:

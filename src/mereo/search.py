@@ -3,11 +3,11 @@
 Independent cross-check for the analytic certifier: minimize the squared
 commutator norm of ``P (x) Q`` with the joint dyad over projectors of fixed
 rank.  A rank-``r`` projector on ``C^d`` is described by a complex basis
-``Y`` (``d x k``, ``k = min(r, d - r)``) of its smaller side, the Grassmann
-coordinates of Edelman, Arias and Smith: ``P = Pi = Y G^-1 Y^dag`` with
-``G = Y^dag Y``, or ``P = I - Pi`` when ``2 r > d``.  The search so runs in
-an unconstrained real space of ``2 d k`` coordinates per factor, and no
-step needs an eigendecomposition.
+``Y`` (``d x k``) of its smaller side, ``(k, complement) =
+properties.smaller_side(d, r)``: ``P = Pi = Y G^-1 Y^dag`` with ``G = Y^dag
+Y``, or ``P = I - Pi`` on the complement side.  The search so runs in an
+unconstrained real space of ``2 d k`` coordinates per factor, and no step
+needs an eigendecomposition.
 
 The objective is ``holism``'s squared commutator norm: its general form in
 ``W = P amp Q^T`` wherever ``W`` is formed, which does not cancel, else its
@@ -84,7 +84,7 @@ from .holism import (
     schmidt_rank,
 )
 from .linalg import SystemDims, stacked_singular_values
-from .properties import Property
+from .properties import Property, smaller_side
 
 # Well above tolerances, well below typical co-occurrence weights.  It also
 # sets the restricted minimum at ranks (1, 1), where the objective is
@@ -153,11 +153,6 @@ def _adj(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _side_cols(d: int, rank: int) -> int:
-    """Columns of the basis that describes a rank-``rank`` projector on ``C^d``: its smaller side."""
-    return min(rank, d - rank)
-
-
 def _bases(params: np.ndarray, d: int, k: int) -> np.ndarray:
     """Complex ``(..., d, k)`` bases from real coordinates ``(..., 2 d k)``, (re, im) pairs row-major."""
     return np.ascontiguousarray(params).view(complex).reshape(params.shape[:-1] + (d, k))
@@ -166,36 +161,43 @@ def _bases(params: np.ndarray, d: int, k: int) -> np.ndarray:
 def projector_from_coords(params, d: int, rank: int) -> Property:
     """Rank-``rank`` projector on ``C^d`` from the coordinates of a basis of its smaller side.
 
-    Layout: ``2 d k`` reals with ``k = min(rank, d - rank)``, the (real,
-    imaginary) parts of the entries of a complex ``d x k`` matrix ``Y`` in
-    row-major order.  The projector is ``Pi = Y (Y^dag Y)^-1 Y^dag`` onto the
-    span of ``Y`` when ``2 rank <= d``, else its complement ``I - Pi`` (the
-    tie rule of ``Property.from_unitary``).  Built by ``Property.from_basis``
-    from the ``Q`` factor of ``Y = QR``, so its basis has ``k`` columns.
+    Layout: ``2 d k`` reals, ``(k, complement) = smaller_side(d, rank)``,
+    the (real, imaginary) parts of the entries of a complex ``d x k`` matrix
+    ``Y`` in row-major order.  The projector is ``Pi = Y (Y^dag Y)^-1 Y^dag``
+    onto the span of ``Y``, or its complement ``I - Pi``.  Built by
+    ``Property.from_basis`` from the ``Q`` factor of ``Y = QR``, so its basis
+    has ``k`` columns.
     """
     if not 0 <= rank <= d:
         raise ValueError(f"rank must be between 0 and {d}, got {rank}")
-    k = _side_cols(d, rank)
+    k, complement = smaller_side(d, rank)
     params = np.asarray(params, dtype=float).reshape(-1)
     if params.size != 2 * d * k:
         raise ValueError(f"expected {2 * d * k} parameters for dimension {d}, rank {rank}, "
                          f"got {params.size}")
-    return Property.from_basis(np.linalg.qr(_bases(params, d, k))[0], complement=2 * rank > d)
+    return Property.from_basis(np.linalg.qr(_bases(params, d, k))[0], complement=complement)
 
 
-def _side(params: np.ndarray, d: int, rank: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Stacked bases ``Y``, ``Z = Y G^-1`` (``G = Y^dag Y``) and whether ``P`` is the complement side.
+def _layout(dims: SystemDims, cfg: SearchConfig) -> tuple[tuple, tuple, int]:
+    """``(columns, d, k, complement)`` of ``P``, then of ``Q``, in the joint coordinates, and their count."""
+    d_a, d_b = dims
+    k_a, comp_p = smaller_side(d_a, cfg.rank_p)
+    k_b, comp_q = smaller_side(d_b, cfg.rank_q)
+    n_p = 2 * d_a * k_a
+    n = n_p + 2 * d_b * k_b
+    return (slice(0, n_p), d_a, k_a, comp_p), (slice(n_p, n), d_b, k_b, comp_q), n
 
-    At ``k = 1`` the Gram matrix is the scalar ``||y||^2``, the sum of squares
-    of the real coordinates, so no ``k x k`` inverse is taken.
-    """
-    k = _side_cols(d, rank)
+
+def _side(x: np.ndarray, side: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked bases ``Y`` and ``Z = Y G^-1`` (``G = Y^dag Y``) of one factor, from its columns of ``x``."""
+    cols, d, k, _ = side
+    params = x[:, cols]
     y = _bases(params, d, k)
     if k == 1:
         z = y * (1.0 / (params * params).sum(axis=-1))[:, None, None]
     else:
         z = y @ np.linalg.inv(_adj(y) @ y)
-    return y, z, 2 * rank > d
+    return y, z
 
 
 def _add_hinge(comm2: np.ndarray, gap: np.ndarray) -> np.ndarray:
@@ -204,15 +206,16 @@ def _add_hinge(comm2: np.ndarray, gap: np.ndarray) -> np.ndarray:
 
 
 def _matrix_terms(
-    am: np.ndarray, x_p: np.ndarray, x_q: np.ndarray, d_a: int, d_b: int, cfg: SearchConfig
+    am: np.ndarray, x: np.ndarray, side_p: tuple, side_q: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(comm2, n2, dir_P, dir_Q)`` from products with the ``d x k`` bases, at any ranks.
 
     ``dir = (I - Pi) M (M^dag Z)`` of the module docstring, unsigned, one
     ``(rows, d, k)`` stack per side.
     """
-    y_p, z_p, comp_p = _side(x_p, d_a, cfg.rank_p)
-    y_q, z_q, comp_q = _side(x_q, d_b, cfg.rank_q)
+    y_p, z_p = _side(x, side_p)
+    y_q, z_q = _side(x, side_q)
+    comp_p, comp_q = side_p[3], side_q[3]
     # M_q = amp Q^T and M_p = P amp, with Pi_Q^T = conj(Z_q) Y_q^T and Pi_P = Z_p Y_p^dag;
     # a complement side is amp minus its rank-k term
     m_q = (am @ z_q.conj()) @ y_q.swapaxes(-1, -2)
@@ -261,7 +264,7 @@ def objective_value_and_grad(
     """Objective and its analytic gradient in the joint parameter vector.
 
     Parameters concatenate the basis coordinates of ``P`` (``2 d_a k_a`` reals)
-    and of ``Q`` (``2 d_b k_b``), ``k = min(rank, d - rank)`` in the layout of
+    and of ``Q`` (``2 d_b k_b``), each in the layout of
     :func:`projector_from_coords`.  Leading axes stack pairs, computed row by
     row so that a row's result does not depend on the stack; 1-D gives
     ``(float, grad)``.  No ``d x d`` projector is formed: the terms come from
@@ -269,21 +272,18 @@ def objective_value_and_grad(
     (:func:`_rank_one_terms`), else from products with the bases
     (:func:`_matrix_terms`), which form ``W`` and its general-form norm.
     """
-    d_a, d_b = amp.dims
-    k_a, k_b = _side_cols(d_a, cfg.rank_p), _side_cols(d_b, cfg.rank_q)
-    n_p = 2 * d_a * k_a
-    n = n_p + 2 * d_b * k_b
+    side_p, side_q, n = _layout(amp.dims, cfg)
+    cols_p, _, k_a, comp_p = side_p
+    cols_q, _, k_b, comp_q = side_q
     params = np.asarray(params, dtype=float)
     if params.ndim == 0 or params.shape[-1] != n:
         raise ValueError(f"expected {n} parameters, got {params.shape[-1:] or 1}")
     x = np.ascontiguousarray(params).reshape(-1, n)
-    x_p, x_q = x[:, :n_p], x[:, n_p:]
-    comp_p, comp_q = 2 * cfg.rank_p > d_a, 2 * cfg.rank_q > d_b
     am = amp.matrix
     if k_a == k_b == 1 and not comp_p and not comp_q:
-        f, n2, dir_p, dir_q = _rank_one_terms(am, x_p, x_q)
+        f, n2, dir_p, dir_q = _rank_one_terms(am, x[:, cols_p], x[:, cols_q])
     else:
-        f, n2, dir_p, dir_q = _matrix_terms(am, x_p, x_q, d_a, d_b, cfg)
+        f, n2, dir_p, dir_q = _matrix_terms(am, x, side_p, side_q)
     # the gradient of the module docstring, +-(4 - 8 n2 - h) dir
     scale = 4.0 - 8.0 * n2
     if cfg.exclude_exclusive:
@@ -294,9 +294,8 @@ def objective_value_and_grad(
         f = _add_hinge(f, gap)
     scale = scale[:, None]
     # each side is written into its columns of one real array, viewed as complex
-    rows = x.shape[0]
-    grad = np.empty((rows, n))
-    for cols, d, comp in ((slice(None, n_p), dir_p, comp_p), (slice(n_p, None), dir_q, comp_q)):
+    grad = np.empty(x.shape)
+    for cols, d, comp in ((cols_p, dir_p, comp_p), (cols_q, dir_q, comp_q)):
         out = grad[:, cols].view(complex)
         np.multiply(d.reshape(out.shape), -scale if comp else scale, out=out)
     grad = grad.reshape(params.shape)
@@ -368,11 +367,9 @@ def _start_rows(dims: SystemDims, cfg: SearchConfig) -> np.ndarray:
     ``Y^dag Y = I`` (see the module docstring for why).  LAPACK factors each
     matrix of the stack alone, so more restarts only append rows.
     """
-    d_a, d_b = dims
-    k_a, k_b = _side_cols(d_a, cfg.rank_p), _side_cols(d_b, cfg.rank_q)
-    n_p = 2 * d_a * k_a
-    x = np.random.default_rng(cfg.rng_seed).standard_normal((cfg.restarts, n_p + 2 * d_b * k_b))
-    for cols, d, k in ((slice(None, n_p), d_a, k_a), (slice(n_p, None), d_b, k_b)):
+    side_p, side_q, n = _layout(dims, cfg)
+    x = np.random.default_rng(cfg.rng_seed).standard_normal((cfg.restarts, n))
+    for cols, d, k, _ in (side_p, side_q):
         q = np.linalg.qr(_bases(x[:, cols], d, k))[0]
         x[:, cols].view(complex)[...] = q.reshape(cfg.restarts, d * k)
     return x
@@ -381,24 +378,15 @@ def _start_rows(dims: SystemDims, cfg: SearchConfig) -> np.ndarray:
 def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
     """Multi-restart gradient descent over the basis coordinates of the projector pair.
 
-    Restarts descend as one stack, each halving its step on non-decrease
-    (counted in ``RestartTrace.rejected``) and taking the Barzilai-Borwein
-    step ``s.y / y.y``, or 1.5 times the last where ``s.y <= 0``, capped at
-    ``STEP_MAX``, on acceptance, until ``GRAD_TOL``, a step below
-    ``STEP_MIN`` or ``MAX_ITERS`` steps (``restart_trace`` says which).
-    Restart ``r`` starts from the ``r``-th row of
-    ``default_rng(cfg.rng_seed).standard_normal((cfg.restarts, n))``, the
-    coordinates of :func:`objective_value_and_grad`, with each side's basis
-    orthonormalized (:func:`_start_rows`; the module docstring says why),
-    and rows are computed one by one, so enlarging ``cfg.restarts`` only
-    appends candidates; the first with the lowest objective wins.  Its projectors are built by
-    :func:`projector_from_coords`, from the ``Q`` factor of each basis.
-    ``min_value`` is the commutator norm of that pair from
-    :func:`product_commutator_norm`, which also gives ``cooccurrence_weight``,
-    so results replay by construction.  The objective is cancellation-free
-    wherever ``W`` is formed (see the module docstring).  At ranks (1, 1) with
-    ``exclude_exclusive`` the minimum is 0.0235757, set by the hinge floor
-    and not by the amplitude (see ``EXCLUDE_FLOOR``).
+    Restarts start from :func:`_start_rows` and descend as one stack by the
+    rule of the module docstring (:func:`_descend`); ``restart_trace`` says
+    how each stopped.  Rows are computed one by one, so enlarging
+    ``cfg.restarts`` only appends candidates; the first with the lowest
+    objective wins, and :func:`projector_from_coords` builds its projectors.
+    Its ``min_value`` and ``cooccurrence_weight`` come from
+    :func:`product_commutator_norm`, so results replay by construction.  At
+    ranks (1, 1) with ``exclude_exclusive`` the minimum is 0.0235757, set by
+    the hinge floor and not by the amplitude (see ``EXCLUDE_FLOOR``).
     """
     d_a, d_b = amp.dims
     if not 0 < cfg.rank_p < d_a:
@@ -407,11 +395,11 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
         raise ValueError(f"rank_q must satisfy 0 < rank < {d_b}, got {cfg.rank_q}")
     if cfg.restarts < 1:
         raise ValueError("restarts must be positive")
-    n_p = 2 * d_a * _side_cols(d_a, cfg.rank_p)
+    (cols_p, *_), (cols_q, *_), _ = _layout(amp.dims, cfg)
     x, f, iters, rejected, reason = _descend(amp, _start_rows(amp.dims, cfg), cfg)
     best = int(np.argmin(f))
-    p = projector_from_coords(x[best, :n_p], d_a, cfg.rank_p)
-    q = projector_from_coords(x[best, n_p:], d_b, cfg.rank_q)
+    p = projector_from_coords(x[best, cols_p], d_a, cfg.rank_p)
+    q = projector_from_coords(x[best, cols_q], d_b, cfg.rank_q)
     min_value, weight = product_commutator_norm(amp, p, q)
     return SearchResult(
         min_value=min_value,

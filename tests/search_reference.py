@@ -24,7 +24,8 @@ from mereo import (
     SystemDims,
     search,
 )
-from mereo.search import EXCLUDE_FLOOR, HINGE_NORM_MIN, _adj, _bases, _bloch_grid, _side_cols
+from mereo.properties import smaller_side
+from mereo.search import EXCLUDE_FLOOR, HINGE_NORM_MIN, _adj, _bases, _bloch_grid
 
 
 def hermitian_from_params(params, d: int) -> np.ndarray:
@@ -60,7 +61,7 @@ def parametrize_projector(params, d: int, rank: int) -> Property:
 
 def _projectors(params: np.ndarray, d: int, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked projectors ``P`` from basis coordinates, and ``Pi``, ``Z = Y G^-1`` for the gradient."""
-    y = _bases(params, d, _side_cols(d, rank))
+    y = _bases(params, d, smaller_side(d, rank)[0])
     z = y @ np.linalg.inv(_adj(y) @ y)
     pi = z @ _adj(y)
     return (np.eye(d) - pi if 2 * rank > d else pi), pi, z
@@ -106,7 +107,7 @@ def dense_objective_value_and_grad(
     ``dW = (P amp) dQ^T`` gives ``L_Q = (K^dag P amp)^T``.
     """
     d_a, d_b = amp.dims
-    n_p = 2 * d_a * _side_cols(d_a, cfg.rank_p)
+    n_p = 2 * d_a * smaller_side(d_a, cfg.rank_p)[0]
     x = np.asarray(params, dtype=float)
     proj_p, pi_p, z_p = _projectors(x[:, :n_p], d_a, cfg.rank_p)
     proj_q, pi_q, z_q = _projectors(x[:, n_p:], d_b, cfg.rank_q)

@@ -519,7 +519,9 @@ class TestReportShape:
          "malformed matrix record"),
         ('{"rows": 2, "cols": 2, "re": [1e200, 0, 0, 1e200], "im": [0, 0, 0, 0]}',
          "norm of the amplitude matrix overflows"),
-    ], ids=["rows-overflow", "norm-overflow"])
+        ('{"rows": 2.7, "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}', "malformed matrix record"),
+        ('{"rows": true, "cols": 2, "re": [1, 0], "im": [0, 0]}', "malformed matrix record"),
+    ], ids=["rows-overflow", "norm-overflow", "rows-fractional", "rows-bool"])
     def test_out_of_range_gamma_is_input_error(self, tmp_path, capsys, text, names):
         path = tmp_path / "gamma.json"
         path.write_text(text)
@@ -528,6 +530,20 @@ class TestReportShape:
         assert (code, captured.out) == (2, "")
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:") and names in lines[0]
+
+    def test_input_too_large_for_memory_is_input_error(self, capsys, monkeypatch):
+        # a resolution of 100000 would ask numpy for ~75 GiB; the stub raises
+        # what numpy raises there, without allocating
+        def too_large(amp, resolution, exclude_exclusive):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(cli, "brute_force_grid_d2", too_large)
+        code = cli.main(["search", "--random-seed", "1", "--dims", "2", "2", "--oracle",
+                         "--oracle-resolution", "100000"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:") and "74.5 GiB" in lines[0]
 
     @pytest.mark.parametrize("argv, source", [
         (["certify", "--preset", "bell2", "--dims", "3", "3"], "--preset"),

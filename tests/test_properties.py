@@ -16,6 +16,7 @@ from mereo import (
     property_from_span,
     symmetric_projector,
 )
+from mereo.properties import smaller_side
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -58,6 +59,19 @@ class TestPropertyType:
                 w = np.linalg.eigvalsh(p.matrix)
                 assert np.all(np.minimum(np.abs(w), np.abs(w - 1)) <= 1e-7)
                 assert p.rank == rank
+
+
+class TestSmallerSide:
+    # (2, 1) and (4, 2) are ties, which keep the range
+    @pytest.mark.parametrize("d, rank", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3), (6, 5)])
+    def test_rule_and_from_unitary_follow_it(self, d, rank):
+        k, complement = min(rank, d - rank), 2 * rank > d
+        assert smaller_side(d, rank) == (k, complement)
+        rng = np.random.default_rng(d + rank)
+        u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        p = Property.from_unitary(u, rank)
+        assert p.basis.shape == (d, k) and p.complement is complement and p.rank == rank
+        assert frob(p.matrix - u[:, :rank] @ u[:, :rank].conj().T) <= 1e-12
 
 
 class TestPropertyFromSpan:

@@ -154,6 +154,12 @@ def good_record():
     lambda r: r["basis"].update(re=[float("nan")] * 3),
     lambda r: r.pop("basis"),
     lambda r: r["basis"].update(rows=json.loads("1e400")),  # inf, which int() cannot take
+    # sizes that int() would truncate or coerce; cols True and 1.5 would read as 1
+    lambda r: r["basis"].update(rows=2.7),
+    lambda r: r["basis"].update(rows=True),
+    lambda r: r["basis"].update(cols=True),
+    lambda r: r["basis"].update(cols=1.5),
+    lambda r: r["basis"].update(cols="1"),
 ])
 def test_malformed_records_are_rejected(edit):
     record = good_record()

@@ -42,6 +42,10 @@ def n_coords(d, rank):
     return 2 * d * min(rank, d - rank)
 
 
+# (d, rank) pairs on both sides of the smaller-side rule; (2, 1) and (4, 2) are ties
+SIDES = [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3), (6, 5)]
+
+
 def fd_gradient(amp, params, cfg, h=1e-5):
     """Central-difference oracle for the analytic gradient."""
     grad = np.zeros(params.size)
@@ -113,6 +117,12 @@ class TestProjectorFromCoords:
             # the span of Y is the range, or the kernel above d / 2
             side = p.matrix @ y if 2 * rank <= d else y - p.matrix @ y
             assert frob(side - y) <= 1e-12
+
+    @pytest.mark.parametrize("d, rank", SIDES)
+    def test_keeps_a_basis_of_the_smaller_side(self, d, rank):
+        k, complement = min(rank, d - rank), 2 * rank > d
+        p = projector_from_coords(np.random.default_rng(d).standard_normal(2 * d * k), d, rank)
+        assert p.basis.shape == (d, k) and p.complement is complement and p.rank == rank
 
     def test_wrong_param_count(self):
         with pytest.raises(ValueError, match="expected 8 parameters"):
@@ -292,8 +302,10 @@ class TestMinimize:
                 assert np.allclose(cand, x - step * grad, rtol=1e-12, atol=0.0)
                 if f_cand < f:
                     s, y = cand - x, grad_cand - grad
-                    if s @ y > 0.0:
-                        step = s @ y / (y @ y)
+                    # row sums, as in the stacked loop: a BLAS dot rounds a cancelling s.y differently
+                    sy = (s * y).sum()
+                    if sy > 0.0:
+                        step = sy / (y * y).sum()
                         branches["bb" if step <= search.STEP_MAX else "capped"] += 1
                     else:
                         step = 1.5 * step
@@ -377,6 +389,13 @@ class TestMinimize:
                 assert np.abs(p - p_raw).max() <= 1e-14
         fewer = search._start_rows(SystemDims(*dims), replace(cfg, restarts=3))
         assert fewer.tobytes() == x[:3].tobytes()
+
+    @pytest.mark.parametrize("side_p, side_q", zip(SIDES, SIDES[::-1]))
+    def test_start_rows_hold_both_smaller_sides(self, side_p, side_q):
+        (d_a, rank_p), (d_b, rank_q) = side_p, side_q
+        cfg = SearchConfig(rank_p=rank_p, rank_q=rank_q, restarts=3)
+        x = search._start_rows(SystemDims(d_a, d_b), cfg)
+        assert x.shape == (3, n_coords(d_a, rank_p) + n_coords(d_b, rank_q))
 
     @pytest.mark.parametrize("d", [3, 4, 6])
     def test_longest_restart_is_short(self, d):
