@@ -15,10 +15,9 @@ from .doubleket import AmplitudeMatrix, swap_operator
 from .holism import (
     HolismVerdict,
     NontrivialityConvention,
-    ProductProperty,
+    Witness,
     certify_rank1,
     lattice_amplitudes,
-    make_holistic,
     marginal_entropy,
     product_commutator_norm,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "HolismVerdict",
     "InvariantViolation",
     "NontrivialityConvention",
-    "ProductProperty",
     "Property",
     "QuantumTransformation",
     "SearchConfig",
@@ -70,6 +68,7 @@ __all__ = [
     "SystemDims",
     "Tolerances",
     "Verdict",
+    "Witness",
     "active_tolerances",
     "brute_force_grid_d2",
     "certify_rank1",
@@ -85,7 +84,6 @@ __all__ = [
     "is_nontrivial",
     "is_repeatable",
     "lattice_amplitudes",
-    "make_holistic",
     "marginal_entropy",
     "minimize",
     "mutually_exclusive",

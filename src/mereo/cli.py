@@ -25,8 +25,7 @@ from .doubleket import AmplitudeMatrix
 from .holism import (
     HolismVerdict,
     NontrivialityConvention,
-    ProductProperty,
-    Replay,
+    Witness,
     certify_rank1,
     commutator_norm_sq_from_n2,
     holistic_at_rank,
@@ -92,14 +91,14 @@ def _resolve_amplitude(args) -> tuple[AmplitudeMatrix, dict]:
     }
 
 
-def _witness_dict(witness: ProductProperty | None, replay: Replay | None) -> dict | None:
+def _witness_dict(witness: Witness | None) -> dict | None:
     if witness is None:
         return None
     return {
         "p": property_to_json_dict(witness.p),
         "q": property_to_json_dict(witness.q),
-        "replay_commutator_norm": replay.commutator_norm,
-        "cooccurrence_weight": replay.cooccurrence_weight,
+        "replay_commutator_norm": witness.commutator_norm,
+        "cooccurrence_weight": witness.cooccurrence_weight,
     }
 
 
@@ -109,8 +108,8 @@ def _verdict_dict(verdict: HolismVerdict) -> dict:
         "rank": verdict.rank,
         "dims": list(verdict.dims),
         "convention": verdict.convention.value,
-        "lambda1_witness": _witness_dict(verdict.lambda1_witness, verdict.lambda1_replay),
-        "lambda0_witness": _witness_dict(verdict.lambda0_witness, verdict.lambda0_replay),
+        "lambda1_witness": _witness_dict(verdict.lambda1_witness),
+        "lambda0_witness": _witness_dict(verdict.lambda0_witness),
     }
 
 
@@ -153,17 +152,18 @@ def cmd_search(args, tols: Tolerances) -> dict:
             "resolution": args.oracle_resolution,
         }
     result = minimize(amp, cfg)
+    argmin = result.argmin
     return {
         "gamma_source": source,
         "dims": list(amp.dims),
-        "min_value": result.min_value,
-        "cooccurrence_weight": result.cooccurrence_weight,
+        "min_value": argmin.commutator_norm,
+        "cooccurrence_weight": argmin.cooccurrence_weight,
         "iterations_used": result.iterations_used,
         "converged": result.converged,
         # vars, not dataclasses.asdict: the same keys in field order, without a deep copy
         "restart_trace": [dict(vars(t)) for t in result.restart_trace],
-        "argmin_p": property_to_json_dict(result.argmin_p),
-        "argmin_q": property_to_json_dict(result.argmin_q),
+        "argmin_p": property_to_json_dict(argmin.p),
+        "argmin_q": property_to_json_dict(argmin.q),
         "grid_oracle": grid_oracle,
     }
 

@@ -61,6 +61,8 @@ def active_tolerances() -> Tolerances:
         fields = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{ENV_OVERRIDE} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the parser recurses once per nesting level
+        raise ValueError(f"{ENV_OVERRIDE} is JSON nested too deeply") from exc
     if not isinstance(fields, dict):
         raise ValueError(f"{ENV_OVERRIDE} must be a JSON object")
     unknown = set(fields) - set(base.as_dict())

@@ -50,28 +50,16 @@ class NontrivialityConvention(Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
-class ProductProperty:
-    """Factorized projector pair ``p (x) q``, nontrivial per the convention."""
+class Witness(NamedTuple):
+    """A factorized projector pair ``p (x) q`` and what its replay measured.
+
+    ``commutator_norm`` is the norm of the pair's commutator with the joint
+    dyad and ``cooccurrence_weight`` is ``||p @ amp @ q.T||_F``, both from
+    the one product of :func:`product_commutator_norm`.
+    """
 
     p: Property
     q: Property
-    convention: NontrivialityConvention
-
-    def __post_init__(self):
-        p_ok = is_nontrivial(self.p)
-        q_ok = is_nontrivial(self.q)
-        if self.convention is NontrivialityConvention.AT_LEAST_ONE:
-            if not (p_ok or q_ok):
-                raise ValueError("at least one factor must be a nontrivial projector")
-        else:
-            if not (p_ok and q_ok):
-                raise ValueError("both factors must be nontrivial projectors")
-
-
-class Replay(NamedTuple):
-    """What replaying a pair measured: the commutator norm and ``||P @ amp @ Q.T||_F``."""
-
     commutator_norm: float
     cooccurrence_weight: float
 
@@ -83,18 +71,16 @@ class HolismVerdict:
     ``holistic`` is True exactly when no co-occurring witness exists under
     the declared convention.  An exclusive witness always exists for factor
     dimensions >= 2, so ``lambda0_witness`` is never None and no amplitude
-    is strictly free of commuting products.  Each witness comes with the
-    :class:`Replay` it passed.
+    is strictly free of commuting products.  Each :class:`Witness` holds the
+    replay it passed.
     """
 
-    lambda1_witness: ProductProperty | None
-    lambda0_witness: ProductProperty | None
+    lambda1_witness: Witness | None
+    lambda0_witness: Witness
     holistic: bool
     rank: int
     dims: SystemDims
     convention: NontrivialityConvention
-    lambda1_replay: Replay | None
-    lambda0_replay: Replay | None
 
 
 def make_holistic(amp: AmplitudeMatrix, *, tols: Tolerances = Tolerances()) -> Property:
@@ -135,19 +121,19 @@ def commutator_norm_sq_from_n2(n2):
     return 2.0 * (n2 - n2 * n2)
 
 
-def product_commutator_norm(amp: AmplitudeMatrix, p: Property, q: Property) -> Replay:
+def product_commutator_norm(amp: AmplitudeMatrix, p: Property, q: Property) -> Witness:
     """Replay of the pair ``p (x) q`` against the joint dyad of ``amp``.
 
     :func:`commutator_norm_sq` of ``W = p @ amp @ q.T``: the measured norm of
     the matrices the pair holds, with no ``d_a d_b``-square operator formed.
     It resolves norms far below ``tol_compat`` and is defined for trivial
-    pairs too.  The :class:`Replay` adds ``||W||_F`` from the same product.
+    pairs too.  The :class:`Witness` adds ``||W||_F`` from the same product.
     """
     d_a, d_b = amp.dims
     if p.dim != d_a or q.dim != d_b:
         raise ValueError(f"pair dims ({p.dim}, {q.dim}) do not match amplitude dims ({d_a}, {d_b})")
     w = p.matrix @ amp.matrix @ q.matrix.T
-    return Replay(float(np.sqrt(commutator_norm_sq(amp.matrix, w))), frob(w))
+    return Witness(p, q, float(np.sqrt(commutator_norm_sq(amp.matrix, w))), frob(w))
 
 
 def schmidt_rank(s, tols: Tolerances):
@@ -187,8 +173,9 @@ def certify_rank1(
     factors are built by ``Property.from_basis`` from the SVD's columns, and
     only that witness asks ``amp`` for ``U`` and ``V``.
 
-    Every witness is replayed once through :func:`product_commutator_norm`; a
-    replay above ``tol_compat`` raises :class:`InvariantViolation`.  The
+    Every witness is replayed once through :func:`product_commutator_norm`.
+    One whose factors are not nontrivial under ``convention``, or whose
+    replay exceeds ``tol_compat``, raises :class:`InvariantViolation`.  The
     co-occurring bound adds ``sqrt(2) ||s[r:]||``, since truncating ``s[r:]``
     leaves the residual ``sqrt(2 delta (1 - delta))``, ``delta = ||s[r:]||^2``.
     """
@@ -196,45 +183,40 @@ def certify_rank1(
     r = int(schmidt_rank(s, tols))
     holistic = bool(holistic_at_rank(r, amp.dims, convention))
 
+    def replayed(p: Property, q: Property, bound: float) -> Witness:
+        p_ok, q_ok = is_nontrivial(p), is_nontrivial(q)
+        ok = (p_ok or q_ok) if convention is NontrivialityConvention.AT_LEAST_ONE else (p_ok and q_ok)
+        if not ok:
+            raise InvariantViolation(
+                f"witness factors of ranks ({p.rank}, {q.rank}) in dims ({p.dim}, {q.dim}) "
+                f"are not nontrivial under {convention.value}"
+            )
+        witness = product_commutator_norm(amp, p, q)
+        if witness.commutator_norm > bound:
+            raise InvariantViolation(
+                f"witness replay failed: commutator norm {witness.commutator_norm!r} > {bound!r}"
+            )
+        return witness
+
     lambda1 = None
     if not holistic:
         # Q = (V_r V_r^dag)^T projects onto the columns of conj(V_r)
         u, _, v = amp.svd()
-        lambda1 = ProductProperty(
-            Property.from_unitary(u, r), Property.from_unitary(v.conj(), r), convention
-        )
-
-    lambda0 = _exclusive_witness(amp, convention, tols)
-
-    bound1 = tols.tol_compat + float(np.sqrt(2.0) * frob(s[r:]))
-    replays = []
-    for witness, bound in ((lambda1, bound1), (lambda0, tols.tol_compat)):
-        if witness is None:
-            replays.append(None)
-            continue
-        replay = product_commutator_norm(amp, witness.p, witness.q)
-        if replay.commutator_norm > bound:
-            raise InvariantViolation(
-                f"witness replay failed: commutator norm {replay.commutator_norm!r} > {bound!r}"
-            )
-        replays.append(replay)
+        bound = tols.tol_compat + float(np.sqrt(2.0) * frob(s[r:]))
+        lambda1 = replayed(Property.from_unitary(u, r), Property.from_unitary(v.conj(), r), bound)
 
     return HolismVerdict(
         lambda1_witness=lambda1,
-        lambda0_witness=lambda0,
+        lambda0_witness=replayed(*_exclusive_witness(amp, tols), tols.tol_compat),
         holistic=holistic,
         rank=r,
         dims=amp.dims,
         convention=convention,
-        lambda1_replay=replays[0],
-        lambda0_replay=replays[1],
     )
 
 
-def _exclusive_witness(
-    amp: AmplitudeMatrix, convention: NontrivialityConvention, tols: Tolerances
-) -> ProductProperty:
-    """Both-nontrivial pair with ``P @ amp @ Q.T == 0``, built deterministically.
+def _exclusive_witness(amp: AmplitudeMatrix, tols: Tolerances) -> tuple[Property, Property]:
+    """Both-nontrivial pair ``(P, Q)`` with ``P @ amp @ Q.T == 0``, built deterministically.
 
     ``Q`` projects onto the first column with norm above ``tol_rank``, else onto
     the longest (nonzero for unit-norm ``amp``); ``P`` off that column's image.
@@ -249,9 +231,7 @@ def _exclusive_witness(
     image = image / np.linalg.norm(image)
     e_col = np.zeros((d_b, 1), dtype=complex)
     e_col[col, 0] = 1.0
-    return ProductProperty(
-        Property.from_basis(image[:, None], complement=True), Property.from_basis(e_col), convention
-    )
+    return Property.from_basis(image[:, None], complement=True), Property.from_basis(e_col)
 
 
 def lattice_amplitudes(amp: AmplitudeMatrix, k: int, rng_seed: int) -> np.ndarray:
@@ -305,5 +285,6 @@ def marginal_entropy(amp: AmplitudeMatrix) -> tuple[float, float]:
     """
     weights = amp.singular_values.astype(float) ** 2
     weights = weights[weights > ENTROPY_WEIGHT_CUT]
-    s_part = float(-np.sum(weights * np.log(weights)))
+    # 0.0 - x, not -x: a zero sum (rank 1) gives +0.0, any other the bits of -x
+    s_part = float(0.0 - np.sum(weights * np.log(weights)))
     return 0.0, s_part

@@ -99,7 +99,11 @@ def property_from_json_dict(data, *, tols: Tolerances = Tolerances()) -> Propert
 
 def load_matrix(path) -> np.ndarray:
     text = Path(path).read_text(encoding="utf-8")
-    return matrix_from_json_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:  # the parser recurses once per nesting level
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
+    return matrix_from_json_dict(data)
 
 
 def preset_matrix(name: str) -> np.ndarray:

@@ -77,6 +77,7 @@ from .config import Tolerances
 from .doubleket import AmplitudeMatrix
 from .holism import (
     NontrivialityConvention,
+    Witness,
     commutator_norm_sq,
     commutator_norm_sq_from_n2,
     holistic_at_rank,
@@ -138,14 +139,11 @@ class RestartTrace:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best pair found; ``min_value`` is the commutator norm at the argmin."""
+    """Best pair found, as a replayed :class:`Witness`: ``argmin.commutator_norm`` is the minimum."""
 
-    min_value: float
-    argmin_p: Property
-    argmin_q: Property
+    argmin: Witness
     iterations_used: int
     converged: bool
-    cooccurrence_weight: float
     restart_trace: tuple[RestartTrace, ...]
 
 
@@ -383,10 +381,10 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
     how each stopped.  Rows are computed one by one, so enlarging
     ``cfg.restarts`` only appends candidates; the first with the lowest
     objective wins, and :func:`projector_from_coords` builds its projectors.
-    Its ``min_value`` and ``cooccurrence_weight`` come from
-    :func:`product_commutator_norm`, so results replay by construction.  At
-    ranks (1, 1) with ``exclude_exclusive`` the minimum is 0.0235757, set by
-    the hinge floor and not by the amplitude (see ``EXCLUDE_FLOOR``).
+    Its ``argmin`` is the :class:`Witness` that :func:`product_commutator_norm`
+    returns, so results replay by construction.  At ranks (1, 1) with
+    ``exclude_exclusive`` the minimum is 0.0235757, set by the hinge floor
+    and not by the amplitude (see ``EXCLUDE_FLOOR``).
     """
     d_a, d_b = amp.dims
     if not 0 < cfg.rank_p < d_a:
@@ -400,14 +398,10 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
     best = int(np.argmin(f))
     p = projector_from_coords(x[best, cols_p], d_a, cfg.rank_p)
     q = projector_from_coords(x[best, cols_q], d_b, cfg.rank_q)
-    min_value, weight = product_commutator_norm(amp, p, q)
     return SearchResult(
-        min_value=min_value,
-        argmin_p=p,
-        argmin_q=q,
+        argmin=product_commutator_norm(amp, p, q),
         iterations_used=int(iters.sum()),
         converged=reason[best] == "grad_tol",
-        cooccurrence_weight=weight,
         restart_trace=tuple(
             RestartTrace(float(f[r]), int(iters[r]), reason[r], int(rejected[r]))
             for r in range(cfg.restarts)
@@ -456,12 +450,22 @@ def brute_force_grid_d2(
     best_idx = (0, 0)
     n = tg.size
     chunk = max(1, GRID_CHUNK_ENTRIES // n)
+    # every block writes its overlaps and their squared moduli into the same
+    # buffers, which stay in cache; with fresh arrays per block, which land
+    # wherever malloc puts them, the scan's time varied by up to 1.5x with
+    # the heap's layout
+    zs = np.empty((2, min(chunk, n), n), dtype=complex)
+    rs = np.empty((2, min(chunk, n), n))
     for start in range(0, n, chunk):
+        rows = min(chunk, n - start)
+        z, term = zs[:, :rows]
+        n2, term2 = rs[:, :rows]
         # two outer products: a rank-2 matmul would go through BLAS, whose
         # threading costs far more than the product at these shapes
-        z = np.multiply.outer(bras[0, start : start + chunk], kets[0])
-        z += np.multiply.outer(bras[1, start : start + chunk], kets[1])
-        n2 = z.real**2 + z.imag**2
+        np.multiply.outer(bras[0, start : start + rows], kets[0], out=z)
+        z += np.multiply.outer(bras[1, start : start + rows], kets[1], out=term)
+        np.square(z.real, out=n2)
+        n2 += np.square(z.imag, out=term2)
         comm2 = commutator_norm_sq_from_n2(n2)
         obj = _add_hinge(comm2, EXCLUDE_FLOOR - np.sqrt(n2)) if exclude_exclusive else comm2
         a_off, b_idx = divmod(int(np.argmin(obj)), n)

@@ -16,9 +16,15 @@ import warnings
 import numpy as np
 
 from mereo import AmplitudeMatrix, Property, SystemDims, Tolerances, frob, ginibre
-from mereo import NontrivialityConvention, lattice_amplitudes, make_holistic
+from mereo import NontrivialityConvention, lattice_amplitudes
 from mereo.cli import _resolve_amplitude
-from mereo.holism import LATTICE_REDRAW_NORM, commutator_norm_sq_from_n2, holistic_at_rank, schmidt_rank
+from mereo.holism import (
+    LATTICE_REDRAW_NORM,
+    commutator_norm_sq_from_n2,
+    holistic_at_rank,
+    make_holistic,
+    schmidt_rank,
+)
 from mereo.io import matrix_to_json_dict
 from mereo.linalg import as_matrix
 

@@ -17,8 +17,6 @@ import numpy as np
 
 from mereo import (
     AmplitudeMatrix,
-    NontrivialityConvention,
-    ProductProperty,
     Property,
     SearchConfig,
     SystemDims,
@@ -142,17 +140,13 @@ def objective(amp: AmplitudeMatrix, p: Property, q: Property, cfg: SearchConfig)
 
 
 def random_product_pair(
-    dims: SystemDims,
-    rank_p: int,
-    rank_q: int,
-    rng: np.random.Generator,
-    convention: NontrivialityConvention = NontrivialityConvention.BOTH,
-) -> ProductProperty:
-    """Factorized pair of the given ranks from normal generator parameters."""
+    dims: SystemDims, rank_p: int, rank_q: int, rng: np.random.Generator
+) -> tuple[Property, Property]:
+    """Factorized pair ``(p, q)`` of the given ranks from normal generator parameters."""
     d_a, d_b = int(dims[0]), int(dims[1])
     p = parametrize_projector(rng.normal(size=d_a * d_a), d_a, rank_p)
     q = parametrize_projector(rng.normal(size=d_b * d_b), d_b, rank_q)
-    return ProductProperty(p, q, convention)
+    return p, q
 
 
 def bloch_projectors(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

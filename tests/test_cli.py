@@ -1,13 +1,24 @@
 """End-to-end CLI runs: JSON reports, CSV scans, exit codes, replay."""
 
 import json
+import math
 import types
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from mereo import SearchConfig, SystemDims, Tolerances, __version__, cli, lattice_amplitudes, minimize
+from mereo import (
+    Property,
+    SearchConfig,
+    SystemDims,
+    Tolerances,
+    __version__,
+    cli,
+    holism,
+    lattice_amplitudes,
+    minimize,
+)
 from mereo.io import matrix_to_json_dict, random_amplitude
 
 from holism_reference import lattice_results_loop, pairwise_tables_loop, rank2_3x3_matrix
@@ -100,6 +111,29 @@ class TestCertify:
         capsys.readouterr()
         assert code == 3
 
+    @pytest.mark.parametrize("preset", ["product2", "bell2"])
+    def test_failed_witness_replay_exits_3(self, capsys, monkeypatch, preset):
+        # product2 fails on its co-occurring witness, bell2 on its exclusive one
+        replay = holism.product_commutator_norm
+        monkeypatch.setattr(
+            holism, "product_commutator_norm",
+            lambda amp, p, q: replay(amp, p, q)._replace(commutator_norm=1.0),
+        )
+        code = cli.main(["certify", "--preset", preset])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invariant violation: witness replay failed")
+
+    def test_trivial_witness_factors_exit_3(self, capsys, monkeypatch):
+        identity = Property.from_basis(np.zeros((2, 0)), complement=True)
+        monkeypatch.setattr(holism, "_exclusive_witness", lambda amp, tols: (identity, identity))
+        code = cli.main(["certify", "--preset", "product2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invariant violation:")
+        assert "not nontrivial" in lines[0]
 
     def test_truncated_rank_replays_within_its_bound(self, tmp_path, capsys):
         # s[1] = 5e-8 is below tol_rank, so the co-occurring witness keeps the
@@ -372,6 +406,7 @@ class TestEntropy:
             assert code == 0
             assert report["results"]["s_whole"] == 0.0
             assert abs(report["results"]["s_part"] - expected) <= 1e-9
+            assert math.copysign(1.0, report["results"]["s_part"]) > 0
 
 
 class TestDemo:
@@ -426,6 +461,8 @@ class TestReportShape:
         ("{bad", [], "MEREO_TOL_OVERRIDE"),
         (None, ["--tol-rank", "nan"], "tol_rank"),
         (None, ["--tol-rank", "0"], "tol_rank"),
+        # json.loads recurses once per level: ~100 KB of "[" exhausts the stack, allocating little
+        pytest.param("[" * 100_000, [], "MEREO_TOL_OVERRIDE is JSON nested too deeply", id="deep-nesting"),
     ])
     def test_bad_tolerances_are_input_errors(self, capsys, monkeypatch, env, flags, names):
         if env is None:
@@ -521,7 +558,8 @@ class TestReportShape:
          "norm of the amplitude matrix overflows"),
         ('{"rows": 2.7, "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}', "malformed matrix record"),
         ('{"rows": true, "cols": 2, "re": [1, 0], "im": [0, 0]}', "malformed matrix record"),
-    ], ids=["rows-overflow", "norm-overflow", "rows-fractional", "rows-bool"])
+        ("[" * 100_000, "JSON nested too deeply"),
+    ], ids=["rows-overflow", "norm-overflow", "rows-fractional", "rows-bool", "deep-nesting"])
     def test_out_of_range_gamma_is_input_error(self, tmp_path, capsys, text, names):
         path = tmp_path / "gamma.json"
         path.write_text(text)

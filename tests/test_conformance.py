@@ -29,13 +29,12 @@ from mereo import (
     SearchConfig,
     brute_force_grid_d2,
     ginibre,
-    make_holistic,
     objective_value_and_grad,
     product_commutator_norm,
     projector_from_coords,
 )
 from mereo import cli
-from mereo.holism import commutator_norm_sq
+from mereo.holism import commutator_norm_sq, make_holistic
 from mereo.io import matrix_from_json_dict
 from mereo.search import EXCLUDE_FLOOR
 from search_reference import (
@@ -77,8 +76,7 @@ def test_replay_matches_composite_route(dims):
                     pairs.append((witness.p, witness.q))
         for rank_p in range(1, d_a):
             for rank_q in range(1, d_b):
-                pair = random_product_pair(dims, rank_p, rank_q, rng)
-                pairs.append((pair.p, pair.q))
+                pairs.append(random_product_pair(dims, rank_p, rank_q, rng))
         for p, q in pairs:
             matrix_side = product_commutator_norm(amp, p, q).commutator_norm
             assert abs(matrix_side - composite_commutator_norm(amp, p, q)) <= AGREE

@@ -1,5 +1,7 @@
 """Analytic holism certification: witnesses, lattices, and entropies."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from mereo import (
     AmplitudeMatrix,
+    InvariantViolation,
     NontrivialityConvention,
-    ProductProperty,
     Property,
     SystemDims,
     Tolerances,
@@ -16,12 +18,12 @@ from mereo import (
     frob,
     ginibre,
     lattice_amplitudes,
-    make_holistic,
     marginal_entropy,
     partial_trace,
     product_commutator_norm,
 )
-from mereo.holism import holistic_at_rank, schmidt_rank
+from mereo import holism
+from mereo.holism import holistic_at_rank, make_holistic, schmidt_rank
 from mereo.linalg import stacked_singular_values
 from mereo.io import random_amplitude
 
@@ -76,7 +78,7 @@ class TestMakeHolistic:
 
 class TestProductCommutatorNorm:
     def test_identity_pair_commutes(self):
-        # the norm is defined for trivial pairs, which no ProductProperty holds
+        # the norm is defined for trivial pairs, which the certifier never returns
         val = product_commutator_norm(BELL, Property(np.eye(2)), Property(np.eye(2)))
         assert val.commutator_norm <= 1e-12
 
@@ -457,18 +459,55 @@ class TestMarginalEntropy:
         flat = AmplitudeMatrix(np.ones((2, 3)) / np.sqrt(6))
         assert marginal_entropy(flat)[1] <= np.log(2) + 1e-12
 
+    @pytest.mark.parametrize("amp", [
+        PRODUCT,
+        AmplitudeMatrix(np.outer([1.0, 2.0, 2.0], [0.0, 0.0, 1.0, 0.0]) / 3.0),
+    ], ids=["product2", "rank1-3x4"])
+    def test_rank_one_gives_positive_zero(self, amp):
+        # the one Schmidt weight is exactly 1, so the sum is +0.0 and not negated
+        s_part = marginal_entropy(amp)[1]
+        assert s_part == 0.0 and math.copysign(1.0, s_part) > 0
 
-class TestProductPropertyValidation:
-    def test_at_least_one_accepts_single_identity(self):
-        ProductProperty(Property(np.eye(2)), Property(np.diag([1.0, 0.0])), AT_LEAST_ONE)
 
-    def test_both_rejects_identity_factor(self):
-        with pytest.raises(ValueError):
-            ProductProperty(Property(np.eye(2)), Property(np.diag([1.0, 0.0])), BOTH)
+IDENTITY = Property.from_basis(np.zeros((2, 0)), complement=True)
+E0 = Property.from_basis(np.eye(2)[:, :1])
 
-    def test_rejects_double_trivial(self):
-        with pytest.raises(ValueError):
-            ProductProperty(Property(np.eye(2)), Property(np.eye(2)), AT_LEAST_ONE)
+
+class TestCertifierInvariants:
+    """A witness the certifier built must pass its checks; one that does not is an internal fault."""
+
+    @pytest.mark.parametrize("amp, p_expected", [
+        (PRODUCT, np.diag([1.0, 0.0])),  # co-occurring witness, replayed first
+        (BELL, np.diag([0.0, 1.0])),  # holistic: the exclusive witness only
+    ], ids=["cooccurring", "exclusive"])
+    def test_failed_replay_raises(self, monkeypatch, amp, p_expected):
+        replay = holism.product_commutator_norm
+        replayed = []
+
+        def failing(amp, p, q):
+            replayed.append(p)
+            return replay(amp, p, q)._replace(commutator_norm=1.0)
+
+        monkeypatch.setattr(holism, "product_commutator_norm", failing)
+        with pytest.raises(InvariantViolation, match="witness replay failed"):
+            certify_rank1(amp, AT_LEAST_ONE)
+        (p,) = replayed
+        assert frob(p.matrix - p_expected) <= 1e-12
+
+    @pytest.mark.parametrize("pair, convention, nontrivial", [
+        ((IDENTITY, E0), AT_LEAST_ONE, True),
+        ((IDENTITY, E0), BOTH, False),
+        ((IDENTITY, IDENTITY), AT_LEAST_ONE, False),
+    ], ids=["atleastone-one-identity", "both-one-identity", "atleastone-two-identities"])
+    def test_trivial_factors_raise_per_convention(self, monkeypatch, pair, convention, nontrivial):
+        # each pair commutes with the product dyad, so only the nontriviality check can fail
+        monkeypatch.setattr(holism, "_exclusive_witness", lambda amp, tols: pair)
+        if nontrivial:
+            witness = certify_rank1(PRODUCT, convention).lambda0_witness
+            assert witness.p is IDENTITY and witness.q is E0
+        else:
+            with pytest.raises(InvariantViolation, match="not nontrivial"):
+                certify_rank1(PRODUCT, convention)
 
 
 @settings(max_examples=100, deadline=None)

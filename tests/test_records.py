@@ -81,8 +81,8 @@ def test_certify_witnesses_rebuild_exactly(tmp_path, d, rank, side_cols, complem
         assert lam0["q"]["complement"] is False and lam0["q"]["basis"]["cols"] == 1
         assert_same_bytes(lam0["p"], verdict.lambda0_witness.p)
         assert_same_bytes(lam0["q"], verdict.lambda0_witness.q)
-        assert lam1["replay_commutator_norm"] == verdict.lambda1_replay.commutator_norm
-        assert lam0["cooccurrence_weight"] == verdict.lambda0_replay.cooccurrence_weight
+        assert lam1["replay_commutator_norm"] == verdict.lambda1_witness.commutator_norm
+        assert lam0["cooccurrence_weight"] == verdict.lambda0_witness.cooccurrence_weight
 
 
 def test_identity_factor_is_a_complement_with_zero_columns(tmp_path):
@@ -116,10 +116,10 @@ def test_search_argmin_rebuilds_exactly(tmp_path, d, rank):
     results = run_report(argv, tmp_path)
     cfg = SearchConfig(rank_p=rank, rank_q=rank, restarts=2, rng_seed=5)
     result = minimize(random_amplitude(7, (d, d)), cfg)
-    for key, prop in (("argmin_p", result.argmin_p), ("argmin_q", result.argmin_q)):
+    for key, prop in (("argmin_p", result.argmin.p), ("argmin_q", result.argmin.q)):
         assert results[key]["complement"] is (2 * rank > d)
         assert_same_bytes(results[key], prop)
-    assert results["min_value"] == result.min_value
+    assert results["min_value"] == result.argmin.commutator_norm
 
 
 @settings(max_examples=40, deadline=None)

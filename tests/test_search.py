@@ -18,11 +18,11 @@ from mereo import (
     density_scan,
     frob,
     ginibre,
-    make_holistic,
     minimize,
     objective_value_and_grad,
     projector_from_coords,
 )
+from mereo.holism import make_holistic
 from mereo.io import preset_amplitude, random_amplitude
 from search_reference import descend_one_by_one, objective, parametrize_projector
 
@@ -204,27 +204,27 @@ class TestGradient:
 class TestMinimize:
     def test_bell_unrestricted_reaches_exclusive_witness(self):
         res = minimize(BELL, SearchConfig(restarts=8, rng_seed=0))
-        assert res.min_value <= 1e-6
+        assert res.argmin.commutator_norm <= 1e-6
 
     def test_bell_restricted_minimum_is_bounded_away(self):
         res = minimize(BELL, SearchConfig(restarts=32, exclude_exclusive=True, rng_seed=0))
-        assert res.min_value >= 0.01
+        assert res.argmin.commutator_norm >= 0.01
 
     def test_product_restricted_finds_cooccurring_witness(self):
         res = minimize(PRODUCT, SearchConfig(restarts=16, exclude_exclusive=True, rng_seed=0))
-        assert res.min_value <= 1e-6
-        assert frob(res.argmin_p.matrix - np.diag([1.0, 0.0])) <= 1e-3
-        assert frob(res.argmin_q.matrix - np.diag([1.0, 0.0])) <= 1e-3
+        assert res.argmin.commutator_norm <= 1e-6
+        assert frob(res.argmin.p.matrix - np.diag([1.0, 0.0])) <= 1e-3
+        assert frob(res.argmin.q.matrix - np.diag([1.0, 0.0])) <= 1e-3
 
     def test_results_replay(self):
         rng = np.random.default_rng(2)
         for _ in range(3):
             amp = random_amp(rng, 2, 2)
             res = minimize(amp, SearchConfig(restarts=4, rng_seed=5))
-            joint = np.kron(res.argmin_p.matrix, res.argmin_q.matrix)
+            joint = np.kron(res.argmin.p.matrix, res.argmin.q.matrix)
             dyad = make_holistic(amp).matrix
             replayed = np.linalg.norm(joint @ dyad - dyad @ joint)
-            assert abs(replayed - res.min_value) <= 1e-8
+            assert abs(replayed - res.argmin.commutator_norm) <= 1e-8
 
     def test_more_restarts_never_hurt(self):
         rng = np.random.default_rng(3)
@@ -235,7 +235,7 @@ class TestMinimize:
                     minimize(
                         amp,
                         SearchConfig(restarts=r, exclude_exclusive=exclude, rng_seed=9),
-                    ).min_value
+                    ).argmin.commutator_norm
                     for r in (4, 8, 16)
                 ]
                 # identical basins replay with ~grad_tol wobble in the norm;
@@ -421,7 +421,7 @@ class TestMinimize:
         assert abs(expected - 0.0235757) <= 1e-7
         amp = random_amp(np.random.default_rng(d), d, d)
         res = minimize(amp, SearchConfig(restarts=8, exclude_exclusive=True, rng_seed=1))
-        assert abs(res.min_value - expected) <= 1e-6
+        assert abs(res.argmin.commutator_norm - expected) <= 1e-6
 
     @pytest.mark.parametrize("d", [3, 4, 6])
     def test_maximal_ranks_reach_the_cooccurrence_gap(self, d):
@@ -432,7 +432,7 @@ class TestMinimize:
             res = minimize(amp, SearchConfig(rank_p=d - 1, rank_q=d - 1, rng_seed=seed))
             delta = amp.singular_values[-1] ** 2
             gap = np.sqrt(2.0 * delta * (1.0 - delta))
-            assert abs(res.min_value - gap) <= 1e-9 * gap
+            assert abs(res.argmin.commutator_norm - gap) <= 1e-9 * gap
             assert res.converged
 
     def test_maximal_rank_objective_resolves_a_small_gap(self):
@@ -468,8 +468,8 @@ class TestMinimize:
             if amp.singular_values[-1] <= 0.05:
                 continue
             res = minimize(amp, SearchConfig(restarts=8, rng_seed=11))
-            if res.min_value <= 1e-6:
-                assert res.cooccurrence_weight < 1e-3
+            if res.argmin.commutator_norm <= 1e-6:
+                assert res.argmin.cooccurrence_weight < 1e-3
 
 
 class TestBruteForceGrid:
@@ -492,7 +492,7 @@ class TestBruteForceGrid:
         for _ in range(20):
             amp = random_amp(rng, 2, 2)
             grid_val, _ = brute_force_grid_d2(amp, 12, False)
-            opt_val = minimize(amp, SearchConfig(restarts=8, rng_seed=13)).min_value
+            opt_val = minimize(amp, SearchConfig(restarts=8, rng_seed=13)).argmin.commutator_norm
             assert opt_val <= grid_val + 1e-6
 
     @pytest.mark.parametrize("name, resolution, exclude, value, angles", [
@@ -565,7 +565,7 @@ class TestOracleAgreement:
             # the full restart budget to cover the co-occurring basin
             restarts = 6 if analytic else 32
             cfg = SearchConfig(restarts=restarts, exclude_exclusive=True, rng_seed=17)
-            numeric = minimize(amp, cfg).min_value >= 0.01
+            numeric = minimize(amp, cfg).argmin.commutator_norm >= 0.01
             assert analytic == numeric
 
 
