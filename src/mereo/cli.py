@@ -141,10 +141,11 @@ def cmd_search(args, tols: Tolerances) -> dict:
         exclude_exclusive=args.exclude_exclusive,
         rng_seed=args.seed,
     )
+    # invalid ranks or restarts exit before the grid runs; the grid rejects
+    # dims other than (2, 2) and resolutions below 2 before the descent runs
+    cfg.validate(amp.dims)
     grid_oracle = None
     if args.oracle:
-        # the grid rejects dims other than (2, 2) and resolutions below 2
-        # before the descent runs
         grid_min, angles = brute_force_grid_d2(amp, args.oracle_resolution, args.exclude_exclusive)
         grid_oracle = {
             "min_value": grid_min,
@@ -323,8 +324,8 @@ def cmd_demo(args, tols: Tolerances) -> dict:
 def _check_flags(args) -> None:
     """Reject negative seeds and sizes below 1 by flag; numpy's own messages name none.
 
-    An ``--out`` that names a directory, or a file in a missing directory, is
-    rejected here too, before the command runs and writes anything else.
+    An ``--out`` or ``--csv`` that names a directory, or a file in a missing
+    directory, is rejected here too, before the command runs and writes anything.
     """
     for name in ("random_seed", "seed"):
         value = getattr(args, name, None)
@@ -333,12 +334,15 @@ def _check_flags(args) -> None:
     dims = getattr(args, "dims", None)
     if dims is not None and min(dims) < 1:
         raise ValueError(f"--dims must be positive, got {dims[0]} {dims[1]}")
-    if args.out:
-        if os.path.isdir(args.out):
-            raise ValueError(f"--out {args.out}: Is a directory")
-        parent = os.path.dirname(args.out) or "."
+    for flag in ("out", "csv"):
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise ValueError(f"--{flag} {path}: Is a directory")
+        parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
-            raise ValueError(f"--out {args.out}: No such file or directory: {parent}")
+            raise ValueError(f"--{flag} {path}: No such file or directory: {parent}")
 
 
 def _config_echo(args, tols: Tolerances) -> dict:

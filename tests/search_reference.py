@@ -6,6 +6,8 @@ projectors, where the library only evaluates it at basis coordinates;
 a random-projector source independent of the search's coordinates;
 ``random_product_pair`` draws a factorized pair of given ranks;
 ``bloch_projectors`` stacks the projectors of the oracle's Bloch grid;
+``grid_scan`` is the oracle's scan in one unblocked pass over all R^4 pairs,
+the bit-for-bit reference for its blocked loop;
 ``dense_objective_value_and_grad`` is the search kernel on dense ``d x d``
 projectors, with the cotangent of ``W = P amp Q^T`` pulled back through
 ``S = (L + L^dag) / 2``, the reference for the library's closed form in
@@ -158,6 +160,27 @@ def bloch_projectors(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     proj[:, 1, 0] = amp1 * amp0
     proj[:, 1, 1] = amp1 * np.conj(amp1)
     return proj, tg, pg
+
+
+def grid_scan(
+    amp: AmplitudeMatrix, resolution: int, exclude_exclusive: bool
+) -> tuple[float, tuple[float, float, float, float]]:
+    """``brute_force_grid_d2`` as one pass over the full R^2 x R^2 overlap matrix.
+
+    The same arithmetic per entry: ``z = a0 k0 + a1 k1`` from two outer
+    products, ``n2 = re^2 + im^2``, ``comm2 = 2 (n2 - n2^2)``, the hinge
+    ``max(EXCLUDE_FLOOR - sqrt(n2), 0)^2`` added to every entry, and the
+    first minimum in row-major order.
+    """
+    vecs, tg, pg = _bloch_grid(resolution)
+    bras = vecs.conj()
+    kets = amp.matrix @ bras
+    z = np.multiply.outer(bras[0], kets[0]) + np.multiply.outer(bras[1], kets[1])
+    n2 = np.square(z.real) + np.square(z.imag)
+    comm2 = 2.0 * (n2 - n2 * n2)
+    obj = comm2 + np.square(np.maximum(EXCLUDE_FLOOR - np.sqrt(n2), 0.0)) if exclude_exclusive else comm2
+    a, b = divmod(int(np.argmin(obj)), tg.size)
+    return float(np.sqrt(max(comm2[a, b], 0.0))), (float(tg[a]), float(pg[a]), float(tg[b]), float(pg[b]))
 
 
 def descend_one_by_one(amp: AmplitudeMatrix, starts: np.ndarray, cfg: SearchConfig) -> list[tuple]:

@@ -218,6 +218,21 @@ class TestSearch:
         code, report = run_cli(["search", *argv], capsys)
         assert (code, report, calls) == (2, None, [])
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--rank-p", "2"], "rank_p must satisfy 0 < rank < 2, got 2"),
+        (["--rank-q", "0"], "rank_q must satisfy 0 < rank < 2, got 0"),
+        (["--restarts", "0"], "restarts must be positive"),
+    ])
+    def test_invalid_search_input_exits_before_the_oracle(self, flags, message, monkeypatch, capsys):
+        def scan(*args):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli, "brute_force_grid_d2", scan)
+        code = cli.main(["search", "--preset", "bell2", "--oracle", "--oracle-resolution", "100", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.splitlines() == [f"input error: {message}"]
+
     def test_seeded_search_replays_identically(self, capsys):
         args = ["search", "--preset", "bell2", "--restarts", "4", "--seed", "21"]
         _, first = run_cli(args, capsys)
@@ -281,6 +296,23 @@ class TestDensity:
             lines[samples] = path.read_bytes().split(b"\r\n")
         assert len(lines[300]) == 302  # header, 300 rows and the empty tail
         assert lines[100][:101] == lines[300][:101]
+
+    @pytest.mark.parametrize("csv_path, names", [
+        (".", "Is a directory"),
+        ("missing/scan.csv", "No such file or directory"),
+    ])
+    def test_unwritable_csv_is_rejected_before_the_scan(self, tmp_path, monkeypatch, capsys,
+                                                        csv_path, names):
+        def scan(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(cli, "density_scan", scan)
+        code = cli.main(["density", "--dims", "2", "2", "--samples", "10",
+                         "--csv", str(tmp_path / csv_path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: --csv") and names in lines[0]
 
 
 LATTICE_DIMS = [(2, 2), (2, 3), (3, 3), (3, 5), (4, 4), (4, 6), (5, 5), (6, 6), (7, 7)]

@@ -1,5 +1,6 @@
 """Commutant search: parametrization, gradients, optimizer, grid oracle."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from mereo import (
 )
 from mereo.holism import make_holistic
 from mereo.io import preset_amplitude, random_amplitude
-from search_reference import descend_one_by_one, objective, parametrize_projector
+from search_reference import descend_one_by_one, grid_scan, objective, parametrize_projector
 
 BELL = AmplitudeMatrix(np.eye(2) / np.sqrt(2))
 PRODUCT = AmplitudeMatrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
@@ -533,7 +534,8 @@ class TestBruteForceGrid:
         # one: the Bell amplitude has many exactly tied grid points
         for amp in (preset_amplitude("bell2"), random_amplitude(7, SystemDims(2, 2))):
             results = []
-            for entries in (1, 577, 1 << 13, 1 << 22):
+            # 5 rows do not divide R, so a theta's last block is shorter
+            for entries in (1, 577, 5 * resolution**2, 1 << 13, 1 << 22):
                 monkeypatch.setattr(search, "GRID_CHUNK_ENTRIES", entries)
                 results.append(brute_force_grid_d2(amp, resolution, exclude))
             assert results[1:] == results[:-1]
@@ -541,6 +543,36 @@ class TestBruteForceGrid:
     def test_rejects_wrong_dims(self):
         with pytest.raises(ValueError):
             brute_force_grid_d2(AmplitudeMatrix(np.eye(3) / np.sqrt(3)), 8, False)
+
+    @pytest.mark.parametrize("resolution", [2, 3, 7, 24])
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_matches_the_unblocked_reference_bit_for_bit(self, resolution, exclude):
+        amps = [preset_amplitude("bell2"), preset_amplitude("product2")]
+        amps += [random_amplitude(seed, SystemDims(2, 2)) for seed in range(12)]
+        for amp in amps:
+            # repr tells -0.0 from 0.0
+            assert repr(brute_force_grid_d2(amp, resolution, exclude)) == repr(
+                grid_scan(amp, resolution, exclude)
+            )
+
+    def test_hinge_bound_holds_every_active_entry(self):
+        # the grid adds the hinge only below the bound: every n2 whose sqrt
+        # rounds below the floor must lie below it
+        floor2 = EXCLUDE_FLOOR**2
+        n2 = floor2 + np.arange(-8, 9) * np.spacing(floor2)
+        active = np.sqrt(n2) < EXCLUDE_FLOOR
+        assert active.any() and not active.all()
+        assert np.all(n2[active] < search._HINGE_N2_BOUND)
+
+    def test_memory_stays_at_a_block(self):
+        # the full overlap matrix at R = 48 would take 48^4 * 16 B = 85 MB
+        tracemalloc.start()
+        try:
+            brute_force_grid_d2(preset_amplitude("bell2"), 48, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestOracleAgreement:
