@@ -250,55 +250,35 @@ def cmd_entropy(args, tols: Tolerances) -> dict:
 
 
 def _demo_membership_items(tols: Tolerances) -> list[dict]:
-    e0 = np.array([1.0, 0.0])
-    e1 = np.array([0.0, 1.0])
-    up = property_from_span([e0], 2, tols=tols)
-    down = property_from_span([e1], 2, tols=tols)
-    state_up = State(np.outer(e0, e0), tols=tols)
+    e0, e1 = np.eye(2)
     sideways = (e0 + e1) / np.sqrt(2.0)
-    state_side = State(np.outer(sideways, sideways), tols=tols)
-    verdicts = (
-        has_property(state_up, up, tols=tols).verdict,
-        has_property(state_up, down, tols=tols).verdict,
-        has_property(state_side, up, tols=tols).verdict,
-    )
-    item1 = {
-        "name": "two_level_membership",
-        "passed": verdicts == (Verdict.HAS, Verdict.HAS_NOT, Verdict.MEANINGLESS),
-        "details": [v.value for v in verdicts],
-    }
-
     basis4 = np.eye(4)
-    even = property_from_span([basis4[0], basis4[2]], 4, tols=tols)
-    rho_mix = 0.25 * np.outer(basis4[0], basis4[0]) + 0.75 * np.outer(basis4[2], basis4[2])
     sup = (basis4[0] + basis4[2]) / np.sqrt(2.0)
-    rho_sup = np.outer(sup, sup)
-    even_verdicts = (
-        has_property(State(rho_mix, tols=tols), even, tols=tols).verdict,
-        has_property(State(rho_sup, tols=tols), even, tols=tols).verdict,
-    )
-    item2 = {
-        "name": "even_subspace_membership",
-        "passed": even_verdicts == (Verdict.HAS, Verdict.HAS),
-        "details": [v.value for v in even_verdicts],
-    }
-
-    sym = symmetric_projector(2, tols=tols)
-    both_up = np.zeros(4)
-    both_up[0] = 1.0
-    singlet = np.zeros(4)
-    singlet[1] = 1.0 / np.sqrt(2.0)
-    singlet[2] = -1.0 / np.sqrt(2.0)
-    sym_verdicts = (
-        has_property(State(np.outer(both_up, both_up), tols=tols), sym, tols=tols).verdict,
-        has_property(State(np.outer(singlet, singlet), tols=tols), sym, tols=tols).verdict,
-    )
-    item3 = {
-        "name": "symmetric_subspace_membership",
-        "passed": sym_verdicts == (Verdict.HAS, Verdict.HAS_NOT),
-        "details": [v.value for v in sym_verdicts],
-    }
-    return [item1, item2, item3]
+    singlet = (basis4[1] - basis4[2]) / np.sqrt(2.0)
+    table = [
+        ("two_level_membership", property_from_span([e0], 2, tols=tols), [
+            (np.outer(e0, e0), Verdict.HAS),
+            (np.outer(e1, e1), Verdict.HAS_NOT),
+            (np.outer(sideways, sideways), Verdict.MEANINGLESS),
+        ]),
+        ("even_subspace_membership", property_from_span([basis4[0], basis4[2]], 4, tols=tols), [
+            (0.25 * np.outer(basis4[0], basis4[0]) + 0.75 * np.outer(basis4[2], basis4[2]), Verdict.HAS),
+            (np.outer(sup, sup), Verdict.HAS),
+        ]),
+        ("symmetric_subspace_membership", symmetric_projector(2, tols=tols), [
+            (np.outer(basis4[0], basis4[0]), Verdict.HAS),
+            (np.outer(singlet, singlet), Verdict.HAS_NOT),
+        ]),
+    ]
+    items = []
+    for name, prop, cases in table:
+        verdicts = [has_property(State(rho, tols=tols), prop, tols=tols).verdict for rho, _ in cases]
+        items.append({
+            "name": name,
+            "passed": verdicts == [expected for _, expected in cases],
+            "details": [v.value for v in verdicts],
+        })
+    return items
 
 
 def cmd_demo(args, tols: Tolerances) -> dict:

@@ -43,8 +43,6 @@ class AmplitudeMatrix:
             raise ValueError(
                 f"amplitude matrix must have unit Hilbert-Schmidt norm, got Tr(m^dag m) = {hs_sq!r}"
             )
-        m = m.copy()
-        m.setflags(write=False)
         s = stacked_singular_values(m)
         s.setflags(write=False)
         self.matrix = m
@@ -70,14 +68,17 @@ class AmplitudeMatrix:
         return SystemDims(self.matrix.shape[0], self.matrix.shape[1])
 
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decomposition ``matrix = u @ diag(s) @ v.conj().T``, ``u`` and ``v`` computed once.
+        """Decomposition ``matrix = u @ diag(s) @ v.conj().T``, ``u`` and ``v`` computed once, read-only.
 
         ``s`` is :attr:`singular_values`; the full SVD's own values may differ
         from it in the last bit and are dropped.
         """
         if self._u is None:
             u, _, vh = np.linalg.svd(self.matrix, full_matrices=True)
-            self._u, self._v = u, vh.conj().T
+            v = vh.conj().T
+            u.setflags(write=False)
+            v.setflags(write=False)
+            self._u, self._v = u, v
         return self._u, self.singular_values, self._v
 
     def __repr__(self) -> str:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import InvariantViolation, Tolerances
 from .doubleket import AmplitudeMatrix
-from .linalg import SystemDims, frob
+from .linalg import SystemDims, frob, ginibre
 from .properties import Property, is_nontrivial
 
 # A lattice completion draw whose QR diagonal entry |R_jj| (the norm of its
@@ -237,9 +237,8 @@ def _exclusive_witness(amp: AmplitudeMatrix, tols: Tolerances) -> tuple[Property
 def lattice_amplitudes(amp: AmplitudeMatrix, k: int, rng_seed: int) -> np.ndarray:
     """Extend ``amp`` to ``k`` HS-orthonormal amplitude matrices, stacked.
 
-    Stream contract: draw ``j`` is the ``j``-th ``(2, d_a, d_b)`` block (real,
-    then imaginary part, over ``sqrt(2)``) of one PCG64 stream seeded by
-    ``rng_seed``, so the draws are those of successive ``ginibre`` calls.
+    Stream contract: draw ``j`` is the ``j``-th :func:`ginibre` matrix of one
+    PCG64 stream seeded by ``rng_seed``.
     The columns ``[vec(amp), draws]`` are factored by one Householder QR,
     with each column's phase fixed so that ``R`` has a positive real
     diagonal, as Gram-Schmidt in stream order gives.  A draw dependent on
@@ -258,8 +257,7 @@ def lattice_amplitudes(amp: AmplitudeMatrix, k: int, rng_seed: int) -> np.ndarra
     rng = np.random.default_rng(rng_seed)
 
     def draws(n: int) -> np.ndarray:
-        block = rng.standard_normal((n, 2, d_a, d_b))
-        return ((block[:, 0] + 1j * block[:, 1]) / np.sqrt(2.0)).reshape(n, total).T
+        return ginibre(amp.dims, rng, n).reshape(n, total).T
 
     x = np.column_stack([amp.matrix.reshape(-1), draws(k - 1)])
     while True:

@@ -1,10 +1,11 @@
 """Dense complex linear algebra at small dimension.
 
 Plain complex numpy arrays are the carrier for every operator in the
-library; the wrappers here add the shape/finiteness validation the rest of
-the code relies on.  Index conventions are fixed once: Kronecker products
-are row-major with the first factor slow, i.e. ``np.kron(a, b)`` maps the
-basis pair ``(i, k), (j, l)`` to entry ``(i * rows_b + k, j * cols_b + l)``.
+library; the wrappers here hold the array rules every checked type shares:
+the validated read-only copy, the Hermitian check and the Ginibre draw.
+Index conventions are fixed once: Kronecker products are row-major with the
+first factor slow, i.e. ``np.kron(a, b)`` maps the basis pair ``(i, k),
+(j, l)`` to entry ``(i * rows_b + k, j * cols_b + l)``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,12 @@ class SystemDims(NamedTuple):
 
 
 def as_matrix(value, *, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D complex array, rejecting non-finite entries."""
-    m = np.asarray(value, dtype=complex)
+    """Read-only 2-D complex copy of ``value``, rejecting non-finite entries.
+
+    The copy is frozen, so a checked type that stores it cannot be changed
+    through the caller's array or through its own attribute.
+    """
+    m = np.array(value, dtype=complex)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
@@ -32,7 +37,21 @@ def as_matrix(value, *, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be non-empty")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError(f"{name} contains non-finite entries")
+    m.setflags(write=False)
     return m
+
+
+def hermitian(value, tol_herm: float, *, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`as_matrix` of a square matrix Hermitian within ``tol_herm``, and its eigenvalues.
+
+    The eigenvalues are ``eigvalsh`` of the Hermitian part ``(m + m^dag) / 2``.
+    """
+    m = as_matrix(value, name=name)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got {m.shape}")
+    if frob(m - m.conj().T) > tol_herm:
+        raise ValueError(f"{name} is not Hermitian within tolerance")
+    return m, np.linalg.eigvalsh((m + m.conj().T) / 2.0)
 
 
 def frob(a) -> float:
@@ -68,7 +87,13 @@ def partial_trace(m, dims: SystemDims, which: str = "first") -> np.ndarray:
     raise ValueError("which must be 'first' or 'second'")
 
 
-def ginibre(dims: SystemDims, rng: np.random.Generator) -> np.ndarray:
-    """Matrix of i.i.d. standard complex Gaussian entries."""
-    d_a, d_b = int(dims[0]), int(dims[1])
-    return (rng.standard_normal((d_a, d_b)) + 1j * rng.standard_normal((d_a, d_b))) / np.sqrt(2.0)
+def ginibre(dims: SystemDims, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Matrix of i.i.d. standard complex Gaussian entries, or a ``(count, d_a, d_b)`` stack of them.
+
+    Each matrix takes one ``(2, d_a, d_b)`` block of ``rng``: real parts,
+    then imaginary parts, over ``sqrt(2)``.  So a stack of ``count`` equals
+    ``count`` successive single draws bit for bit.
+    """
+    shape = (int(dims[0]), int(dims[1]))
+    block = rng.standard_normal((2, *shape) if count is None else (count, 2, *shape))
+    return (block[..., 0, :, :] + 1j * block[..., 1, :, :]) / np.sqrt(2.0)

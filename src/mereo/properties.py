@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import Tolerances
 from .doubleket import swap_operator
-from .linalg import as_matrix, frob
+from .linalg import frob, hermitian
 
 # Largest |Tr(rho) - 1| a state may carry.  A construction check on the
 # input, like the amplitude unit norm, not a verdict thresholded by
@@ -66,18 +66,11 @@ class Property:
     __slots__ = ("matrix", "rank", "basis", "complement")
 
     def __init__(self, matrix, *, tols: Tolerances = Tolerances()):
-        m = as_matrix(matrix, name="property matrix")
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"property matrix must be square, got {m.shape}")
-        if frob(m - m.conj().T) > tols.tol_herm:
-            raise ValueError("property matrix is not Hermitian within tolerance")
+        m, w = hermitian(matrix, tols.tol_herm, name="property matrix")
         if frob(m @ m - m) > tols.tol_recon:
             raise ValueError("property matrix is not idempotent within tolerance")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
         if np.any(np.minimum(np.abs(w), np.abs(w - 1.0)) > tols.tol_rank):
             raise ValueError("property eigenvalues are not all in {0, 1}")
-        m = m.copy()
-        m.setflags(write=False)
         self.matrix = m
         self.rank = int(np.sum(w > 0.5))
         self.basis = None
@@ -127,19 +120,12 @@ class State:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, *, tols: Tolerances = Tolerances()):
-        m = as_matrix(matrix, name="state matrix")
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"state matrix must be square, got {m.shape}")
-        if frob(m - m.conj().T) > tols.tol_herm:
-            raise ValueError("state matrix is not Hermitian within tolerance")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+        m, w = hermitian(matrix, tols.tol_herm, name="state matrix")
         if np.any(w < -tols.tol_rank):
             raise ValueError("state matrix is not positive semidefinite")
         tr = float(np.real(np.trace(m)))
         if abs(tr - 1.0) > STATE_TRACE_SLACK:
             raise ValueError(f"state trace must be 1, got {tr!r}")
-        m = m.copy()
-        m.setflags(write=False)
         self.matrix = m
 
     @property

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import Tolerances
 from .doubleket import swap_operator
-from .linalg import SystemDims, as_matrix, frob, partial_trace
+from .linalg import SystemDims, as_matrix, frob, hermitian, partial_trace
 from .properties import Property
 
 # Amount by which the top eigenvalue of sum K^dag K may exceed 1.  A
@@ -43,14 +43,9 @@ class QuantumTransformation:
             raise ValueError(
                 f"Kraus operators are not trace-non-increasing: max eig of sum K^dag K = {top!r}"
             )
-        frozen = []
-        for m in mats:
-            m = m.copy()
-            m.setflags(write=False)
-            frozen.append(m)
-        self.kraus = tuple(frozen)
+        self.kraus = tuple(mats)
         self.d_out, self.d_in = shape
-        self.atomic = len(frozen) == 1
+        self.atomic = len(mats) == 1
 
 
 @dataclass(frozen=True)
@@ -63,17 +58,12 @@ class ChoiMatrix:
     tols: InitVar[Tolerances] = Tolerances()
 
     def __post_init__(self, tols: Tolerances):
-        m = as_matrix(self.matrix, name="Choi matrix")
+        m, w = hermitian(self.matrix, tols.tol_herm, name="Choi matrix")
         n = self.d_in * self.d_out
         if m.shape != (n, n):
             raise ValueError(f"Choi matrix must be {n}x{n}, got {m.shape}")
-        if frob(m - m.conj().T) > tols.tol_herm:
-            raise ValueError("Choi matrix is not Hermitian")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
         if np.any(w < -tols.tol_rank):
             raise ValueError("Choi matrix is not positive semidefinite")
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 

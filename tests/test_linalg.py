@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from mereo import SystemDims, frob, partial_trace, swap_operator
+from mereo import (
+    AmplitudeMatrix,
+    ChoiMatrix,
+    Property,
+    QuantumTransformation,
+    State,
+    SystemDims,
+    frob,
+    ginibre,
+    partial_trace,
+    swap_operator,
+)
 
 from doubleket_reference import hs_inner, kron
 
@@ -92,3 +103,61 @@ class TestHsInner:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             hs_inner(np.eye(2), np.eye(3))
+
+
+PROJECTOR = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+
+# name -> (input, build the object from it, the object's arrays)
+CHECKED_TYPES = {
+    "Property": (PROJECTOR, Property, lambda p: [p.matrix]),
+    "Property.from_basis": (
+        np.array([[1.0], [1.0j]]) / np.sqrt(2.0), Property.from_basis, lambda p: [p.matrix, p.basis],
+    ),
+    "State": (PROJECTOR, State, lambda s: [s.matrix]),
+    "ChoiMatrix": (PROJECTOR, lambda m: ChoiMatrix(m, d_in=1, d_out=2), lambda c: [c.matrix]),
+    "QuantumTransformation": (PROJECTOR, lambda m: QuantumTransformation([m]), lambda t: list(t.kraus)),
+    "AmplitudeMatrix": (
+        np.diag([0.8, 0.6j, 0.0]), AmplitudeMatrix, lambda a: [a.matrix, a.singular_values, *a.svd()],
+    ),
+}
+
+
+class TestCheckedArrays:
+    """Every checked type keeps a read-only copy: neither its input nor its attributes can change it."""
+
+    @pytest.mark.parametrize("name", CHECKED_TYPES)
+    def test_input_mutation_leaves_the_object_unchanged(self, name):
+        source, build, arrays = CHECKED_TYPES[name]
+        given = source.copy()
+        obj = build(given)
+        before = [a.copy() for a in arrays(obj)]
+        given[...] = 7.0
+        after = arrays(obj)
+        for a, b in zip(after, before):
+            assert a.tobytes() == b.tobytes()
+        assert not any(a.flags.writeable for a in after)
+
+    @pytest.mark.parametrize("name, label", [
+        ("Property", "property matrix"), ("State", "state matrix"), ("ChoiMatrix", "Choi matrix"),
+    ])
+    def test_hermitian_check_names_its_type(self, name, label):
+        build = CHECKED_TYPES[name][1]
+        with pytest.raises(ValueError, match=f"^{label} must be square, got \\(2, 3\\)$"):
+            build(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=f"^{label} is not Hermitian within tolerance$"):
+            build(np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+
+class TestGinibre:
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (4, 1)])
+    def test_a_stack_equals_successive_draws_bit_for_bit(self, dims):
+        stack = ginibre(SystemDims(*dims), np.random.default_rng(17), 4)
+        rng = np.random.default_rng(17)
+        singles = np.stack([ginibre(SystemDims(*dims), rng) for _ in range(4)])
+        assert stack.shape == (4, *dims)
+        assert stack.tobytes() == singles.tobytes()
+
+    def test_one_draw_is_a_real_block_then_an_imaginary_block(self):
+        block = np.random.default_rng(5).standard_normal((2, 3, 2))
+        g = ginibre(SystemDims(3, 2), np.random.default_rng(5))
+        assert g.tobytes() == ((block[0] + 1j * block[1]) / np.sqrt(2.0)).tobytes()
