@@ -305,7 +305,8 @@ def _check_flags(args) -> None:
     """Reject negative seeds and sizes below 1 by flag; numpy's own messages name none.
 
     An ``--out`` or ``--csv`` that names a directory, or a file in a missing
-    directory, is rejected here too, before the command runs and writes anything.
+    directory or under a file, is rejected here too, before the command runs
+    and writes anything.
     """
     for name in ("random_seed", "seed"):
         value = getattr(args, name, None)
@@ -322,7 +323,8 @@ def _check_flags(args) -> None:
             raise ValueError(f"--{flag} {path}: Is a directory")
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
-            raise ValueError(f"--{flag} {path}: No such file or directory: {parent}")
+            reason = "Not a directory" if os.path.exists(parent) else "No such file or directory"
+            raise ValueError(f"--{flag} {path}: {reason}: {parent}")
 
 
 def _config_echo(args, tols: Tolerances) -> dict:
@@ -418,14 +420,14 @@ def main(argv=None) -> int:
         # no indent: CPython's C encoder only runs without one; floats print as repr either way
         text = json.dumps(report)
         if args.out:
-            # a directory or a missing parent was rejected before the command ran;
+            # a directory or a parent that is missing or a file was rejected before the command ran;
             # any other OSError here (no permission, say) is an input error too
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # numpy's MemoryError says how much an input too large asked it to allocate
         print(f"input error: {exc}", file=sys.stderr)
         return 2

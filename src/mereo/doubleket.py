@@ -14,12 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SystemDims, as_matrix, frob, stacked_singular_values
+from .linalg import UNIT_SLACK, SystemDims, as_matrix, frob, stacked_singular_values
 
-# Largest |Tr(m^dag m) - 1| an amplitude matrix may carry.  A construction
-# check, not a verdict: matrices scaled by ``normalized`` land within ~1e-15,
-# and this still admits entries written out to about nine digits.
-UNIT_NORM_SLACK = 1e-9
 # Norm below which ``normalized`` refuses to scale: the direction of such a
 # matrix is set by the rounding of its entries, not by the data.
 NORMALIZE_MIN_NORM = 1e-12
@@ -28,18 +24,18 @@ NORMALIZE_MIN_NORM = 1e-12
 class AmplitudeMatrix:
     """Coefficient matrix of a bipartite pure state, unit Hilbert-Schmidt norm.
 
-    The singular values (squared, the Schmidt weights) are computed at
-    construction by :func:`stacked_singular_values`; the singular subspaces
-    only on the first :meth:`svd` call, which the certifier makes for a
-    co-occurring witness alone.
+    A checked value: the read-only ``matrix`` and its singular values
+    (squared, the Schmidt weights), computed at construction by
+    :func:`stacked_singular_values`.  Singular subspaces are not kept; the
+    certifier computes them for a co-occurring witness alone.
     """
 
-    __slots__ = ("matrix", "singular_values", "_u", "_v")
+    __slots__ = ("matrix", "singular_values")
 
     def __init__(self, matrix):
         m = as_matrix(matrix, name="amplitude matrix")
         hs_sq = float(np.vdot(m, m).real)
-        if abs(hs_sq - 1.0) > UNIT_NORM_SLACK:
+        if abs(hs_sq - 1.0) > UNIT_SLACK:
             raise ValueError(
                 f"amplitude matrix must have unit Hilbert-Schmidt norm, got Tr(m^dag m) = {hs_sq!r}"
             )
@@ -47,7 +43,6 @@ class AmplitudeMatrix:
         s.setflags(write=False)
         self.matrix = m
         self.singular_values = s
-        self._u = self._v = None
 
     @classmethod
     def normalized(cls, matrix) -> "AmplitudeMatrix":
@@ -67,20 +62,6 @@ class AmplitudeMatrix:
     def dims(self) -> SystemDims:
         return SystemDims(self.matrix.shape[0], self.matrix.shape[1])
 
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decomposition ``matrix = u @ diag(s) @ v.conj().T``, ``u`` and ``v`` computed once, read-only.
-
-        ``s`` is :attr:`singular_values`; the full SVD's own values may differ
-        from it in the last bit and are dropped.
-        """
-        if self._u is None:
-            u, _, vh = np.linalg.svd(self.matrix, full_matrices=True)
-            v = vh.conj().T
-            u.setflags(write=False)
-            v.setflags(write=False)
-            self._u, self._v = u, v
-        return self._u, self.singular_values, self._v
-
     def __repr__(self) -> str:
         d_a, d_b = self.dims
         return f"AmplitudeMatrix({d_a}x{d_b}, schmidt={np.round(self.singular_values, 6)})"
@@ -94,8 +75,5 @@ def swap_operator(d: int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("dimension must be positive")
-    e = np.zeros((d * d, d * d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            e[b * d + a, a * d + b] = 1.0
-    return e
+    # row a*d + b of the identity moves to b*d + a
+    return np.eye(d * d, dtype=complex)[np.arange(d * d).reshape(d, d).T.ravel()]

@@ -44,10 +44,21 @@ ENTROPY_WEIGHT_CUT = 1e-15
 
 
 class NontrivialityConvention(Enum):
-    """Which factors of a witness pair must be nontrivial projectors."""
+    """Which factors of a witness pair must be nontrivial projectors.
+
+    :meth:`admits` is the one definition of the rule: the rank rule of
+    :func:`holistic_at_rank` and the witness check of :func:`certify_rank1`
+    both call it.
+    """
 
     AT_LEAST_ONE = "atleastone"
     BOTH = "both"
+
+    def admits(self, p_nontrivial, q_nontrivial):
+        """Whether a pair whose factors are nontrivial as flagged counts, elementwise."""
+        if self is NontrivialityConvention.AT_LEAST_ONE:
+            return p_nontrivial | q_nontrivial
+        return p_nontrivial & q_nontrivial
 
 
 class Witness(NamedTuple):
@@ -144,8 +155,10 @@ def schmidt_rank(s, tols: Tolerances):
 def holistic_at_rank(rank, dims, convention: NontrivialityConvention):
     """Whether no co-occurring witness exists at Schmidt rank ``rank``, elementwise.
 
-    One exists iff ``r < d_a or r < d_b`` (at-least-one), resp. ``r < d_a and
-    r < d_b`` (both).  Rank 0 and factor dimensions below 2 are input errors.
+    The witness on the leading ``r`` singular subspaces has a nontrivial
+    factor on a side iff ``r`` is below that side's dimension, so one exists
+    iff ``convention`` admits ``(r < d_a, r < d_b)``.  Rank 0 and factor
+    dimensions below 2 are input errors.
     """
     d_a, d_b = int(dims[0]), int(dims[1])
     if d_a < 2 or d_b < 2:
@@ -153,9 +166,7 @@ def holistic_at_rank(rank, dims, convention: NontrivialityConvention):
     rank = np.asarray(rank)
     if np.any(rank < 1):
         raise ValueError("no singular value above tol_rank: the amplitude has rank 0 at this tolerance")
-    if convention is NontrivialityConvention.AT_LEAST_ONE:
-        return (rank >= d_a) & (rank >= d_b)
-    return (rank >= d_a) | (rank >= d_b)
+    return ~convention.admits(rank < d_a, rank < d_b)
 
 
 def certify_rank1(
@@ -171,7 +182,7 @@ def certify_rank1(
     ``r`` singular subspaces: solutions of ``P @ amp @ Q.T == amp`` contain
     the column and row spaces.  An exclusive witness always exists.  Witness
     factors are built by ``Property.from_basis`` from the SVD's columns, and
-    only that witness asks ``amp`` for ``U`` and ``V``.
+    only that witness computes the full SVD of ``amp``.
 
     Every witness is replayed once through :func:`product_commutator_norm`.
     One whose factors are not nontrivial under ``convention``, or whose
@@ -184,9 +195,7 @@ def certify_rank1(
     holistic = bool(holistic_at_rank(r, amp.dims, convention))
 
     def replayed(p: Property, q: Property, bound: float) -> Witness:
-        p_ok, q_ok = is_nontrivial(p), is_nontrivial(q)
-        ok = (p_ok or q_ok) if convention is NontrivialityConvention.AT_LEAST_ONE else (p_ok and q_ok)
-        if not ok:
+        if not convention.admits(is_nontrivial(p), is_nontrivial(q)):
             raise InvariantViolation(
                 f"witness factors of ranks ({p.rank}, {q.rank}) in dims ({p.dim}, {q.dim}) "
                 f"are not nontrivial under {convention.value}"
@@ -200,10 +209,10 @@ def certify_rank1(
 
     lambda1 = None
     if not holistic:
-        # Q = (V_r V_r^dag)^T projects onto the columns of conj(V_r)
-        u, _, v = amp.svd()
+        # Q = (V_r V_r^dag)^T projects onto the columns of conj(V_r) = vh.T
+        u, _, vh = np.linalg.svd(amp.matrix)
         bound = tols.tol_compat + float(np.sqrt(2.0) * frob(s[r:]))
-        lambda1 = replayed(Property.from_unitary(u, r), Property.from_unitary(v.conj(), r), bound)
+        lambda1 = replayed(Property.from_unitary(u, r), Property.from_unitary(vh.T, r), bound)
 
     return HolismVerdict(
         lambda1_witness=lambda1,

@@ -2,7 +2,8 @@
 
 Plain complex numpy arrays are the carrier for every operator in the
 library; the wrappers here hold the array rules every checked type shares:
-the validated read-only copy, the Hermitian check and the Ginibre draw.
+the validated read-only copy, the Hermitian check, the construction slack
+and the Ginibre draw.
 Index conventions are fixed once: Kronecker products are row-major with the
 first factor slow, i.e. ``np.kron(a, b)`` maps the basis pair ``(i, k),
 (j, l)`` to entry ``(i * rows_b + k, j * cols_b + l)``.
@@ -13,6 +14,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+
+# Slack of the construction checks against 1: the squared norm of an
+# amplitude matrix, the trace of a state (both exactly 1) and the top
+# eigenvalue of sum K^dag K (at most 1).  Not a verdict thresholded by
+# ``Tolerances``: built in floating point such a quantity lands within
+# ~1e-15 of 1, and this still admits entries written to about nine digits.
+UNIT_SLACK = 1e-9
 
 
 class SystemDims(NamedTuple):

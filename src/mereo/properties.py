@@ -16,12 +16,7 @@ import numpy as np
 
 from .config import Tolerances
 from .doubleket import swap_operator
-from .linalg import frob, hermitian
-
-# Largest |Tr(rho) - 1| a state may carry.  A construction check on the
-# input, like the amplitude unit norm, not a verdict thresholded by
-# ``Tolerances``: density matrices built in floating point land within ~1e-15.
-STATE_TRACE_SLACK = 1e-9
+from .linalg import UNIT_SLACK, frob, hermitian
 
 
 class Verdict(Enum):
@@ -124,7 +119,7 @@ class State:
         if np.any(w < -tols.tol_rank):
             raise ValueError("state matrix is not positive semidefinite")
         tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > STATE_TRACE_SLACK:
+        if abs(tr - 1.0) > UNIT_SLACK:
             raise ValueError(f"state trace must be 1, got {tr!r}")
         self.matrix = m
 

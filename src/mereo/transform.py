@@ -15,13 +15,8 @@ import numpy as np
 
 from .config import Tolerances
 from .doubleket import swap_operator
-from .linalg import SystemDims, as_matrix, frob, hermitian, partial_trace
+from .linalg import UNIT_SLACK, SystemDims, as_matrix, frob, hermitian, partial_trace
 from .properties import Property
-
-# Amount by which the top eigenvalue of sum K^dag K may exceed 1.  A
-# construction check on the Kraus family, not a verdict: projectors and
-# isometries built in floating point give 1 + O(1e-15).
-KRAUS_BOUND_SLACK = 1e-9
 
 
 class QuantumTransformation:
@@ -39,7 +34,7 @@ class QuantumTransformation:
                 raise ValueError("all Kraus operators must share one shape")
         total = sum(m.conj().T @ m for m in mats)
         top = float(np.max(np.linalg.eigvalsh((total + total.conj().T) / 2.0)))
-        if top > 1.0 + KRAUS_BOUND_SLACK:
+        if top > 1.0 + UNIT_SLACK:
             raise ValueError(
                 f"Kraus operators are not trace-non-increasing: max eig of sum K^dag K = {top!r}"
             )

@@ -300,12 +300,14 @@ class TestDensity:
     @pytest.mark.parametrize("csv_path, names", [
         (".", "Is a directory"),
         ("missing/scan.csv", "No such file or directory"),
+        ("file/scan.csv", "Not a directory"),
     ])
     def test_unwritable_csv_is_rejected_before_the_scan(self, tmp_path, monkeypatch, capsys,
                                                         csv_path, names):
         def scan(*args, **kwargs):
             raise AssertionError("the scan ran")
 
+        (tmp_path / "file").write_text("")
         monkeypatch.setattr(cli, "density_scan", scan)
         code = cli.main(["density", "--dims", "2", "2", "--samples", "10",
                          "--csv", str(tmp_path / csv_path)])
@@ -566,8 +568,10 @@ class TestReportShape:
     @pytest.mark.parametrize("out, names", [
         (".", "Is a directory"),
         ("missing/report.json", "No such file or directory"),
+        ("file/report.json", "Not a directory"),
     ])
     def test_unwritable_out_is_input_error(self, tmp_path, capsys, out, names):
+        (tmp_path / "file").write_text("")
         code = cli.main(["certify", "--preset", "bell2", "--out", str(tmp_path / out)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mereo import AmplitudeMatrix, SystemDims, certify_rank1, frob, swap_operator, symmetric_projector
+from mereo import AmplitudeMatrix, SystemDims, frob, swap_operator, symmetric_projector
 
 from doubleket_reference import DoubleKet, apply_local, hs_inner, kron, unvec, vec
 
@@ -185,27 +185,6 @@ class TestAmplitudeMatrix:
     def test_normalized_large_finite_norm_keeps_its_bits(self):
         m = np.array([[1e150, 3e149j], [0.0, -2e150]])
         assert AmplitudeMatrix.normalized(m).matrix.tobytes() == (m / frob(m)).tobytes()
-
-    def test_cached_factors_reconstruct(self):
-        # matrix == u @ diag(s) @ v^dag with unitary u, v, s descending
-        rng = np.random.default_rng(11)
-        amp = random_amp(rng, 3, 5)
-        u, s, v = amp.svd()
-        sigma = np.zeros((3, 5))
-        sigma[:3, :3] = np.diag(s)
-        assert frob(u @ sigma @ v.conj().T - amp.matrix) <= 1e-12
-        assert frob(u.conj().T @ u - np.eye(3)) <= 1e-12
-        assert frob(v.conj().T @ v - np.eye(5)) <= 1e-12
-        assert np.all(np.diff(s) <= 0.0)
-
-    def test_cached_factors_are_read_only(self):
-        # a writable cache let a caller swap U and break the next witness replay
-        amp = AmplitudeMatrix(np.diag([0.8, 0.6, 0.0]))
-        u, _, v = amp.svd()
-        for factor in (u, v):
-            with pytest.raises(ValueError, match="read-only"):
-                factor[:] = np.eye(3)[::-1]
-        assert certify_rank1(amp).lambda1_witness.commutator_norm <= 1e-9
 
     def test_cached_singular_values_match_fresh_svd(self):
         rng = np.random.default_rng(8)

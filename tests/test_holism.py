@@ -210,13 +210,12 @@ class TestSingularSubspacesOnDemand:
 
     @pytest.mark.parametrize("dims, rank", [((2, 2), 1), ((3, 3), 2), ((4, 5), 3)])
     def test_rank_deficient_certify_computes_them_once(self, dims, rank, monkeypatch):
+        # once per certify: the amplitude keeps no factorization between calls
         calls = count_full_svds(monkeypatch)
         amp = exact_rank_amp(np.random.default_rng(dims), *dims, rank)
         for conv in (AT_LEAST_ONE, AT_LEAST_ONE, BOTH):
             assert certify_rank1(amp, conv).lambda1_witness is not None
-        assert calls == [dims]
-        u, s, v = amp.svd()
-        assert s is amp.singular_values and calls == [dims]
+        assert calls == [dims] * 3
 
 
 class TestRankRule:
@@ -232,6 +231,18 @@ class TestRankRule:
                 assert verdict.rank == rank
                 assert holistic_at_rank(rank, dims, conv) == verdict.holistic
                 assert (verdict.lambda1_witness is None) == verdict.holistic
+
+    @pytest.mark.parametrize("convention, table", [
+        (AT_LEAST_ONE, [[False, True], [True, True]]),
+        (BOTH, [[False, False], [False, True]]),
+    ])
+    def test_admits_truth_table(self, convention, table):
+        # table[p][q]: whether a pair with p, q nontrivial counts, for flags and arrays alike
+        flags = np.array([False, True])
+        assert convention.admits(flags[:, None], flags[None, :]).tolist() == table
+        for p in (False, True):
+            for q in (False, True):
+                assert convention.admits(p, q) is table[p][q]
 
     @pytest.mark.parametrize("convention", [AT_LEAST_ONE, BOTH])
     def test_rule_is_elementwise(self, convention):

@@ -117,7 +117,7 @@ CHECKED_TYPES = {
     "ChoiMatrix": (PROJECTOR, lambda m: ChoiMatrix(m, d_in=1, d_out=2), lambda c: [c.matrix]),
     "QuantumTransformation": (PROJECTOR, lambda m: QuantumTransformation([m]), lambda t: list(t.kraus)),
     "AmplitudeMatrix": (
-        np.diag([0.8, 0.6j, 0.0]), AmplitudeMatrix, lambda a: [a.matrix, a.singular_values, *a.svd()],
+        np.diag([0.8, 0.6j, 0.0]), AmplitudeMatrix, lambda a: [a.matrix, a.singular_values],
     ),
 }
 
