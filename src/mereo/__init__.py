@@ -8,7 +8,7 @@ commutant search, and verifies the bijection between projectors and
 repeatable atomic operations.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .config import ENV_OVERRIDE, InvariantViolation, Tolerances, active_tolerances
 from .doubleket import AmplitudeMatrix, swap_operator

@@ -127,7 +127,7 @@ def cmd_certify(args, tols: Tolerances) -> dict:
     return {
         "gamma_source": source,
         "dims": list(amp.dims),
-        "singular_values": [float(x) for x in amp.singular_values],
+        "singular_values": amp.singular_values.tolist(),
         "verdicts": verdicts,
     }
 
@@ -178,13 +178,12 @@ def cmd_density(args, tols: Tolerances) -> dict:
             writer.writerow(
                 ["sample_index", "smallest_singular_value", "holistic_atleastone", "holistic_both"]
             )
-            for i in range(report.samples):
-                writer.writerow([
-                    i,
-                    repr(float(report.smallest_singular_values[i])),
-                    "true" if report.holistic_at_least_one[i] else "false",
-                    "true" if report.holistic_both[i] else "false",
-                ])
+            writer.writerows(zip(
+                range(report.samples),
+                map(repr, report.smallest_singular_values.tolist()),
+                np.where(report.holistic_at_least_one, "true", "false").tolist(),
+                np.where(report.holistic_both, "true", "false").tolist(),
+            ))
     return {
         "dims": list(dims),
         "samples": report.samples,
@@ -193,8 +192,8 @@ def cmd_density(args, tols: Tolerances) -> dict:
         "fraction_smallest_below_rank_tol": report.fraction_smallest_below_rank_tol,
         "near_rank_tol_count": report.near_rank_tol_count,
         "histogram": {
-            "edges": [float(x) for x in report.histogram_edges],
-            "counts": [int(x) for x in report.histogram_counts],
+            "edges": report.histogram_edges.tolist(),
+            "counts": report.histogram_counts.tolist(),
         },
         "csv_path": args.csv,
     }
@@ -217,13 +216,10 @@ def cmd_lattice(args, tols: Tolerances) -> dict:
     np.fill_diagonal(n2, 1.0)
     comm = np.sqrt(commutator_norm_sq_from_n2(n2))
     member_records = [
-        {
-            "amplitude": record,
-            "rank": int(rank),
-            "holistic": bool(hol),
-            "smallest_singular_value": float(smin),
-        }
-        for record, rank, hol, smin in zip(matrix_records(members), ranks, holistic, s[:, -1])
+        {"amplitude": record, "rank": rank, "holistic": hol, "smallest_singular_value": smin}
+        for record, rank, hol, smin in zip(
+            matrix_records(members), ranks.tolist(), holistic.tolist(), s[:, -1].tolist()
+        )
     ]
     return {
         "gamma_source": source,
@@ -245,7 +241,7 @@ def cmd_entropy(args, tols: Tolerances) -> dict:
         "dims": list(amp.dims),
         "s_whole": s_whole,
         "s_part": s_part,
-        "singular_values": [float(x) for x in amp.singular_values],
+        "singular_values": amp.singular_values.tolist(),
     }
 
 
@@ -306,7 +302,8 @@ def _check_flags(args) -> None:
 
     An ``--out`` or ``--csv`` that names a directory, or a file in a missing
     directory or under a file, is rejected here too, before the command runs
-    and writes anything.
+    and writes anything; so is an ``--out`` that is the ``--csv`` or
+    ``--gamma`` file, which the report would overwrite.
     """
     for name in ("random_seed", "seed"):
         value = getattr(args, name, None)
@@ -325,6 +322,13 @@ def _check_flags(args) -> None:
         if not os.path.isdir(parent):
             reason = "Not a directory" if os.path.exists(parent) else "No such file or directory"
             raise ValueError(f"--{flag} {path}: {reason}: {parent}")
+    out = getattr(args, "out", None)
+    # realpath matches a file not written yet; samefile also matches a hard link
+    for flag in ("csv", "gamma"):
+        path = getattr(args, flag, None)
+        if out and path and (os.path.realpath(out) == os.path.realpath(path) or (
+                os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path))):
+            raise ValueError(f"--out {out} is the --{flag} file {path}")
 
 
 def _config_echo(args, tols: Tolerances) -> dict:

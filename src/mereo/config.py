@@ -50,15 +50,17 @@ def active_tolerances() -> Tolerances:
     """The CLI's tolerances: defaults, with optional overrides from MEREO_TOL_OVERRIDE.
 
     The environment variable, when set, must hold a JSON object whose keys
-    are a subset of the ``Tolerances`` field names.  Only ``cli.main`` calls
-    this; library calls take ``tols`` and never read the environment.
+    are a subset of the ``Tolerances`` field names and whose values are JSON
+    numbers.  Only ``cli.main`` calls this; library calls take ``tols`` and
+    never read the environment.
     """
     base = Tolerances()
     raw = os.environ.get(ENV_OVERRIDE)
     if not raw:
         return base
     try:
-        fields = json.loads(raw)
+        # an integer beyond the double range reads as inf, which Tolerances rejects
+        fields = json.loads(raw, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{ENV_OVERRIDE} is not valid JSON: {exc}") from exc
     except RecursionError as exc:  # the parser recurses once per nesting level
@@ -68,10 +70,7 @@ def active_tolerances() -> Tolerances:
     unknown = set(fields) - set(base.as_dict())
     if unknown:
         raise ValueError(f"{ENV_OVERRIDE} has unknown keys: {sorted(unknown)}")
-    values = {}
     for key, value in fields.items():
-        try:
-            values[key] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{ENV_OVERRIDE}: {key} must be a number, got {value!r}") from exc
-    return replace(base, **values)
+        if type(value) is not float:  # not true or "1e-5", which float() would take
+            raise ValueError(f"{ENV_OVERRIDE}: {key} must be a number, got {value!r}")
+    return replace(base, **fields)

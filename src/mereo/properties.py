@@ -133,9 +133,12 @@ def property_from_span(vectors, dim: int, *, tols: Tolerances = Tolerances()) ->
 
     Linearly dependent inputs are harmless; the rank of the result is the
     dimension of the span.  An empty or all-zero list yields the zero
-    property, which is trivial by construction.
+    property, which is trivial by construction.  The result is built by
+    :meth:`Property.from_basis`, so ``io.property_to_json_dict`` prints it.
     """
     dim = int(dim)
+    if dim < 1:
+        raise ValueError(f"span dimension must be positive, got {dim}")
     cols = []
     for v in vectors:
         c = np.asarray(v, dtype=complex).reshape(-1)
@@ -145,12 +148,9 @@ def property_from_span(vectors, dim: int, *, tols: Tolerances = Tolerances()) ->
         if n > tols.tol_rank:
             cols.append(c / n)
     if not cols:
-        return Property(np.zeros((dim, dim), dtype=complex), tols=tols)
-    a = np.column_stack(cols)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r = int(np.sum(s > tols.tol_rank))
-    ur = u[:, :r]
-    return Property(ur @ ur.conj().T, tols=tols)
+        return Property.from_basis(np.zeros((dim, 0)))
+    u, s, _ = np.linalg.svd(np.column_stack(cols), full_matrices=False)
+    return Property.from_basis(u[:, : int(np.sum(s > tols.tol_rank))])
 
 
 def is_nontrivial(p: Property) -> bool:

@@ -84,7 +84,7 @@ from .holism import (
     product_commutator_norm,
     schmidt_rank,
 )
-from .linalg import SystemDims, stacked_singular_values
+from .linalg import SystemDims, ginibre, stacked_singular_values
 from .properties import Property, smaller_side
 
 # Well above tolerances, well below typical co-occurrence weights.  It also
@@ -411,10 +411,7 @@ def minimize(amp: AmplitudeMatrix, cfg: SearchConfig) -> SearchResult:
         argmin=product_commutator_norm(amp, p, q),
         iterations_used=int(iters.sum()),
         converged=reason[best] == "grad_tol",
-        restart_trace=tuple(
-            RestartTrace(float(f[r]), int(iters[r]), reason[r], int(rejected[r]))
-            for r in range(cfg.restarts)
-        ),
+        restart_trace=tuple(map(RestartTrace, f.tolist(), iters.tolist(), reason, rejected.tolist())),
     )
 
 
@@ -530,11 +527,10 @@ def density_scan(
 ) -> DensityReport:
     """Certifier verdicts on unit-norm Ginibre samples under both conventions.
 
-    Sample ``i`` is the ``i``-th ``(d_a, d_b, 2)`` block of standard normals
-    (real and imaginary parts) from one PCG64 stream seeded by ``rng_seed``,
-    scaled to unit norm; so raising ``samples`` only appends samples, and the
-    first ``n`` of a longer scan are the scan of ``n``.  Verdicts come from
-    one stacked SVD through the certifier's rank rule
+    Sample ``i`` is the ``i``-th :func:`ginibre` matrix of one PCG64 stream
+    seeded by ``rng_seed``, scaled to unit norm; so raising ``samples`` only
+    appends samples, and the first ``n`` of a longer scan are the scan of
+    ``n``.  Verdicts come from one stacked SVD through the certifier's rank rule
     (:func:`holistic_at_rank`), with no witnesses.  ``near_rank_tol_count``
     counts the samples whose smallest singular value lies within
     ``NEAR_RANK_TOL_FACTOR`` of ``tols.tol_rank`` on either side.
@@ -542,8 +538,7 @@ def density_scan(
     if samples < 1:
         raise ValueError("samples must be positive")
     dims = SystemDims(int(dims[0]), int(dims[1]))
-    draws = np.random.default_rng(rng_seed).standard_normal((samples, *dims, 2))
-    stack = draws.view(complex)[..., 0]
+    stack = ginibre(dims, np.random.default_rng(rng_seed), samples)
     stack /= np.linalg.norm(stack, axis=(-2, -1), keepdims=True)
     s = stacked_singular_values(stack)
     rank = schmidt_rank(s, tols)

@@ -15,6 +15,7 @@ from mereo import (
     Tolerances,
     __version__,
     cli,
+    density_scan,
     holism,
     lattice_amplitudes,
     minimize,
@@ -296,6 +297,25 @@ class TestDensity:
             lines[samples] = path.read_bytes().split(b"\r\n")
         assert len(lines[300]) == 302  # header, 300 rows and the empty tail
         assert lines[100][:101] == lines[300][:101]
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_csv_rows_are_the_scan_arrays(self, tmp_path, capsys, dims):
+        path = tmp_path / "scan.csv"
+        code, _ = run_cli(
+            ["density", "--dims", *map(str, dims), "--samples", "50", "--seed", "6",
+             "--csv", str(path)],
+            capsys,
+        )
+        assert code == 0
+        scan = density_scan(SystemDims(*dims), 50, 6)
+        word = {True: "true", False: "false"}
+        rows = [
+            f"{i},{float(smin)!r},{word[bool(one)]},{word[bool(both)]}"
+            for i, (smin, one, both) in enumerate(zip(
+                scan.smallest_singular_values, scan.holistic_at_least_one, scan.holistic_both
+            ))
+        ]
+        assert path.read_bytes().decode().split("\r\n")[1:] == [*rows, ""]
 
     @pytest.mark.parametrize("csv_path, names", [
         (".", "Is a directory"),
@@ -586,6 +606,26 @@ class TestReportShape:
         captured = capsys.readouterr()
         assert (code, captured.out, len(captured.err.splitlines())) == (2, "", 1)
         assert not scan.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["density", "--dims", "2", "2", "--samples", "5", "--csv", "{same}"], "--csv"),
+        (["density", "--dims", "2", "2", "--samples", "5", "--csv", "{link}"], "--csv"),
+        (["certify", "--gamma", "{same}"], "--gamma"),
+        (["certify", "--gamma", "{link}"], "--gamma"),
+    ])
+    def test_out_naming_the_csv_or_gamma_file_is_input_error(self, tmp_path, capsys, argv, flag):
+        # {link} is a hard link, a second name of the same file that the report would overwrite too
+        same, link = tmp_path / "same.json", tmp_path / "link.json"
+        same.write_text(json.dumps(matrix_to_json_dict(np.eye(2))))
+        link.hardlink_to(same)
+        before = same.read_bytes()
+        argv = [a.format(same=same, link=link) for a in argv]
+        code = cli.main([*argv, "--out", str(tmp_path / ".." / tmp_path.name / "same.json")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: --out") and flag in lines[0]
+        assert same.read_bytes() == before
 
     @pytest.mark.parametrize("text, names", [
         ('{"rows": 1e400, "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}',

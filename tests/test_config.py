@@ -62,7 +62,11 @@ class TestEnvOverride:
         with pytest.raises(ValueError):
             active_tolerances()
 
-    @pytest.mark.parametrize("raw", ['{"tol_rank": "abc"}', '{"tol_rank": [1]}', '{"tol_rank": 0}'])
+    @pytest.mark.parametrize("raw", [
+        '{"tol_rank": "abc"}', '{"tol_rank": [1]}', '{"tol_rank": 0}',
+        '{"tol_rank": true}', '{"tol_rank": "1e-5"}',
+        pytest.param('{"tol_rank": 1' + '0' * 400 + '}', id="int-overflowing-a-float"),
+    ])
     def test_bad_values_rejected(self, monkeypatch, raw):
         monkeypatch.setenv(ENV_OVERRIDE, raw)
         with pytest.raises(ValueError, match="tol_rank"):

@@ -21,6 +21,7 @@ from mereo import (
     cli,
     minimize,
     projector_from_coords,
+    property_from_span,
 )
 from mereo.io import (
     load_matrix,
@@ -120,6 +121,17 @@ def test_search_argmin_rebuilds_exactly(tmp_path, d, rank):
         assert results[key]["complement"] is (2 * rank > d)
         assert_same_bytes(results[key], prop)
     assert results["min_value"] == result.argmin.commutator_norm
+
+
+@pytest.mark.parametrize("vectors, dim", [
+    ([], 3),  # the zero projector: no columns
+    ([[1.0, 0.0]], 2),
+    ([[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, -1.0, 0.0]], 4),
+    ([[1.0, 2j, 0.0], [2.0, 4j, 0.0], [0.5, 0.0, 1j]], 3),  # a dependent pair: rank 2
+])
+def test_span_projector_rebuilds_exactly(vectors, dim):
+    prop = property_from_span(vectors, dim)
+    assert_same_bytes(json.loads(json.dumps(property_to_json_dict(prop))), prop)
 
 
 @settings(max_examples=40, deadline=None)

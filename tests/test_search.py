@@ -605,14 +605,15 @@ class TestOracleAgreement:
 def certifier_density(dims, samples, seed, tols):
     """Per-sample certifier loop: the reference ``density_scan`` must reproduce.
 
-    Draws sample after sample from one stream and scales each by its own
-    axis norm; ``AmplitudeMatrix.normalized`` divides by the flattened norm,
-    which differs from it in the last bit on about one draw in five.
+    Draws sample after sample from one stream, one ``ginibre`` matrix each,
+    and scales each by its own axis norm; ``AmplitudeMatrix.normalized``
+    divides by the flattened norm, which differs from it in the last bit on
+    about one draw in five.
     """
     rng = np.random.default_rng(seed)
     smin, one, both = [], [], []
     for _ in range(samples):
-        g = rng.standard_normal((*dims, 2)).view(complex)[..., 0]
+        g = ginibre(dims, rng)
         amp = AmplitudeMatrix(g / np.linalg.norm(g, axis=(-2, -1)))
         smin.append(amp.singular_values[-1])
         one.append(certify_rank1(amp, NontrivialityConvention.AT_LEAST_ONE, tols=tols).holistic)
