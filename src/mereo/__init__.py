@@ -8,9 +8,9 @@ commutant search, and verifies the bijection between projectors and
 repeatable atomic operations.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
-from .config import ENV_OVERRIDE, InvariantViolation, Tolerances, active_tolerances
+from .config import InvariantViolation, Tolerances
 from .doubleket import AmplitudeMatrix, swap_operator
 from .holism import (
     HolismVerdict,
@@ -54,7 +54,6 @@ from .transform import (
 )
 
 __all__ = [
-    "ENV_OVERRIDE",
     "EXCLUDE_FLOOR",
     "AmplitudeMatrix",
     "ChoiMatrix",
@@ -69,7 +68,6 @@ __all__ = [
     "Tolerances",
     "Verdict",
     "Witness",
-    "active_tolerances",
     "brute_force_grid_d2",
     "certify_rank1",
     "choi",

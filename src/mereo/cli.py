@@ -15,12 +15,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .config import InvariantViolation, Tolerances, active_tolerances
+from .config import InvariantViolation, Tolerances
 from .doubleket import AmplitudeMatrix
 from .holism import (
     HolismVerdict,
@@ -50,7 +49,14 @@ from .properties import (
     smaller_side,
     symmetric_projector,
 )
-from .search import SearchConfig, brute_force_grid_d2, density_scan, minimize, projector_from_coords
+from .search import (
+    ORACLE_RESOLUTION,
+    SearchConfig,
+    brute_force_grid_d2,
+    density_scan,
+    minimize,
+    projector_from_coords,
+)
 from .transform import extract_property, from_property
 
 # Largest deviation the demo's projector -> operation -> projector round trip
@@ -142,16 +148,12 @@ def cmd_search(args, tols: Tolerances) -> dict:
         rng_seed=args.seed,
     )
     # invalid ranks or restarts exit before the grid runs; the grid rejects
-    # dims other than (2, 2) and resolutions below 2 before the descent runs
+    # dims other than (2, 2) before the descent runs
     cfg.validate(amp.dims)
     grid_oracle = None
     if args.oracle:
-        grid_min, angles = brute_force_grid_d2(amp, args.oracle_resolution, args.exclude_exclusive)
-        grid_oracle = {
-            "min_value": grid_min,
-            "angles": list(angles),
-            "resolution": args.oracle_resolution,
-        }
+        grid_min, angles = brute_force_grid_d2(amp, ORACLE_RESOLUTION, args.exclude_exclusive)
+        grid_oracle = {"min_value": grid_min, "angles": list(angles), "resolution": ORACLE_RESOLUTION}
     result = minimize(amp, cfg)
     argmin = result.argmin
     return {
@@ -376,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--exclude-exclusive", action="store_true",
                           help="penalize the exclusive branch (co-occurring search)")
     p_search.add_argument("--oracle", action="store_true",
-                          help="compare against the exhaustive Bloch grid (dims (2,2) only)")
-    p_search.add_argument("--oracle-resolution", type=int, default=24)
+                          help=f"compare against the exhaustive {ORACLE_RESOLUTION}x{ORACLE_RESOLUTION} "
+                          "Bloch grid (dims (2,2) only)")
     common(p_search)
 
     p_density = sub.add_parser("density", help="Monte Carlo holism fraction scan")
@@ -408,9 +410,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
-        tols = active_tolerances()
-        if getattr(args, "tol_rank", None) is not None:
-            tols = replace(tols, tol_rank=float(args.tol_rank))
+        tols = Tolerances() if args.tol_rank is None else Tolerances(tol_rank=args.tol_rank)
         t_start = time.perf_counter()
         results = globals()[f"cmd_{args.command}"](args, tols)
         elapsed = time.perf_counter() - t_start

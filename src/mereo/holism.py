@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import InvariantViolation, Tolerances
 from .doubleket import AmplitudeMatrix
-from .linalg import SystemDims, frob, ginibre
+from .linalg import SystemDims, as_sizes, frob, ginibre
 from .properties import Property, is_nontrivial
 
 # A lattice completion draw whose QR diagonal entry |R_jj| (the norm of its
@@ -160,7 +160,7 @@ def holistic_at_rank(rank, dims, convention: NontrivialityConvention):
     iff ``convention`` admits ``(r < d_a, r < d_b)``.  Rank 0 and factor
     dimensions below 2 are input errors.
     """
-    d_a, d_b = int(dims[0]), int(dims[1])
+    d_a, d_b = as_sizes(dims)
     if d_a < 2 or d_b < 2:
         raise ValueError("holism certification needs both factor dimensions >= 2")
     rank = np.asarray(rank)

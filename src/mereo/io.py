@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import Tolerances
 from .doubleket import AmplitudeMatrix
-from .linalg import SystemDims, as_matrix, frob, ginibre
+from .linalg import SystemDims, as_matrix, as_sizes, frob, ginibre
 from .properties import Property
 
 PRESET_NAMES = ("bell2", "product2", "maxent3")
@@ -41,13 +41,10 @@ def _parse_record(data, *, min_cols: int) -> np.ndarray:
     if not isinstance(data, dict):
         raise ValueError("matrix record must be a JSON object")
     try:
-        size = data["rows"], data["cols"]
-        rows, cols = map(int, size)
-        if (rows, cols) != size or bool in map(type, size):  # int() truncates 2.7 and takes True, "2"
-            raise ValueError(f"sizes must be integers, got {size[0]!r}x{size[1]!r}")
+        rows, cols = as_sizes((data["rows"], data["cols"]))
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e400) overflows
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a float array overflows on 10**400
         raise ValueError(f"malformed matrix record: {exc}") from exc
     if rows < 1 or cols < min_cols:
         raise ValueError(f"matrix record needs rows >= 1 and cols >= {min_cols}, got {rows}x{cols}")
@@ -125,4 +122,4 @@ def preset_amplitude(name: str) -> AmplitudeMatrix:
 def random_amplitude(seed: int, dims: SystemDims) -> AmplitudeMatrix:
     """Unit-norm Ginibre draw, reproducible from the seed alone."""
     rng = np.random.default_rng([int(seed)])
-    return AmplitudeMatrix.normalized(ginibre(SystemDims(int(dims[0]), int(dims[1])), rng))
+    return AmplitudeMatrix.normalized(ginibre(dims, rng))

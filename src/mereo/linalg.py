@@ -2,8 +2,8 @@
 
 Plain complex numpy arrays are the carrier for every operator in the
 library; the wrappers here hold the array rules every checked type shares:
-the validated read-only copy, the Hermitian check, the construction slack
-and the Ginibre draw.
+the validated read-only copy, the Hermitian check, the construction slack,
+the size rule and the Ginibre draw.
 Index conventions are fixed once: Kronecker products are row-major with the
 first factor slow, i.e. ``np.kron(a, b)`` maps the basis pair ``(i, k),
 (j, l)`` to entry ``(i * rows_b + k, j * cols_b + l)``.
@@ -28,6 +28,22 @@ class SystemDims(NamedTuple):
 
     d_a: int
     d_b: int
+
+
+def as_sizes(values) -> tuple[int, ...]:
+    """``values`` as ints, rejecting with ``ValueError`` any that ``int()`` would change.
+
+    ``int()`` truncates 2.7, takes True as 1 and parses "2"; a size must
+    already be an integer, as a Python or numpy int or an integral float.
+    """
+    try:
+        sizes = tuple(map(int, values))
+        exact = sizes == tuple(values) and not any(isinstance(v, (bool, np.bool_)) for v in values)
+    except (TypeError, ValueError, OverflowError):  # int(None), int("a"), int(inf)
+        exact = False
+    if not exact:
+        raise ValueError(f"sizes must be integers, got {'x'.join(map(repr, values))}")
+    return sizes
 
 
 def as_matrix(value, *, name: str = "matrix") -> np.ndarray:
@@ -83,7 +99,7 @@ def partial_trace(m, dims: SystemDims, which: str = "first") -> np.ndarray:
     the first factor; ``which="second"`` the ``d_a x d_a`` one.
     """
     m = as_matrix(m)
-    d_a, d_b = int(dims[0]), int(dims[1])
+    d_a, d_b = as_sizes(dims)
     n = d_a * d_b
     if m.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix for dims {d_a}x{d_b}, got {m.shape}")
@@ -102,6 +118,6 @@ def ginibre(dims: SystemDims, rng: np.random.Generator, count: int | None = None
     then imaginary parts, over ``sqrt(2)``.  So a stack of ``count`` equals
     ``count`` successive single draws bit for bit.
     """
-    shape = (int(dims[0]), int(dims[1]))
+    shape = as_sizes(dims)
     block = rng.standard_normal((2, *shape) if count is None else (count, 2, *shape))
     return (block[..., 0, :, :] + 1j * block[..., 1, :, :]) / np.sqrt(2.0)

@@ -84,7 +84,7 @@ from .holism import (
     product_commutator_norm,
     schmidt_rank,
 )
-from .linalg import SystemDims, ginibre, stacked_singular_values
+from .linalg import SystemDims, as_sizes, ginibre, stacked_singular_values
 from .properties import Property, smaller_side
 
 # Well above tolerances, well below typical co-occurrence weights.  It also
@@ -113,6 +113,7 @@ NEAR_RANK_TOL_FACTOR = 10.0
 # cache; a block holds rows of one theta only, at most R of them, and at least
 # one whole row of R^2 entries, so from resolution R = 91 up it holds R^2
 GRID_CHUNK_ENTRIES = 1 << 14
+ORACLE_RESOLUTION = 24  # the grid resolution R of the CLI's --oracle
 # squared overlap below which the grid applies the hinge: EXCLUDE_FLOOR^2 with
 # a margin for the rounding of the product (see brute_force_grid_d2)
 _HINGE_N2_BOUND = EXCLUDE_FLOOR * EXCLUDE_FLOOR * (1.0 + 1e-12)
@@ -127,8 +128,13 @@ class SearchConfig:
     rng_seed: int = 0
 
     def validate(self, dims: SystemDims) -> None:
-        """Raise ``ValueError`` unless both ranks are nontrivial at ``dims`` and there is a restart."""
+        """Raise ``ValueError`` unless both ranks are nontrivial at ``dims`` and there is a restart.
+
+        Factor dimensions below 2 admit no nontrivial rank, and are rejected first.
+        """
         d_a, d_b = dims
+        if d_a < 2 or d_b < 2:
+            raise ValueError(f"the search needs both factor dimensions >= 2, got {d_a}x{d_b}")
         if not 0 < self.rank_p < d_a:
             raise ValueError(f"rank_p must satisfy 0 < rank < {d_a}, got {self.rank_p}")
         if not 0 < self.rank_q < d_b:
@@ -212,9 +218,10 @@ def _side(x: np.ndarray, side: tuple) -> tuple[np.ndarray, np.ndarray]:
     return y, z
 
 
-def _add_hinge(comm2: np.ndarray, gap: np.ndarray) -> np.ndarray:
-    """The objective with the hinge, ``comm2 + max(0, gap)^2`` with ``gap = EXCLUDE_FLOOR - ||W||``."""
-    return comm2 + np.square(np.maximum(gap, 0.0))
+def _add_hinge(comm2: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The objective with the hinge, ``comm2 + gap^2``, and ``gap = max(EXCLUDE_FLOOR - ||W||, 0)``."""
+    gap = np.maximum(EXCLUDE_FLOOR - norm, 0.0)
+    return comm2 + np.square(gap), gap
 
 
 def _matrix_terms(
@@ -300,17 +307,14 @@ def objective_value_and_grad(
     scale = 4.0 - 8.0 * n2
     if cfg.exclude_exclusive:
         nw = np.sqrt(n2)
-        gap = EXCLUDE_FLOOR - nw
-        hinged = (gap > 0.0) & (nw > HINGE_NORM_MIN)
-        scale -= np.where(hinged, 2.0 * gap / np.where(hinged, nw, 1.0), 0.0)
-        f = _add_hinge(f, gap)
+        f, gap = _add_hinge(f, nw)
+        scale -= np.divide(2.0 * gap, nw, out=np.zeros_like(nw), where=nw > HINGE_NORM_MIN)
     scale = scale[:, None]
-    # each side is written into its columns of one real array, viewed as complex
-    grad = np.empty(x.shape)
-    for cols, d, comp in ((cols_p, dir_p, comp_p), (cols_q, dir_q, comp_q)):
-        out = grad[:, cols].view(complex)
-        np.multiply(d.reshape(out.shape), -scale if comp else scale, out=out)
-    grad = grad.reshape(params.shape)
+    # P's coordinates, then Q's: each side's complex entries as (re, im) pairs
+    grad = np.concatenate([
+        (dr.reshape(len(x), d * k) * (-scale if comp else scale)).view(float)
+        for (_, d, k, comp), dr in ((side_p, dir_p), (side_q, dir_q))
+    ], axis=1).reshape(params.shape)
     if params.ndim == 1:
         return float(f[0]), grad
     return f.reshape(params.shape[:-1]), grad
@@ -492,7 +496,7 @@ def brute_force_grid_d2(
                 # squares, and n2 - n2^2 is +0.0 where it cancels)
                 hit = np.flatnonzero(np.less(n2, _HINGE_N2_BOUND, out=hinged[:rows]))
                 flat = obj.reshape(-1)
-                flat[hit] = _add_hinge(flat[hit], EXCLUDE_FLOOR - np.sqrt(n2.reshape(-1)[hit]))
+                flat[hit] = _add_hinge(flat[hit], np.sqrt(n2.reshape(-1)[hit]))[0]
             a_off, b_idx = divmod(int(np.argmin(obj)), n)
             if obj[a_off, b_idx] < best_obj:
                 best_obj = float(obj[a_off, b_idx])
@@ -537,7 +541,7 @@ def density_scan(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    dims = SystemDims(int(dims[0]), int(dims[1]))
+    dims = SystemDims(*as_sizes(dims))
     stack = ginibre(dims, np.random.default_rng(rng_seed), samples)
     stack /= np.linalg.norm(stack, axis=(-2, -1), keepdims=True)
     s = stacked_singular_values(stack)

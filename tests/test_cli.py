@@ -192,13 +192,12 @@ class TestSearch:
 
     def test_oracle_comparison(self, capsys):
         code, report = run_cli(
-            ["search", "--preset", "bell2", "--restarts", "8", "--oracle",
-             "--oracle-resolution", "16"],
+            ["search", "--preset", "bell2", "--restarts", "8", "--oracle"],
             capsys,
         )
         assert code == 0
         oracle = report["results"]["grid_oracle"]
-        assert oracle is not None
+        assert oracle["resolution"] == 24 and "oracle_resolution" not in report["config_echo"]
         assert report["results"]["min_value"] <= oracle["min_value"] + 1e-6
 
     def test_oracle_requires_square_qubit_dims(self, capsys):
@@ -210,8 +209,6 @@ class TestSearch:
     @pytest.mark.parametrize("argv", [
         ["--random-seed", "1", "--dims", "2", "3", "--oracle"],
         ["--random-seed", "1", "--dims", "3", "3", "--oracle"],
-        ["--preset", "bell2", "--oracle", "--oracle-resolution", "1"],
-        ["--preset", "bell2", "--oracle", "--oracle-resolution", "-4"],
     ])
     def test_oracle_input_errors_skip_the_descent(self, argv, monkeypatch, capsys):
         calls = []
@@ -229,7 +226,7 @@ class TestSearch:
             raise AssertionError("the grid ran")
 
         monkeypatch.setattr(cli, "brute_force_grid_d2", scan)
-        code = cli.main(["search", "--preset", "bell2", "--oracle", "--oracle-resolution", "100", *flags])
+        code = cli.main(["search", "--preset", "bell2", "--oracle", *flags])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err.splitlines() == [f"input error: {message}"]
@@ -511,18 +508,11 @@ class TestReportShape:
         assert report["version"]
         assert "total_s" in report["timings"]
 
-    @pytest.mark.parametrize("env, flags, names", [
-        ("{bad", [], "MEREO_TOL_OVERRIDE"),
-        (None, ["--tol-rank", "nan"], "tol_rank"),
-        (None, ["--tol-rank", "0"], "tol_rank"),
-        # json.loads recurses once per level: ~100 KB of "[" exhausts the stack, allocating little
-        pytest.param("[" * 100_000, [], "MEREO_TOL_OVERRIDE is JSON nested too deeply", id="deep-nesting"),
+    @pytest.mark.parametrize("flags, names", [
+        (["--tol-rank", "nan"], "tol_rank"),
+        (["--tol-rank", "0"], "tol_rank"),
     ])
-    def test_bad_tolerances_are_input_errors(self, capsys, monkeypatch, env, flags, names):
-        if env is None:
-            monkeypatch.delenv("MEREO_TOL_OVERRIDE", raising=False)
-        else:
-            monkeypatch.setenv("MEREO_TOL_OVERRIDE", env)
+    def test_bad_tolerances_are_input_errors(self, capsys, flags, names):
         code = cli.main(["certify", "--preset", "bell2", *flags])
         captured = capsys.readouterr()
         assert code == 2
@@ -530,20 +520,37 @@ class TestReportShape:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:") and names in lines[0]
 
-    def test_valid_override_reaches_the_report(self, tmp_path, capsys, monkeypatch):
+    def test_valid_override_reaches_the_report(self, tmp_path, capsys):
         # s = (1, 0.2) / sqrt(1.04): rank 2 at the default tol_rank, 1 at 0.5
         path = tmp_path / "gamma.json"
         path.write_text(json.dumps(matrix_to_json_dict(np.diag([1.0, 0.2]))))
         argv = ["certify", "--gamma", str(path)]
         _, default = run_cli(argv, capsys)
-        monkeypatch.setenv("MEREO_TOL_OVERRIDE", '{"tol_rank": 0.5, "tol_compat": 1e-8}')
-        code, loose = run_cli(argv, capsys)
-        code_flag, flagged = run_cli([*argv, "--tol-rank", "1e-7"], capsys)
-        assert code == code_flag == 0
-        verdicts = [r["results"]["verdicts"]["atleastone"] for r in (default, loose, flagged)]
-        assert [(v["rank"], v["holistic"]) for v in verdicts] == [(2, True), (1, False), (2, True)]
-        echoed = [r["config_echo"]["tolerances"] for r in (loose, flagged)]
-        assert [(t["tol_rank"], t["tol_compat"]) for t in echoed] == [(0.5, 1e-8), (1e-7, 1e-8)]
+        code, loose = run_cli([*argv, "--tol-rank", "0.5"], capsys)
+        assert code == 0
+        verdicts = [r["results"]["verdicts"]["atleastone"] for r in (default, loose)]
+        assert [(v["rank"], v["holistic"]) for v in verdicts] == [(2, True), (1, False)]
+        assert loose["config_echo"]["tolerances"] == {**Tolerances().as_dict(), "tol_rank": 0.5}
+
+    @pytest.mark.parametrize("argv, tol_rank", [
+        (["certify", "--preset", "bell2", "--convention", "bothreport"], 1e-7),
+        (["certify", "--preset", "bell2", "--tol-rank", "1e-5"], 1e-5),
+        (["density", "--dims", "2", "2", "--samples", "20"], 1e-7),
+    ])
+    @pytest.mark.parametrize("raw", [
+        "{bad",
+        # loose enough to change the verdicts, were it read
+        '{"tol_rank": 0.9, "tol_compat": 0.5}',
+    ])
+    def test_the_environment_does_not_reach_the_report(self, capsys, monkeypatch, argv, tol_rank, raw):
+        # a fixed clock makes the timings equal
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        # the variable the CLI of mereo 0.2 read its tolerances from
+        monkeypatch.delenv("MEREO_TOL_OVERRIDE", raising=False)
+        code, plain = run_cli(argv, capsys)
+        monkeypatch.setenv("MEREO_TOL_OVERRIDE", raw)
+        assert run_cli(argv, capsys) == (code, plain) and code == 0
+        assert plain["config_echo"]["tolerances"] == Tolerances(tol_rank=tol_rank).as_dict()
 
     def test_tol_rank_override_is_echoed(self, capsys):
         code, report = run_cli(
@@ -556,6 +563,7 @@ class TestReportShape:
         (["density", "--dims", "2", "2", "--samples", "50", "--tol-rank", "0.9"], "rank 0"),
         (["certify", "--preset", "bell2", "--tol-rank", "1.5"], "rank 0"),
         (["density", "--dims", "1", "3", "--samples", "50"], "dimensions"),
+        (["search", "--random-seed", "1", "--dims", "1", "3"], "dimensions"),
     ])
     def test_rank_rule_input_errors(self, capsys, argv, names):
         code = cli.main(argv)
@@ -646,14 +654,13 @@ class TestReportShape:
         assert len(lines) == 1 and lines[0].startswith("input error:") and names in lines[0]
 
     def test_input_too_large_for_memory_is_input_error(self, capsys, monkeypatch):
-        # a resolution of 100000 would ask numpy for ~75 GiB; the stub raises
-        # what numpy raises there, without allocating
+        # the stub raises what numpy raises for an allocation too large (a
+        # grid at resolution 100000 would ask for ~75 GiB), without allocating
         def too_large(amp, resolution, exclude_exclusive):
             raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
         monkeypatch.setattr(cli, "brute_force_grid_d2", too_large)
-        code = cli.main(["search", "--random-seed", "1", "--dims", "2", "2", "--oracle",
-                         "--oracle-resolution", "100000"])
+        code = cli.main(["search", "--random-seed", "1", "--dims", "2", "2", "--oracle"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         lines = captured.err.splitlines()

@@ -1,4 +1,4 @@
-"""Central tolerance configuration and environment overrides."""
+"""Central tolerance configuration, which no library call reads from the environment."""
 
 import dataclasses
 import json
@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from mereo import (
-    ENV_OVERRIDE,
     AmplitudeMatrix,
     Property,
     State,
     SystemDims,
     Tolerances,
     Verdict,
-    active_tolerances,
     certify_rank1,
     density_scan,
     extract_property,
@@ -35,46 +33,9 @@ class TestDefaults:
         assert tols.tol_compat == 1e-9
         assert tols.tol_support == 1e-9
 
-    def test_no_env_gives_defaults(self, monkeypatch):
-        monkeypatch.delenv(ENV_OVERRIDE, raising=False)
-        assert active_tolerances() == Tolerances()
-
-
-class TestEnvOverride:
-    def test_partial_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_OVERRIDE, '{"tol_rank": 1e-5}')
-        tols = active_tolerances()
-        assert tols.tol_rank == 1e-5
-        assert tols.tol_herm == 1e-9
-
-    def test_invalid_json_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_OVERRIDE, "not json")
-        with pytest.raises(ValueError):
-            active_tolerances()
-
-    def test_unknown_key_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_OVERRIDE, '{"tol_bogus": 1.0}')
-        with pytest.raises(ValueError):
-            active_tolerances()
-
-    def test_non_object_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_OVERRIDE, "[1, 2]")
-        with pytest.raises(ValueError):
-            active_tolerances()
-
-    @pytest.mark.parametrize("raw", [
-        '{"tol_rank": "abc"}', '{"tol_rank": [1]}', '{"tol_rank": 0}',
-        '{"tol_rank": true}', '{"tol_rank": "1e-5"}',
-        pytest.param('{"tol_rank": 1' + '0' * 400 + '}', id="int-overflowing-a-float"),
-    ])
-    def test_bad_values_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv(ENV_OVERRIDE, raw)
-        with pytest.raises(ValueError, match="tol_rank"):
-            active_tolerances()
-
 
 class TestLibraryReadsNoEnvironment:
-    """Library calls without ``tols`` use ``Tolerances()``; the override configures the CLI only."""
+    """Library calls without ``tols`` use ``Tolerances()``, whatever the environment holds."""
 
     @pytest.mark.parametrize("raw", [
         "{bad",
@@ -82,7 +43,8 @@ class TestLibraryReadsNoEnvironment:
         '{"tol_herm": 0.5, "tol_recon": 0.5, "tol_rank": 0.5, "tol_support": 0.9}',
     ])
     def test_calls_without_tols_use_the_defaults(self, monkeypatch, raw):
-        monkeypatch.setenv(ENV_OVERRIDE, raw)
+        # the variable the CLI of mereo 0.2 read its tolerances from
+        monkeypatch.setenv("MEREO_TOL_OVERRIDE", raw)
         with pytest.raises(ValueError, match="idempotent"):
             Property(np.diag([1.0, 0.01]))
         with pytest.raises(ValueError, match="positive semidefinite"):

@@ -6,15 +6,20 @@ import pytest
 from mereo import (
     AmplitudeMatrix,
     ChoiMatrix,
+    NontrivialityConvention,
     Property,
     QuantumTransformation,
     State,
     SystemDims,
+    density_scan,
     frob,
     ginibre,
     partial_trace,
     swap_operator,
 )
+from mereo.holism import holistic_at_rank
+from mereo.io import random_amplitude
+from mereo.linalg import as_sizes
 
 from doubleket_reference import hs_inner, kron
 
@@ -161,3 +166,29 @@ class TestGinibre:
         block = np.random.default_rng(5).standard_normal((2, 3, 2))
         g = ginibre(SystemDims(3, 2), np.random.default_rng(5))
         assert g.tobytes() == ((block[0] + 1j * block[1]) / np.sqrt(2.0)).tobytes()
+
+
+class TestSizes:
+    def test_integers_pass_as_python_ints(self):
+        sizes = as_sizes((np.int64(2), 3.0, 4))
+        assert sizes == (2, 3, 4) and all(type(v) is int for v in sizes)
+
+    @pytest.mark.parametrize("value", [2.7, True, np.True_, "2", None, float("inf"), float("nan")])
+    def test_values_int_would_change_are_rejected(self, value):
+        with pytest.raises(ValueError, match="sizes must be integers"):
+            as_sizes((value, 3))
+
+    # each of these drew, scanned or answered for the truncated sizes
+    @pytest.mark.parametrize("call", [
+        lambda: density_scan((2.5, 2), 5, 0),
+        lambda: random_amplitude(1, (2.7, 3)),
+        lambda: holistic_at_rank(2, (2.9, 3.2), NontrivialityConvention.BOTH),
+        lambda: random_amplitude(1, (True, 3)),
+        lambda: density_scan((2, True), 5, 0),
+        lambda: ginibre((3, True), np.random.default_rng(0)),
+        lambda: partial_trace(np.eye(4), (2.0, 2.5)),
+    ], ids=["density-scan", "random-amplitude", "holistic-at-rank", "bool-amplitude", "bool-scan",
+            "bool-ginibre", "partial-trace"])
+    def test_entry_points_reject_non_integral_dims(self, call):
+        with pytest.raises(ValueError, match="sizes must be integers"):
+            call()

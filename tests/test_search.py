@@ -201,6 +201,27 @@ class TestGradient:
         with pytest.raises(ValueError):
             objective_value_and_grad(BELL, np.zeros((3, 7)), SearchConfig())
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 5), (4, 6)])
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_exchanging_the_factors(self, dims, exclude):
+        # Q amp^T P^T is the transpose of W = P amp Q^T, with the same norm, so
+        # (amp, P, Q) and (amp^T, Q, P) have one objective and swapped gradients
+        d_a, d_b = dims
+        rng = np.random.default_rng(11)
+        amp = random_amp(rng, d_a, d_b)
+        amp_t = AmplitudeMatrix(amp.matrix.T)
+        for rank_p, rank_q in {(1, 1), (1, d_b - 1), (d_a - 1, 1), (d_a - 1, d_b - 1), (d_a // 2, d_b // 2)}:
+            cfg = SearchConfig(rank_p=rank_p, rank_q=rank_q, exclude_exclusive=exclude)
+            swapped = SearchConfig(rank_p=rank_q, rank_q=rank_p, exclude_exclusive=exclude)
+            n_p = n_coords(d_a, rank_p)
+            # rows scaled over two decades, which the objective does not see but the gradient does
+            params = rng.standard_normal((9, n_p + n_coords(d_b, rank_q))) * np.logspace(-1, 1, 9)[:, None]
+            f, grad = objective_value_and_grad(amp, params, cfg)
+            f_t, grad_t = objective_value_and_grad(amp_t, np.hstack([params[:, n_p:], params[:, :n_p]]), swapped)
+            assert np.max(np.abs(f - f_t)) <= 1e-14
+            back = np.hstack([grad_t[:, -n_p:], grad_t[:, :-n_p]])
+            assert np.all(np.linalg.norm(back - grad, axis=1) <= 1e-12 * np.linalg.norm(grad, axis=1))
+
 
 class TestMinimize:
     def test_bell_unrestricted_reaches_exclusive_witness(self):
@@ -544,6 +565,11 @@ class TestBruteForceGrid:
     def test_rejects_wrong_dims(self):
         with pytest.raises(ValueError):
             brute_force_grid_d2(AmplitudeMatrix(np.eye(3) / np.sqrt(3)), 8, False)
+
+    @pytest.mark.parametrize("resolution", [1, 0, -4])
+    def test_rejects_resolutions_below_two(self, resolution):
+        with pytest.raises(ValueError, match="at least 2"):
+            brute_force_grid_d2(BELL, resolution, False)
 
     @pytest.mark.parametrize("resolution", [2, 3, 7, 24])
     @pytest.mark.parametrize("exclude", [False, True])

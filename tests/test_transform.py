@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mereo import (
-    ENV_OVERRIDE,
     ChoiMatrix,
     Property,
     QuantumTransformation,
@@ -70,7 +69,7 @@ class TestChoi:
             ChoiMatrix(slightly_negative, d_in=2, d_out=2, tols=Tolerances(tol_rank=1e-9))
 
     def test_callers_tolerances_skip_the_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_OVERRIDE, "{bad")
+        monkeypatch.setenv("MEREO_TOL_OVERRIDE", "{bad")
         tols = Tolerances()
         p = Property(np.diag([1.0, 0.0]), tols=tols)
         t = from_property(p, tols=tols)
