@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import InvariantViolation, Tolerances
 from .doubleket import AmplitudeMatrix
-from .linalg import SystemDims, as_sizes, frob, ginibre
+from .linalg import SystemDims, as_seed, as_sizes, frob, ginibre
 from .properties import Property, is_nontrivial
 
 # A lattice completion draw whose QR diagonal entry |R_jj| (the norm of its
@@ -261,9 +261,10 @@ def lattice_amplitudes(amp: AmplitudeMatrix, k: int, rng_seed: int) -> np.ndarra
     """
     d_a, d_b = amp.dims
     total = d_a * d_b
+    (k,) = as_sizes((k,))
     if not 1 <= k <= total:
         raise ValueError(f"k must be between 1 and {total}, got {k}")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(as_seed(rng_seed))
 
     def draws(n: int) -> np.ndarray:
         return ginibre(amp.dims, rng, n).reshape(n, total).T

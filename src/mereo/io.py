@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import Tolerances
 from .doubleket import AmplitudeMatrix
-from .linalg import SystemDims, as_matrix, as_sizes, frob, ginibre
+from .linalg import SystemDims, as_matrix, as_seed, as_sizes, frob, ginibre
 from .properties import Property
 
 PRESET_NAMES = ("bell2", "product2", "maxent3")
@@ -121,5 +121,5 @@ def preset_amplitude(name: str) -> AmplitudeMatrix:
 
 def random_amplitude(seed: int, dims: SystemDims) -> AmplitudeMatrix:
     """Unit-norm Ginibre draw, reproducible from the seed alone."""
-    rng = np.random.default_rng([int(seed)])
+    rng = np.random.default_rng([as_seed(seed)])
     return AmplitudeMatrix.normalized(ginibre(dims, rng))

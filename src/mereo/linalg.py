@@ -3,7 +3,7 @@
 Plain complex numpy arrays are the carrier for every operator in the
 library; the wrappers here hold the array rules every checked type shares:
 the validated read-only copy, the Hermitian check, the construction slack,
-the size rule and the Ginibre draw.
+the size and seed rules and the Ginibre draw.
 Index conventions are fixed once: Kronecker products are row-major with the
 first factor slow, i.e. ``np.kron(a, b)`` maps the basis pair ``(i, k),
 (j, l)`` to entry ``(i * rows_b + k, j * cols_b + l)``.
@@ -44,6 +44,14 @@ def as_sizes(values) -> tuple[int, ...]:
     if not exact:
         raise ValueError(f"sizes must be integers, got {'x'.join(map(repr, values))}")
     return sizes
+
+
+def as_seed(value) -> int:
+    """A random seed: an int under the rule of :func:`as_sizes`, and not negative."""
+    (seed,) = as_sizes((value,))
+    if seed < 0:
+        raise ValueError(f"seeds must be non-negative, got {seed}")
+    return seed
 
 
 def as_matrix(value, *, name: str = "matrix") -> np.ndarray:

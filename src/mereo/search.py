@@ -41,21 +41,28 @@ conj(P amp)`` (``P^T = conj(P)``, ``P^2 = P``) acting on ``Z_Q = u /
     grad_P = (4 - 8 n2 - h) (I - Pi_P) v conj(z) / (||y||^2 ||u||^2),
     grad_Q = (4 - 8 n2 - h) (I - Pi_Q) amp^T conj(P v) / ||u||^2.
 
+These ``d``-vector products are row-wise gufuncs (``np.vecdot``), each one
+numpy call that computes every output row from its own input row alone.
 Every other pair keeps the matrix form, including ranks ``(1, d - 1)``,
 where ``k = 1`` on both sides but one is a complement side, and maximal
-ranks, where ``W`` nears ``amp`` at the minimum and the closed form would cancel.
+ranks, where ``W`` nears ``amp`` at the minimum and the closed form would
+cancel.
 
 The descent is monotone: a candidate ``x - step * grad`` is kept only if it
 lowers the objective, else the step halves.  After a kept step the next one
 is the Barzilai-Borwein step ``s.y / y.y`` (``s`` the move, ``y`` the change
 of gradient) where ``s.y > 0``, else 1.5 times the last, capped at
-``STEP_MAX`` either way.  Each restart reports how many candidates it
-rejected.  The stack is compacted: it holds the live restarts only, updated
-by whole-array selections, and a restart that stops has its final state
-written out and its row dropped in that iteration.
+``STEP_MAX`` either way.  A restart stops once ``grad.grad <= GRAD_TOL^2``.
+That sum and ``s.y``, ``y.y`` are ``np.vecdot`` calls: one BLAS dot per
+row, so a row's sums do not depend on the stack, in one call where a
+product and a row sum take two.  Each restart reports how many candidates
+it rejected.  The stack is compacted: it holds the live restarts only, the
+accepted rows move to their candidates in place, and a restart that stops
+has its final state written out and its row dropped in that iteration.
 
 Start bases are orthonormal: each side of a raw normal row is replaced by
-the ``Q`` factor of its QR, which spans the same subspace.  The objective
+the ``Q`` factor of its QR, which spans the same subspace; at ``k = 1``
+that is the side over its norm, up to a sign, with no QR.  The objective
 does not see a basis's scale, but the step cap does: the gradient scales as
 ``1 / ||Y||`` and the curvature as ``1 / ||Y||^2``, so at a raw row's
 ``||Y||^2 ~ 2 d k`` the Barzilai-Borwein step wants to exceed ``STEP_MAX``,
@@ -84,7 +91,7 @@ from .holism import (
     product_commutator_norm,
     schmidt_rank,
 )
-from .linalg import SystemDims, as_sizes, ginibre, stacked_singular_values
+from .linalg import SystemDims, as_seed, as_sizes, ginibre, stacked_singular_values
 from .properties import Property, smaller_side
 
 # Well above tolerances, well below typical co-occurrence weights.  It also
@@ -130,11 +137,15 @@ class SearchConfig:
     def validate(self, dims: SystemDims) -> None:
         """Raise ``ValueError`` unless both ranks are nontrivial at ``dims`` and there is a restart.
 
-        Factor dimensions below 2 admit no nontrivial rank, and are rejected first.
+        Factor dimensions below 2 admit no nontrivial rank, and are rejected
+        first; ranks, restarts and the seed must then be integers
+        (:func:`linalg.as_sizes`), the seed not negative.
         """
         d_a, d_b = dims
         if d_a < 2 or d_b < 2:
             raise ValueError(f"the search needs both factor dimensions >= 2, got {d_a}x{d_b}")
+        as_sizes((self.rank_p, self.rank_q, self.restarts))
+        as_seed(self.rng_seed)
         if not 0 < self.rank_p < d_a:
             raise ValueError(f"rank_p must satisfy 0 < rank < {d_a}, got {self.rank_p}")
         if not 0 < self.rank_q < d_b:
@@ -257,22 +268,28 @@ def _rank_one_terms(
     """``(comm2, n2, dir_P, dir_Q)`` of ``W = P amp Q^T`` when ``P = y y^dag / ||y||^2`` and ``Q = u u^dag / ||u||^2``.
 
     ``x_y`` and ``x_u`` are the coordinates of ``y`` and ``u``.  The
-    identities are those of the module docstring, on ``(rows, d)`` vectors;
-    products with ``amp`` are einsums, which compute each row alone (a 2-D
-    product through BLAS gemm may round one row differently from a 1-row call).
+    identities are those of the module docstring, on ``(rows, d)`` vectors.
+    Every product is the row-wise gufunc ``np.vecdot(a, b)``, ``sum conj(a) b``
+    over the last axis: ``||y||^2`` and ``||u||^2`` on the real coordinates,
+    ``z`` and ``u^dag t`` row against row, and ``v``, ``t`` with each row
+    broadcast against the rows of ``amp`` or ``amp^T``.  Each output row so
+    comes from its own input row alone, where a 2-D product through BLAS
+    gemm may round one row differently from a 1-row call.  Each product is
+    one numpy call that conjugates and sums itself, with no ``conj`` copy
+    and no product-then-row-sum pair.
     """
-    gy = (x_y * x_y).sum(axis=-1)
-    gu = (x_u * x_u).sum(axis=-1)
+    gy = np.vecdot(x_y, x_y)
+    gu = np.vecdot(x_u, x_u)
     y, u = x_y.view(complex), x_u.view(complex)
-    u_bar = u.conj()
-    v = np.einsum("am,rm->ra", am, u_bar)
-    z = np.einsum("ra,ra->r", y.conj(), v)
+    # v = amp conj(u) and t = amp^T conj(P v), row by row
+    v = np.vecdot(u[:, None, :], am)
+    z = np.vecdot(y, v)
     p_v = y * (z / gy)[:, None]
     gyu = gy * gu
     n2 = (z.real * z.real + z.imag * z.imag) / gyu
     dir_p = (v - p_v) * (z.conj() / gyu)[:, None]
-    t = np.einsum("am,ra->rm", am, p_v.conj())
-    dir_q = t - u * (np.einsum("rm,rm->r", u_bar, t) / gu)[:, None]
+    t = np.vecdot(p_v[:, None, :], am.T)
+    dir_q = t - u * (np.vecdot(u, t) / gu)[:, None]
     dir_q /= gu[:, None]
     return commutator_norm_sq_from_n2(n2), n2, dir_p, dir_q
 
@@ -310,11 +327,14 @@ def objective_value_and_grad(
         f, gap = _add_hinge(f, nw)
         scale -= np.divide(2.0 * gap, nw, out=np.zeros_like(nw), where=nw > HINGE_NORM_MIN)
     scale = scale[:, None]
-    # P's coordinates, then Q's: each side's complex entries as (re, im) pairs
-    grad = np.concatenate([
-        (dr.reshape(len(x), d * k) * (-scale if comp else scale)).view(float)
-        for (_, d, k, comp), dr in ((side_p, dir_p), (side_q, dir_q))
-    ], axis=1).reshape(params.shape)
+    # P's coordinates, then Q's: each side's complex entries as (re, im)
+    # pairs, written through the complex view of one buffer
+    grad = np.empty((len(x), n))
+    grad_c = grad.view(complex)
+    for (cols, d, k, comp), dr in ((side_p, dir_p), (side_q, dir_q)):
+        out = grad_c[:, cols.start // 2 : cols.stop // 2]
+        np.multiply(dr.reshape(len(x), d * k), -scale if comp else scale, out=out)
+    grad = grad.reshape(params.shape)
     if params.ndim == 1:
         return float(f[0]), grad
     return f.reshape(params.shape[:-1]), grad
@@ -329,6 +349,7 @@ def _descend(
     iterations (the loop counter when it stopped), its rejected candidates
     and its stop reason.
     """
+    x = np.array(x, dtype=float)  # updated in place below
     f, grad = objective_value_and_grad(amp, x, cfg)
     step = np.full(x.shape[0], STEP_INIT)
     rej = np.zeros(x.shape[0], dtype=int)
@@ -350,7 +371,7 @@ def _descend(
         return live[keep], x[keep], f[keep], grad[keep], step[keep], rej[keep]
 
     for it in range(1, MAX_ITERS + 1):
-        done = np.sqrt((grad * grad).sum(axis=-1)) <= GRAD_TOL
+        done = np.vecdot(grad, grad) <= GRAD_TOL * GRAD_TOL
         if done.any():
             live, x, f, grad, step, rej = retire(done, it, "grad_tol")
         if not live.size:  # after either retirement, this one or last iteration's stall
@@ -361,14 +382,16 @@ def _descend(
         # Barzilai-Borwein step s.y / y.y from an accepted move, row by row;
         # where the curvature s.y is not positive, grow the step instead
         s, y = cand - x, grad_cand - grad
-        sy, yy = (s * y).sum(axis=-1), (y * y).sum(axis=-1)
-        bb = np.divide(sy, yy, out=1.5 * step, where=sy > 0.0)
+        sy = np.vecdot(s, y)
+        bb = np.divide(sy, np.vecdot(y, y), out=1.5 * step, where=sy > 0.0)
         step = np.where(better, np.minimum(bb, STEP_MAX), 0.5 * step)
-        x = np.where(better[:, None], cand, x)
-        f = np.where(better, f_cand, f)
-        grad = np.where(better[:, None], grad_cand, grad)
-        rej += ~better
-        stalled = ~better & (step < STEP_MIN)
+        # the accepted rows move to their candidates in place
+        np.copyto(x, cand, where=better[:, None])
+        np.copyto(f, f_cand, where=better)
+        np.copyto(grad, grad_cand, where=better[:, None])
+        worse = ~better
+        rej += worse
+        stalled = worse & (step < STEP_MIN)
         if stalled.any():
             live, x, f, grad, step, rej = retire(stalled, it, "step_underflow")
     retire(np.ones(live.size, dtype=bool), MAX_ITERS, "max_iters")
@@ -380,14 +403,20 @@ def _start_rows(dims: SystemDims, cfg: SearchConfig) -> np.ndarray:
 
     Row ``r`` is row ``r`` of ``default_rng(cfg.rng_seed).standard_normal((cfg.restarts, n))``
     with each side's basis ``Y`` replaced by the ``Q`` factor of its QR, so
-    ``Y^dag Y = I`` (see the module docstring for why).  LAPACK factors each
-    matrix of the stack alone, so more restarts only append rows.
+    ``Y^dag Y = I`` (see the module docstring for why).  At ``k = 1`` that
+    factor is the column over its norm, up to a sign, so the side is divided
+    by the root of ``np.vecdot`` of its coordinates, one BLAS dot per row,
+    instead of one stacked LAPACK call; at ``k >= 2`` LAPACK factors each
+    matrix of the stack alone.  Either way more restarts only append rows.
     """
     side_p, side_q, n = _layout(dims, cfg)
     x = np.random.default_rng(cfg.rng_seed).standard_normal((cfg.restarts, n))
     for cols, d, k, _ in (side_p, side_q):
-        q = np.linalg.qr(_bases(x[:, cols], d, k))[0]
-        x[:, cols].view(complex)[...] = q.reshape(cfg.restarts, d * k)
+        side = x[:, cols]
+        if k == 1:
+            side /= np.sqrt(np.vecdot(side, side))[:, None]
+        else:
+            side.view(complex)[...] = np.linalg.qr(_bases(side, d, k))[0].reshape(cfg.restarts, d * k)
     return x
 
 
@@ -539,9 +568,11 @@ def density_scan(
     counts the samples whose smallest singular value lies within
     ``NEAR_RANK_TOL_FACTOR`` of ``tols.tol_rank`` on either side.
     """
+    (samples,) = as_sizes((samples,))
     if samples < 1:
         raise ValueError("samples must be positive")
     dims = SystemDims(*as_sizes(dims))
+    rng_seed = as_seed(rng_seed)
     stack = ginibre(dims, np.random.default_rng(rng_seed), samples)
     stack /= np.linalg.norm(stack, axis=(-2, -1), keepdims=True)
     s = stacked_singular_values(stack)

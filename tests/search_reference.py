@@ -191,7 +191,9 @@ def descend_one_by_one(amp: AmplitudeMatrix, starts: np.ndarray, cfg: SearchConf
     the objective and take the Barzilai-Borwein step ``s.y / y.y`` (1.5 times
     the last where ``s.y <= 0``) capped at ``STEP_MAX``, else halve the step
     and stop below ``STEP_MIN``; stop after ``MAX_ITERS`` iterations.  The
-    sums are the row sums of the stacked loop, so the arithmetic is the same.
+    stop test and the ``s.y``, ``y.y`` sums are the ``np.vecdot`` calls of the
+    stacked loop, so the arithmetic is the same: on real rows ``vecdot`` is a
+    BLAS dot, which rounds a cancelling ``s.y`` differently from a row sum.
     """
     kernel = search.objective_value_and_grad
     out = []
@@ -199,15 +201,15 @@ def descend_one_by_one(amp: AmplitudeMatrix, starts: np.ndarray, cfg: SearchConf
         f, grad = kernel(amp, x, cfg)
         step, rejected, reason, iterations = search.STEP_INIT, 0, "max_iters", search.MAX_ITERS
         for it in range(1, search.MAX_ITERS + 1):
-            if np.sqrt((grad * grad).sum()) <= search.GRAD_TOL:
+            if np.vecdot(grad, grad) <= search.GRAD_TOL * search.GRAD_TOL:
                 reason, iterations = "grad_tol", it
                 break
             cand = x - step * grad
             f_cand, grad_cand = kernel(amp, cand, cfg)
             if f_cand < f:
                 s, y = cand - x, grad_cand - grad
-                sy = (s * y).sum()
-                step = min(sy / (y * y).sum() if sy > 0.0 else 1.5 * step, search.STEP_MAX)
+                sy = np.vecdot(s, y)
+                step = min(sy / np.vecdot(y, y) if sy > 0.0 else 1.5 * step, search.STEP_MAX)
                 x, f, grad = cand, f_cand, grad_cand
             else:
                 rejected += 1

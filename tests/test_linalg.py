@@ -9,6 +9,7 @@ from mereo import (
     NontrivialityConvention,
     Property,
     QuantumTransformation,
+    SearchConfig,
     State,
     SystemDims,
     density_scan,
@@ -17,13 +18,28 @@ from mereo import (
     partial_trace,
     swap_operator,
 )
-from mereo.holism import holistic_at_rank
+from mereo.holism import holistic_at_rank, lattice_amplitudes
 from mereo.io import random_amplitude
 from mereo.linalg import as_sizes
 
 from doubleket_reference import hs_inner, kron
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+_BELL = AmplitudeMatrix(np.eye(2) / np.sqrt(2.0))
+_DIMS = SystemDims(3, 3)
+# library entry point and argument: (call with the argument set to v, whether it is a seed)
+SEEDS_COUNTS_AND_RANKS = {
+    "random_amplitude.seed": (lambda v: random_amplitude(v, (2, 2)), True),
+    "density_scan.samples": (lambda v: density_scan((2, 2), v, 0), False),
+    "density_scan.rng_seed": (lambda v: density_scan((2, 2), 5, v), True),
+    "lattice_amplitudes.k": (lambda v: lattice_amplitudes(_BELL, v, 0), False),
+    "lattice_amplitudes.rng_seed": (lambda v: lattice_amplitudes(_BELL, 2, v), True),
+    "SearchConfig.rank_p": (lambda v: SearchConfig(rank_p=v).validate(_DIMS), False),
+    "SearchConfig.rank_q": (lambda v: SearchConfig(rank_q=v).validate(_DIMS), False),
+    "SearchConfig.restarts": (lambda v: SearchConfig(restarts=v).validate(_DIMS), False),
+    "SearchConfig.rng_seed": (lambda v: SearchConfig(rng_seed=v).validate(_DIMS), True),
+}
 
 
 def random_complex(rng, shape):
@@ -192,3 +208,15 @@ class TestSizes:
     def test_entry_points_reject_non_integral_dims(self, call):
         with pytest.raises(ValueError, match="sizes must be integers"):
             call()
+
+    # seeds, counts and ranks follow the size rule, and seeds are non-negative:
+    # a truncated seed drew the seed-2 or seed-1 matrix, and numpy rejected a
+    # float count or seed with a TypeError
+    @pytest.mark.parametrize("name, value", [
+        (name, value)
+        for name, (_, is_seed) in SEEDS_COUNTS_AND_RANKS.items()
+        for value in ((2.5, True, -1) if is_seed else (2.5, True))
+    ])
+    def test_seeds_counts_and_ranks_follow_the_size_rule(self, name, value):
+        with pytest.raises(ValueError):
+            SEEDS_COUNTS_AND_RANKS[name][0](value)

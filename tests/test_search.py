@@ -324,10 +324,11 @@ class TestMinimize:
                 assert np.allclose(cand, x - step * grad, rtol=1e-12, atol=0.0)
                 if f_cand < f:
                     s, y = cand - x, grad_cand - grad
-                    # row sums, as in the stacked loop: a BLAS dot rounds a cancelling s.y differently
-                    sy = (s * y).sum()
+                    # np.vecdot, as in the stacked loop: on real rows it is a BLAS
+                    # dot, which rounds a cancelling s.y differently from a row sum
+                    sy = np.vecdot(s, y)
                     if sy > 0.0:
-                        step = sy / (y * y).sum()
+                        step = sy / np.vecdot(y, y)
                         branches["bb" if step <= search.STEP_MAX else "capped"] += 1
                     else:
                         step = 1.5 * step
