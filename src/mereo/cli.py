@@ -270,7 +270,7 @@ def _demo_membership_items(tols: Tolerances) -> list[dict]:
     ]
     items = []
     for name, prop, cases in table:
-        verdicts = [has_property(State(rho, tols=tols), prop, tols=tols).verdict for rho, _ in cases]
+        verdicts = [has_property(State(rho, tols=tols), prop).verdict for rho, _ in cases]
         items.append({
             "name": name,
             "passed": verdicts == [expected for _, expected in cases],
@@ -288,7 +288,7 @@ def cmd_demo(args, tols: Tolerances) -> dict:
         rng = np.random.default_rng([20260809, i])
         rank = 1 + i % (d - 1)
         proj = projector_from_coords(rng.normal(size=2 * d * smaller_side(d, rank)[0]), d, rank)
-        recovered = extract_property(from_property(proj, tols=tols), tols=tols)
+        recovered = extract_property(from_property(proj), tols=tols)
         worst = max(worst, frob(recovered.matrix - proj.matrix))
     items.append({
         "name": "projector_transformation_roundtrip",
@@ -360,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", metavar="PATH", help="write the JSON report here instead of stdout")
-        p.add_argument("--tol-rank", type=float, metavar="X",
-                       help="override the singular-value rank tolerance")
 
     p_cert = sub.add_parser("certify", help="analytic holism certification")
     _add_gamma_source(p_cert)
@@ -403,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="built-in worked examples")
     common(p_demo)
 
+    for p in (p_cert, p_density, p_lattice, p_demo):  # the commands that decide a rank
+        p.add_argument("--tol-rank", type=float, metavar="X", help="override the singular-value rank tolerance")
     return parser
 
 
@@ -410,7 +410,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
-        tols = Tolerances() if args.tol_rank is None else Tolerances(tol_rank=args.tol_rank)
+        tol_rank = getattr(args, "tol_rank", None)
+        tols = Tolerances() if tol_rank is None else Tolerances(tol_rank=tol_rank)
         t_start = time.perf_counter()
         results = globals()[f"cmd_{args.command}"](args, tols)
         elapsed = time.perf_counter() - t_start
@@ -436,7 +437,13 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     if not args.out:
-        print(text)
+        try:
+            print(text, flush=True)
+        except OSError as exc:  # a closed pipe, say; devnull keeps the flush at exit silent
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            print(f"input error: stdout: {exc}", file=sys.stderr)
+            return 2
 
     if args.command == "demo" and not results["all_passed"]:
         return 3

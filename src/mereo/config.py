@@ -1,16 +1,16 @@
 """Central tolerance configuration shared by every module.
 
-All discrete verdicts in the library (rank counts, compatibility flags,
-support membership) are thresholded against one :class:`Tolerances` record,
-so reports can quote it.  Library calls take that record as ``tols`` and
-default to ``Tolerances()``; the CLI builds ``Tolerances()`` and applies
-``--tol-rank``, its one tolerance flag.
+All discrete verdicts in the library are thresholded against one
+:class:`Tolerances` record, so reports can quote it.  Its one settable field,
+``tol_rank``, decides ranks: calls that reach a rank take the record as
+``tols`` (default ``Tolerances()``), and the CLI's ``--tol-rank`` sets it.  The
+residual checks test identities that hold exactly, so their thresholds are fixed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 
 class InvariantViolation(RuntimeError):
@@ -19,23 +19,22 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds used across the library.
+    """Numerical thresholds used across the library; the residual ones are fixed class attributes.
 
     ``tol_rank`` is looser than the residual tolerances because singular
     values near zero feed discrete rank verdicts.
     """
 
-    tol_herm: float = 1e-9     # Hermiticity residuals
-    tol_recon: float = 1e-9    # factorization / idempotency residuals
-    tol_rank: float = 1e-7     # singular values counted as nonzero
-    tol_compat: float = 1e-9   # commutator and product norms
-    tol_support: float = 1e-9  # state support inclusion
+    tol_herm: float = field(default=1e-9, init=False)     # Hermiticity residuals
+    tol_recon: float = field(default=1e-9, init=False)    # factorization / idempotency residuals
+    tol_rank: float = 1e-7                                # singular values counted as nonzero
+    tol_compat: float = field(default=1e-9, init=False)   # commutator and product norms
+    tol_support: float = field(default=1e-9, init=False)  # state support inclusion
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"tolerance {name} must be finite and > 0, got {value!r}")
+        if not (math.isfinite(self.tol_rank) and self.tol_rank > 0):
+            raise ValueError(f"tolerance tol_rank must be finite and > 0, got {self.tol_rank!r}")
 
     def as_dict(self) -> dict[str, float]:
-        # vars, not dataclasses.asdict: the same keys in field order, without a deep copy
-        return dict(vars(self))
+        # vars holds tol_rank alone, and dataclasses.asdict deep-copies
+        return {f.name: getattr(self, f.name) for f in fields(self)}

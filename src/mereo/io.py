@@ -42,8 +42,11 @@ def _parse_record(data, *, min_cols: int) -> np.ndarray:
         raise ValueError("matrix record must be a JSON object")
     try:
         rows, cols = as_sizes((data["rows"], data["cols"]))
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
+        re, im = data["re"], data["im"]
+        # JSON numbers only, found in one C-level pass: np.asarray takes bools, strings and nesting
+        if not all(type(part) is list and set(map(type, part)) <= {int, float} for part in (re, im)):
+            raise ValueError("re and im must be arrays of numbers")
+        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a float array overflows on 10**400
         raise ValueError(f"malformed matrix record: {exc}") from exc
     if rows < 1 or cols < min_cols:
@@ -75,7 +78,7 @@ def property_to_json_dict(p: Property) -> dict:
     return {"dim": p.dim, "rank": p.rank, "complement": p.complement, "basis": _record(p.basis)}
 
 
-def property_from_json_dict(data, *, tols: Tolerances = Tolerances()) -> Property:
+def property_from_json_dict(data) -> Property:
     """Rebuild a projector record bit for bit, after checking its shape and orthonormality."""
     if not isinstance(data, dict) or not isinstance(data.get("complement"), bool):
         raise ValueError("projector record needs a boolean 'complement'")
@@ -84,12 +87,12 @@ def property_from_json_dict(data, *, tols: Tolerances = Tolerances()) -> Propert
     if cols > dim:
         raise ValueError(f"projector basis has {cols} columns in dimension {dim}")
     p = Property.from_basis(b, data["complement"])
-    if data.get("dim") != p.dim or data.get("rank") != p.rank:
+    if as_sizes((data.get("dim"), data.get("rank"))) != (p.dim, p.rank):
         raise ValueError(
             f"projector record claims dim {data.get('dim')!r}, rank {data.get('rank')!r}; "
             f"its basis gives dim {p.dim}, rank {p.rank}"
         )
-    if frob(b.conj().T @ b - np.eye(cols)) > tols.tol_recon:
+    if frob(b.conj().T @ b - np.eye(cols)) > Tolerances.tol_recon:
         raise ValueError("projector basis columns are not orthonormal")
     return p
 

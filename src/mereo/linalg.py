@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import Tolerances
+
 # Slack of the construction checks against 1: the squared norm of an
 # amplitude matrix, the trace of a state (both exactly 1) and the top
 # eigenvalue of sum K^dag K (at most 1).  Not a verdict thresholded by
@@ -73,15 +75,15 @@ def as_matrix(value, *, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def hermitian(value, tol_herm: float, *, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`as_matrix` of a square matrix Hermitian within ``tol_herm``, and its eigenvalues.
+def hermitian(value, *, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`as_matrix` of a square matrix Hermitian within ``Tolerances.tol_herm``, and its eigenvalues.
 
     The eigenvalues are ``eigvalsh`` of the Hermitian part ``(m + m^dag) / 2``.
     """
     m = as_matrix(value, name=name)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got {m.shape}")
-    if frob(m - m.conj().T) > tol_herm:
+    if frob(m - m.conj().T) > Tolerances.tol_herm:
         raise ValueError(f"{name} is not Hermitian within tolerance")
     return m, np.linalg.eigvalsh((m + m.conj().T) / 2.0)
 

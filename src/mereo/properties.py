@@ -61,7 +61,7 @@ class Property:
     __slots__ = ("matrix", "rank", "basis", "complement")
 
     def __init__(self, matrix, *, tols: Tolerances = Tolerances()):
-        m, w = hermitian(matrix, tols.tol_herm, name="property matrix")
+        m, w = hermitian(matrix, name="property matrix")
         if frob(m @ m - m) > tols.tol_recon:
             raise ValueError("property matrix is not idempotent within tolerance")
         if np.any(np.minimum(np.abs(w), np.abs(w - 1.0)) > tols.tol_rank):
@@ -115,7 +115,7 @@ class State:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, *, tols: Tolerances = Tolerances()):
-        m, w = hermitian(matrix, tols.tol_herm, name="state matrix")
+        m, w = hermitian(matrix, name="state matrix")
         if np.any(w < -tols.tol_rank):
             raise ValueError("state matrix is not positive semidefinite")
         tr = float(np.real(np.trace(m)))
@@ -163,31 +163,31 @@ def _check_same_dim(p: Property, q: Property) -> None:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
 
 
-def compatible(p: Property, q: Property, *, tols: Tolerances = Tolerances()) -> tuple[bool, float]:
+def compatible(p: Property, q: Property) -> tuple[bool, float]:
     """Commutation test; returns (flag, commutator Frobenius norm)."""
     _check_same_dim(p, q)
     norm = frob(p.matrix @ q.matrix - q.matrix @ p.matrix)
-    return norm <= tols.tol_compat, norm
+    return norm <= Tolerances.tol_compat, norm
 
 
 def product_if_property(p: Property, q: Property, *, tols: Tolerances = Tolerances()) -> Property | None:
     """The product PQ, when the two commute (and PQ is itself a property)."""
-    ok, _ = compatible(p, q, tols=tols)
+    ok, _ = compatible(p, q)
     if not ok:
         return None
     return Property(p.matrix @ q.matrix, tols=tols)
 
 
-def mutually_exclusive(p: Property, q: Property, *, tols: Tolerances = Tolerances()) -> bool:
+def mutually_exclusive(p: Property, q: Property) -> bool:
     """True when PQ = QP = 0, a special case of compatibility."""
     _check_same_dim(p, q)
     return (
-        frob(p.matrix @ q.matrix) <= tols.tol_compat
-        and frob(q.matrix @ p.matrix) <= tols.tol_compat
+        frob(p.matrix @ q.matrix) <= Tolerances.tol_compat
+        and frob(q.matrix @ p.matrix) <= Tolerances.tol_compat
     )
 
 
-def has_property(rho: State, p: Property, *, tols: Tolerances = Tolerances()) -> PropertyCheck:
+def has_property(rho: State, p: Property) -> PropertyCheck:
     """Three-valued membership judgment of a state against a property.
 
     Support inclusion is tested as ``||P rho P - rho|| <= tol_support``
@@ -198,10 +198,10 @@ def has_property(rho: State, p: Property, *, tols: Tolerances = Tolerances()) ->
         raise ValueError(f"dimension mismatch: state {rho.dim} vs property {p.dim}")
     pm, rm = p.matrix, rho.matrix
     overlap = float(np.real(np.trace(pm @ rm)))
-    if frob(pm @ rm @ pm - rm) <= tols.tol_support:
+    if frob(pm @ rm @ pm - rm) <= Tolerances.tol_support:
         return PropertyCheck(Verdict.HAS, overlap)
     comp = np.eye(p.dim, dtype=complex) - pm
-    if frob(comp @ rm @ comp - rm) <= tols.tol_support:
+    if frob(comp @ rm @ comp - rm) <= Tolerances.tol_support:
         return PropertyCheck(Verdict.HAS_NOT, overlap)
     return PropertyCheck(Verdict.MEANINGLESS, overlap)
 

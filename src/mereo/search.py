@@ -115,11 +115,6 @@ HINGE_NORM_MIN = 1e-12
 # tol_rank (either side) is counted as near the threshold: its rank, and so its
 # verdict, would flip if tol_rank moved by that factor
 NEAR_RANK_TOL_FACTOR = 10.0
-# overlap entries per grid-oracle block (256 KB of complex), so that a block,
-# its squared moduli and the commutator formula's arrays fit in a 2 MiB L2
-# cache; a block holds rows of one theta only, at most R of them, and at least
-# one whole row of R^2 entries, so from resolution R = 91 up it holds R^2
-GRID_CHUNK_ENTRIES = 1 << 14
 ORACLE_RESOLUTION = 24  # the grid resolution R of the CLI's --oracle
 # squared overlap below which the grid applies the hinge: EXCLUDE_FLOOR^2 with
 # a margin for the rounding of the product (see brute_force_grid_d2)
@@ -478,10 +473,10 @@ def brute_force_grid_d2(
     ``Z = A^dag amp B̄`` of the R^2 grid vectors.  Grid row ``a = i R + j``
     has ``theta_i``, so the first component ``cos(theta_i / 2)`` of ``<a|``
     is one double across the R rows of a theta, and their first outer
-    product is one row; a block holds rows of one theta only and adds that
+    product is one row; a block holds the R rows of one theta and adds that
     row to its second outer product.  Blocks reuse buffers allocated once
-    per call, so memory stays at ``max(GRID_CHUNK_ENTRIES, R^2)`` entries,
-    and the hinge is applied only where it is active.
+    per call, so memory stays at one block of ``R x R^2`` entries, and the
+    hinge is applied only where it is active.
     """
     if amp.dims != (2, 2):
         raise ValueError(f"grid oracle only supports dims (2, 2), got {tuple(amp.dims)}")
@@ -493,45 +488,42 @@ def brute_force_grid_d2(
     best_comm = np.inf
     best_idx = (0, 0)
     n = tg.size
-    chunk = min(resolution, max(1, GRID_CHUNK_ENTRIES // n))
     # every block writes into the same buffers, which stay in cache; with
     # fresh arrays per block, which land wherever malloc puts them, the
     # scan's time varied by up to 1.5x with the heap's layout
     first = np.empty(n, dtype=complex)
-    zs = np.empty((chunk, n), dtype=complex)
-    n2s = np.empty((chunk, n))
-    hinged = np.empty((chunk, n), dtype=bool)
-    for theta_start in range(0, n, resolution):
+    zs = np.empty((resolution, n), dtype=complex)
+    n2s = np.empty((resolution, n))
+    hinged = np.empty((resolution, n), dtype=bool)
+    for start in range(0, n, resolution):
         # the same first outer product row for every row of this theta
-        np.multiply(bras[0, theta_start], kets[0], out=first)
-        for start in range(theta_start, theta_start + resolution, chunk):
-            rows = min(chunk, theta_start + resolution - start)
-            # an outer product, not a matmul: BLAS threading costs far more
-            # than the product at these shapes; IEEE addition commutes, so
-            # the sum keeps the bits of first + second
-            z = np.multiply.outer(bras[1, start : start + rows], kets[1], out=zs[:rows])
-            z += first
-            # |z|^2 = re^2 + im^2, squared in place on the interleaved parts
-            parts = np.square(z.view(float), out=z.view(float))
-            n2 = np.add(parts[:, 0::2], parts[:, 1::2], out=n2s[:rows])
-            obj = commutator_norm_sq_from_n2(n2)
-            if exclude_exclusive:
-                # Only entries below the bound can have a positive gap:
-                # sqrt is correctly rounded and monotone and EXCLUDE_FLOOR
-                # is a double, so fl(sqrt(n2)) < EXCLUDE_FLOOR implies n2 <
-                # EXCLUDE_FLOOR^2 exactly, below the bound.  Every other
-                # entry would add square(max(gap, 0)) = +0.0, and comm2 +
-                # 0.0 == comm2 since comm2 is never -0.0 (n2 is a sum of
-                # squares, and n2 - n2^2 is +0.0 where it cancels)
-                hit = np.flatnonzero(np.less(n2, _HINGE_N2_BOUND, out=hinged[:rows]))
-                flat = obj.reshape(-1)
-                flat[hit] = _add_hinge(flat[hit], np.sqrt(n2.reshape(-1)[hit]))[0]
-            a_off, b_idx = divmod(int(np.argmin(obj)), n)
-            if obj[a_off, b_idx] < best_obj:
-                best_obj = float(obj[a_off, b_idx])
-                # comm2 of the entry, which obj holds only where the hinge is off
-                best_comm = float(np.sqrt(max(commutator_norm_sq_from_n2(n2[a_off, b_idx]), 0.0)))
-                best_idx = (start + a_off, b_idx)
+        np.multiply(bras[0, start], kets[0], out=first)
+        # an outer product, not a matmul: BLAS threading costs far more
+        # than the product at these shapes; IEEE addition commutes, so
+        # the sum keeps the bits of first + second
+        z = np.multiply.outer(bras[1, start : start + resolution], kets[1], out=zs)
+        z += first
+        # |z|^2 = re^2 + im^2, squared in place on the interleaved parts
+        parts = np.square(z.view(float), out=z.view(float))
+        n2 = np.add(parts[:, 0::2], parts[:, 1::2], out=n2s)
+        obj = commutator_norm_sq_from_n2(n2)
+        if exclude_exclusive:
+            # Only entries below the bound can have a positive gap: sqrt is
+            # correctly rounded and monotone and EXCLUDE_FLOOR is a double,
+            # so fl(sqrt(n2)) < EXCLUDE_FLOOR implies n2 < EXCLUDE_FLOOR^2
+            # exactly, below the bound.  Every other entry would add
+            # square(max(gap, 0)) = +0.0, and comm2 + 0.0 == comm2 since
+            # comm2 is never -0.0 (n2 is a sum of squares, and n2 - n2^2 is
+            # +0.0 where it cancels)
+            hit = np.flatnonzero(np.less(n2, _HINGE_N2_BOUND, out=hinged))
+            flat = obj.reshape(-1)
+            flat[hit] = _add_hinge(flat[hit], np.sqrt(n2.reshape(-1)[hit]))[0]
+        a_off, b_idx = divmod(int(np.argmin(obj)), n)
+        if obj[a_off, b_idx] < best_obj:
+            best_obj = float(obj[a_off, b_idx])
+            # comm2 of the entry, which obj holds only where the hinge is off
+            best_comm = float(np.sqrt(max(commutator_norm_sq_from_n2(n2[a_off, b_idx]), 0.0)))
+            best_idx = (start + a_off, b_idx)
     a_idx, b_idx = best_idx
     angles = (float(tg[a_idx]), float(pg[a_idx]), float(tg[b_idx]), float(pg[b_idx]))
     return best_comm, angles

@@ -24,7 +24,7 @@ class QuantumTransformation:
 
     __slots__ = ("kraus", "d_in", "d_out", "atomic")
 
-    def __init__(self, kraus, *, tols: Tolerances = Tolerances()):
+    def __init__(self, kraus):
         mats = [as_matrix(k, name="Kraus operator") for k in kraus]
         if not mats:
             raise ValueError("a transformation needs at least one Kraus operator")
@@ -53,7 +53,7 @@ class ChoiMatrix:
     tols: InitVar[Tolerances] = Tolerances()
 
     def __post_init__(self, tols: Tolerances):
-        m, w = hermitian(self.matrix, tols.tol_herm, name="Choi matrix")
+        m, w = hermitian(self.matrix, name="Choi matrix")
         n = self.d_in * self.d_out
         if m.shape != (n, n):
             raise ValueError(f"Choi matrix must be {n}x{n}, got {m.shape}")
@@ -71,29 +71,26 @@ def choi(t: QuantumTransformation, *, tols: Tolerances = Tolerances()) -> ChoiMa
     return ChoiMatrix(total, d_in=t.d_in, d_out=t.d_out, tols=tols)
 
 
-def compose(t1: QuantumTransformation, t2: QuantumTransformation,
-            *, tols: Tolerances = Tolerances()) -> QuantumTransformation:
+def compose(t1: QuantumTransformation, t2: QuantumTransformation) -> QuantumTransformation:
     """``t1`` after ``t2``; Kraus set is all pairwise products."""
     if t1.d_in != t2.d_out:
         raise ValueError(
             f"cannot compose: first map takes dimension {t1.d_in}, second produces {t2.d_out}"
         )
-    return QuantumTransformation(
-        [k1 @ k2 for k1 in t1.kraus for k2 in t2.kraus], tols=tols
-    )
+    return QuantumTransformation([k1 @ k2 for k1 in t1.kraus for k2 in t2.kraus])
 
 
 def is_repeatable(t: QuantumTransformation, *, tols: Tolerances = Tolerances()) -> bool:
     """True when applying the map twice equals applying it once (Choi distance)."""
     if t.d_in != t.d_out:
         raise ValueError("repeatability is only defined for square maps")
-    twice = compose(t, t, tols=tols)
+    twice = compose(t, t)
     return frob(choi(twice, tols=tols).matrix - choi(t, tols=tols).matrix) <= tols.tol_compat
 
 
-def from_property(p: Property, *, tols: Tolerances = Tolerances()) -> QuantumTransformation:
+def from_property(p: Property) -> QuantumTransformation:
     """Atomic operation conjugating by the projector; repeatable by idempotency."""
-    return QuantumTransformation([p.matrix], tols=tols)
+    return QuantumTransformation([p.matrix])
 
 
 def extract_property(t: QuantumTransformation, *, tols: Tolerances = Tolerances()) -> Property:

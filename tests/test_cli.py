@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -559,6 +563,31 @@ class TestReportShape:
         assert code == 0
         assert report["config_echo"]["tolerances"]["tol_rank"] == pytest.approx(1e-5)
 
+    @pytest.mark.parametrize("argv, takes_tol_rank", [
+        (["certify", "--preset", "bell2", "--convention", "bothreport"], True),
+        (["search", "--preset", "bell2", "--restarts", "2"], False),
+        (["density", "--dims", "2", "3", "--samples", "20"], True),
+        (["lattice", "--preset", "bell2", "--k", "4"], True),
+        (["entropy", "--preset", "bell2"], False),
+        (["demo"], True),
+    ])
+    def test_every_command_echoes_all_five_tolerances(self, capsys, argv, takes_tol_rank):
+        # the echo's bytes are those of mereo 0.4.0, whose five thresholds were all settable
+        echo = '{"tol_herm": 1e-09, "tol_recon": 1e-09, "tol_rank": %s, "tol_compat": 1e-09, "tol_support": 1e-09}'
+        code, report = run_cli(argv, capsys)
+        assert code == 0 and json.dumps(report["config_echo"]["tolerances"]) == echo % "1e-07"
+        assert ("tol_rank" in report["config_echo"]) is takes_tol_rank
+        if takes_tol_rank:
+            code, report = run_cli([*argv, "--tol-rank", "0.5"], capsys)
+            assert code == 0 and json.dumps(report["config_echo"]["tolerances"]) == echo % "0.5"
+        else:
+            # search and entropy decide no rank, so they take no --tol-rank
+            with pytest.raises(SystemExit) as rejected:
+                cli.main([*argv, "--tol-rank", "0.5"])
+            captured = capsys.readouterr()
+            assert rejected.value.code == 2 and captured.out == ""
+            assert "--tol-rank" in captured.err
+
     @pytest.mark.parametrize("argv, names", [
         (["density", "--dims", "2", "2", "--samples", "50", "--tol-rank", "0.9"], "rank 0"),
         (["certify", "--preset", "bell2", "--tol-rank", "1.5"], "rank 0"),
@@ -643,7 +672,12 @@ class TestReportShape:
         ('{"rows": 2.7, "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}', "malformed matrix record"),
         ('{"rows": true, "cols": 2, "re": [1, 0], "im": [0, 0]}', "malformed matrix record"),
         ("[" * 100_000, "JSON nested too deeply"),
-    ], ids=["rows-overflow", "norm-overflow", "rows-fractional", "rows-bool", "deep-nesting"])
+        ('{"rows": 2, "cols": 2, "re": ["1", 0, 0, 1], "im": [0, 0, 0, 0]}', "malformed matrix record"),
+        ('{"rows": 2, "cols": 2, "re": [1, 0, 0, 1], "im": [false, false, false, true]}',
+         "malformed matrix record"),
+        ('{"rows": 2, "cols": 2, "re": [[1, 0], [0, 1]], "im": [0, 0, 0, 0]}', "malformed matrix record"),
+    ], ids=["rows-overflow", "norm-overflow", "rows-fractional", "rows-bool", "deep-nesting",
+            "re-string", "im-bool", "re-nested"])
     def test_out_of_range_gamma_is_input_error(self, tmp_path, capsys, text, names):
         path = tmp_path / "gamma.json"
         path.write_text(text)
@@ -665,6 +699,24 @@ class TestReportShape:
         assert (code, captured.out) == (2, "")
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:") and "74.5 GiB" in lines[0]
+
+    def test_closed_stdout_is_input_error(self):
+        # the read end closes before the run, as when `| head -c 300` exits;
+        # a child process, since the interpreter itself flushes stdout at exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mereo.cli", "lattice", "--preset", "bell2", "--k", "4"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 2
+        assert len(lines) == 1 and lines[0].startswith("input error: stdout:"), proc.stderr
 
     @pytest.mark.parametrize("argv, source", [
         (["certify", "--preset", "bell2", "--dims", "3", "3"], "--preset"),

@@ -68,18 +68,27 @@ class TestLibraryReadsNoEnvironment:
 class TestValidation:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-9])
     def test_rejects_non_finite_or_non_positive(self, value):
-        for field in Tolerances().as_dict():
-            with pytest.raises(ValueError, match=field):
-                Tolerances(**{field: value})
+        with pytest.raises(ValueError, match="tol_rank"):
+            Tolerances(tol_rank=value)
+
+    @pytest.mark.parametrize("field", ["tol_herm", "tol_recon", "tol_compat", "tol_support"])
+    def test_residual_thresholds_are_fixed(self, field):
+        # the residual checks test identities that hold exactly; only tol_rank is a knob
+        with pytest.raises(TypeError):
+            Tolerances(**{field: 1e-3})
+        assert getattr(Tolerances(tol_rank=0.5), field) == getattr(Tolerances, field) == 1e-9
 
     def test_as_dict_keeps_field_order(self):
         # config_echo prints the record in this order
         assert list(Tolerances().as_dict()) == [f.name for f in fields(Tolerances)]
 
-    @pytest.mark.parametrize("tols", [Tolerances(), Tolerances(tol_rank=1e-3, tol_support=2.5e-8)])
-    def test_as_dict_prints_as_dataclasses_asdict(self, tols):
-        # config_echo must keep its keys, order and bytes
-        assert json.dumps(tols.as_dict()) == json.dumps(dataclasses.asdict(tols))
+    @pytest.mark.parametrize("tols, printed", [(Tolerances(), "1e-07"), (Tolerances(tol_rank=1e-3), "0.001")])
+    def test_as_dict_prints_as_dataclasses_asdict(self, tols, printed):
+        # config_echo must keep its keys, order and bytes, those of mereo 0.4.0
+        assert json.dumps(tols.as_dict()) == json.dumps(dataclasses.asdict(tols)) == (
+            '{"tol_herm": 1e-09, "tol_recon": 1e-09, "tol_rank": %s, "tol_compat": 1e-09, "tol_support": 1e-09}'
+            % printed
+        )
         echo = tols.as_dict()
         echo["tol_rank"] = 0.5
         assert tols.tol_rank != 0.5 and tols.as_dict()["tol_rank"] == tols.tol_rank

@@ -178,3 +178,40 @@ def test_malformed_records_are_rejected(edit):
     edit(record)
     with pytest.raises(ValueError):
         property_from_json_dict(record)
+
+
+def rank_one_record():
+    """Record of ``|0><0|`` on ``C^2``: basis ``re [1.0, 0.0]``, ``im [0.0, 0.0]``."""
+    return property_to_json_dict(property_from_span([[1.0, 0.0]], 2))
+
+
+@pytest.mark.parametrize("edit", [
+    # a bool equals 1 or 0 under ==, and np.asarray parses numeric strings and nesting
+    lambda r: r.update(rank=True),
+    lambda r: r["basis"].update(re=[True, False]),
+    lambda r: r["basis"].update(im=[False, False]),
+    lambda r: r["basis"].update(re=["1.0", "0.0"]),
+    lambda r: r["basis"].update(re=[[1.0], [0.0]]),
+])
+def test_records_hold_numbers_not_bools_or_strings(edit):
+    record = rank_one_record()
+    assert property_from_json_dict(record).rank == 1
+    edit(record)
+    with pytest.raises(ValueError):
+        property_from_json_dict(record)
+
+
+@pytest.mark.parametrize("text", [
+    '{"rows": 1, "cols": 2, "re": ["0.6", "0.8"], "im": [false, true]}',
+    '{"rows": 1, "cols": 1, "re": "0.6", "im": [0.8]}',
+    '{"rows": 1, "cols": 2, "re": [[0.6, 0.8]], "im": [[0, 0]]}',
+    '{"rows": 1, "cols": 2, "re": [0.6, null], "im": [0, 0]}',
+])
+def test_matrix_files_hold_arrays_of_numbers(tmp_path, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="malformed matrix record"):
+        load_matrix(path)
+    # the same entries as JSON numbers, ints among them, parse
+    path.write_text('{"rows": 1, "cols": 2, "re": [0.6, 0.8], "im": [0, 1]}')
+    assert load_matrix(path).tolist() == [[0.6, 0.8 + 1j]]

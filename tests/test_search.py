@@ -550,19 +550,6 @@ class TestBruteForceGrid:
             amp = preset_amplitude(name)
         assert brute_force_grid_d2(amp, resolution, exclude) == (value, angles)
 
-    @pytest.mark.parametrize("resolution", [12, 24])
-    @pytest.mark.parametrize("exclude", [False, True])
-    def test_block_size_does_not_change_the_result(self, resolution, exclude, monkeypatch):
-        # ties go to the first pair in row-major order across blocks as within
-        # one: the Bell amplitude has many exactly tied grid points
-        for amp in (preset_amplitude("bell2"), random_amplitude(7, SystemDims(2, 2))):
-            results = []
-            # 5 rows do not divide R, so a theta's last block is shorter
-            for entries in (1, 577, 5 * resolution**2, 1 << 13, 1 << 22):
-                monkeypatch.setattr(search, "GRID_CHUNK_ENTRIES", entries)
-                results.append(brute_force_grid_d2(amp, resolution, exclude))
-            assert results[1:] == results[:-1]
-
     def test_rejects_wrong_dims(self):
         with pytest.raises(ValueError):
             brute_force_grid_d2(AmplitudeMatrix(np.eye(3) / np.sqrt(3)), 8, False)

@@ -72,7 +72,7 @@ class TestChoi:
         monkeypatch.setenv("MEREO_TOL_OVERRIDE", "{bad")
         tols = Tolerances()
         p = Property(np.diag([1.0, 0.0]), tols=tols)
-        t = from_property(p, tols=tols)
+        t = from_property(p)
         assert is_repeatable(t, tols=tols)
         assert frob(extract_property(t, tols=tols).matrix - p.matrix) <= 1e-12
 
