@@ -30,6 +30,7 @@ from .holism import (
     holistic_at_rank,
     lattice_amplitudes,
     marginal_entropy,
+    replayed_witnesses,
     schmidt_rank,
 )
 from .io import (
@@ -101,8 +102,7 @@ def _witness_dict(witness: Witness | None) -> dict | None:
     if witness is None:
         return None
     return {
-        "p": property_to_json_dict(witness.p),
-        "q": property_to_json_dict(witness.q),
+        "recipe": witness.recipe,
         "replay_commutator_norm": witness.commutator_norm,
         "cooccurrence_weight": witness.cooccurrence_weight,
     }
@@ -127,9 +127,12 @@ def _conventions_for_flag(flag: str) -> list[NontrivialityConvention]:
 
 def cmd_certify(args, tols: Tolerances) -> dict:
     amp, source = _resolve_amplitude(args)
-    verdicts = {}
-    for conv in _conventions_for_flag(args.convention):
-        verdicts[conv.value] = _verdict_dict(certify_rank1(amp, conv, tols=tols))
+    conventions = _conventions_for_flag(args.convention)
+    witnesses = replayed_witnesses(amp, conventions, tols=tols)
+    verdicts = {
+        conv.value: _verdict_dict(certify_rank1(amp, conv, tols=tols, witnesses=witnesses))
+        for conv in conventions
+    }
     return {
         "gamma_source": source,
         "dims": list(amp.dims),
@@ -138,7 +141,7 @@ def cmd_certify(args, tols: Tolerances) -> dict:
     }
 
 
-def cmd_search(args, tols: Tolerances) -> dict:
+def cmd_search(args) -> dict:
     amp, source = _resolve_amplitude(args)
     cfg = SearchConfig(
         rank_p=args.rank_p,
@@ -235,7 +238,7 @@ def cmd_lattice(args, tols: Tolerances) -> dict:
     }
 
 
-def cmd_entropy(args, tols: Tolerances) -> dict:
+def cmd_entropy(args) -> dict:
     amp, source = _resolve_amplitude(args)
     s_whole, s_part = marginal_entropy(amp)
     return {
@@ -413,7 +416,9 @@ def main(argv=None) -> int:
         tol_rank = getattr(args, "tol_rank", None)
         tols = Tolerances() if tol_rank is None else Tolerances(tol_rank=tol_rank)
         t_start = time.perf_counter()
-        results = globals()[f"cmd_{args.command}"](args, tols)
+        command = globals()[f"cmd_{args.command}"]
+        # a command that decides a rank takes --tol-rank, and only it reads tols
+        results = command(args, tols) if hasattr(args, "tol_rank") else command(args)
         elapsed = time.perf_counter() - t_start
         report = {
             "command": args.command,

@@ -8,11 +8,17 @@ vectorized amplitude must be an eigenvector of the (idempotent) pair:
 * exclusive solutions, ``P @ amp @ Q.T == 0`` (eigenvalue 0).
 
 The certifier decides both branches analytically from the singular value
-decomposition of the amplitude matrix and emits explicit, replayable
-witnesses.  A joint property with no nontrivial co-occurring witness is
-reported as holistic; whether "nontrivial" means one or both factors is a
-first-class parameter, since the two readings part ways on rectangular
-amplitude matrices.
+decomposition of the amplitude matrix.  A joint property with no
+nontrivial co-occurring witness is reported as holistic; whether
+"nontrivial" means one or both factors is a first-class parameter, since
+the two readings part ways on rectangular amplitude matrices.
+
+The input and the Schmidt rank fix both witnesses, so each is named by a
+recipe: the leading singular subspaces of rank ``r``, or the image of
+column ``j``.  What does not depend on the convention (the rank, the one
+full SVD, both witnesses and their replays) is computed once per amplitude
+by :func:`replayed_witnesses`; each convention adds only its rank rule and
+its check that the witness factors are nontrivial (:func:`certify_rank1`).
 
 Witnesses are replayed on the matrix side only, through
 ``(P (x) Q) vec(amp) == vec(P @ amp @ Q.T)``; no operator on the joint space
@@ -66,13 +72,17 @@ class Witness(NamedTuple):
 
     ``commutator_norm`` is the norm of the pair's commutator with the joint
     dyad and ``cooccurrence_weight`` is ``||p @ amp @ q.T||_F``, both from
-    the one product of :func:`product_commutator_norm`.
+    the one product of :func:`product_commutator_norm`.  ``recipe`` is the
+    JSON record that names how a certifier witness is rebuilt from ``amp``
+    (see :func:`replayed_witnesses`); it is None for a pair that no recipe
+    fixes, such as a search argmin.
     """
 
     p: Property
     q: Property
     commutator_norm: float
     cooccurrence_weight: float
+    recipe: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -169,76 +179,113 @@ def holistic_at_rank(rank, dims, convention: NontrivialityConvention):
     return ~convention.admits(rank < d_a, rank < d_b)
 
 
+class Witnesses(NamedTuple):
+    """The convention-independent part of a certification: the Schmidt rank and the replayed witnesses.
+
+    ``lambda1`` is None when no convention it was built for admits a
+    co-occurring witness at ``rank``.
+    """
+
+    rank: int
+    lambda1: Witness | None
+    lambda0: Witness
+
+
+def replayed_witnesses(amp: AmplitudeMatrix, conventions, *, tols: Tolerances = Tolerances()) -> Witnesses:
+    """The rank and both witnesses of ``amp``, each built and replayed once for all ``conventions``.
+
+    The co-occurring witness projects onto the leading ``r`` singular
+    subspaces, ``r = schmidt_rank(s)``: solutions of ``P @ amp @ Q.T == amp``
+    contain the column and row spaces.  It is built, from the one full SVD
+    of ``amp``, only when some convention admits it (:func:`holistic_at_rank`
+    is false).  An exclusive witness always exists.  Each witness carries its
+    ``recipe``: ``leading_singular_subspaces`` of rank ``r``, or the
+    ``column_image`` of column ``j`` (:func:`_exclusive_witness`).
+
+    Every witness is replayed once through :func:`product_commutator_norm`;
+    one whose replay exceeds ``tol_compat`` raises :class:`InvariantViolation`.
+    The co-occurring bound adds ``sqrt(2) ||s[r:]||``, since truncating
+    ``s[r:]`` leaves the residual ``sqrt(2 delta (1 - delta))``, ``delta =
+    ||s[r:]||^2``.
+    """
+    s = amp.singular_values
+    r = int(schmidt_rank(s, tols))
+    lambda1 = None
+    if not all(holistic_at_rank(r, amp.dims, conv) for conv in conventions):
+        # Q = (V_r V_r^dag)^T projects onto the columns of conj(V_r) = vh.T
+        u, _, vh = np.linalg.svd(amp.matrix)
+        bound = tols.tol_compat + float(np.sqrt(2.0) * frob(s[r:]))
+        lambda1 = _replayed(amp, Property.from_unitary(u, r), Property.from_unitary(vh.T, r), bound,
+                            {"kind": "leading_singular_subspaces", "rank": r})
+    col = _exclusive_column(amp, tols)
+    lambda0 = _replayed(amp, *_exclusive_witness(amp, col), tols.tol_compat,
+                        {"kind": "column_image", "column": col})
+    return Witnesses(r, lambda1, lambda0)
+
+
+def _replayed(amp: AmplitudeMatrix, p: Property, q: Property, bound: float, recipe: dict) -> Witness:
+    witness = product_commutator_norm(amp, p, q)
+    if witness.commutator_norm > bound:
+        raise InvariantViolation(
+            f"witness replay failed: commutator norm {witness.commutator_norm!r} > {bound!r}"
+        )
+    return witness._replace(recipe=recipe)
+
+
 def certify_rank1(
     amp: AmplitudeMatrix,
     convention: NontrivialityConvention = NontrivialityConvention.AT_LEAST_ONE,
     *,
     tols: Tolerances = Tolerances(),
+    witnesses: Witnesses | None = None,
 ) -> HolismVerdict:
     """Decide whether the joint dyad commutes with any nontrivial pair.
 
-    The verdict is :func:`holistic_at_rank` at ``r = schmidt_rank(s)``.  When
-    it is not holistic, the co-occurring witness projects onto the leading
-    ``r`` singular subspaces: solutions of ``P @ amp @ Q.T == amp`` contain
-    the column and row spaces.  An exclusive witness always exists.  Witness
-    factors are built by ``Property.from_basis`` from the SVD's columns, and
-    only that witness computes the full SVD of ``amp``.
-
-    Every witness is replayed once through :func:`product_commutator_norm`.
-    One whose factors are not nontrivial under ``convention``, or whose
-    replay exceeds ``tol_compat``, raises :class:`InvariantViolation`.  The
-    co-occurring bound adds ``sqrt(2) ||s[r:]||``, since truncating ``s[r:]``
-    leaves the residual ``sqrt(2 delta (1 - delta))``, ``delta = ||s[r:]||^2``.
+    The verdict is :func:`holistic_at_rank` at the Schmidt rank; when it is
+    not holistic, the co-occurring witness of :func:`replayed_witnesses`
+    settles it.  ``witnesses`` lets several conventions share one such call,
+    which must have been made for ``convention`` among others; by default it
+    is made for ``convention`` alone.  A witness whose factors are not
+    nontrivial under ``convention`` raises :class:`InvariantViolation`.
     """
-    s = amp.singular_values
-    r = int(schmidt_rank(s, tols))
-    holistic = bool(holistic_at_rank(r, amp.dims, convention))
-
-    def replayed(p: Property, q: Property, bound: float) -> Witness:
+    if witnesses is None:
+        witnesses = replayed_witnesses(amp, (convention,), tols=tols)
+    holistic = bool(holistic_at_rank(witnesses.rank, amp.dims, convention))
+    lambda1 = None if holistic else witnesses.lambda1
+    if lambda1 is None and not holistic:
+        raise ValueError(f"the witnesses were not built for {convention.value}")
+    for witness in filter(None, (lambda1, witnesses.lambda0)):
+        p, q = witness.p, witness.q
         if not convention.admits(is_nontrivial(p), is_nontrivial(q)):
             raise InvariantViolation(
                 f"witness factors of ranks ({p.rank}, {q.rank}) in dims ({p.dim}, {q.dim}) "
                 f"are not nontrivial under {convention.value}"
             )
-        witness = product_commutator_norm(amp, p, q)
-        if witness.commutator_norm > bound:
-            raise InvariantViolation(
-                f"witness replay failed: commutator norm {witness.commutator_norm!r} > {bound!r}"
-            )
-        return witness
-
-    lambda1 = None
-    if not holistic:
-        # Q = (V_r V_r^dag)^T projects onto the columns of conj(V_r) = vh.T
-        u, _, vh = np.linalg.svd(amp.matrix)
-        bound = tols.tol_compat + float(np.sqrt(2.0) * frob(s[r:]))
-        lambda1 = replayed(Property.from_unitary(u, r), Property.from_unitary(vh.T, r), bound)
-
     return HolismVerdict(
         lambda1_witness=lambda1,
-        lambda0_witness=replayed(*_exclusive_witness(amp, tols), tols.tol_compat),
+        lambda0_witness=witnesses.lambda0,
         holistic=holistic,
-        rank=r,
+        rank=witnesses.rank,
         dims=amp.dims,
         convention=convention,
     )
 
 
-def _exclusive_witness(amp: AmplitudeMatrix, tols: Tolerances) -> tuple[Property, Property]:
-    """Both-nontrivial pair ``(P, Q)`` with ``P @ amp @ Q.T == 0``, built deterministically.
+def _exclusive_column(amp: AmplitudeMatrix, tols: Tolerances) -> int:
+    """The first column with norm above ``tol_rank``, else the longest (nonzero for unit-norm ``amp``)."""
+    col = next((j for j in range(amp.dims[1]) if np.linalg.norm(amp.matrix[:, j]) > tols.tol_rank), None)
+    return int(np.argmax(np.linalg.norm(amp.matrix, axis=0))) if col is None else col
 
-    ``Q`` projects onto the first column with norm above ``tol_rank``, else onto
-    the longest (nonzero for unit-norm ``amp``); ``P`` off that column's image.
-    Each factor is kept by one basis vector: ``Q`` by the unit vector ``e_col``,
-    ``P`` by the normalized image as its complement.
+
+def _exclusive_witness(amp: AmplitudeMatrix, col: int) -> tuple[Property, Property]:
+    """Both-nontrivial pair ``(P, Q)`` with ``P @ amp @ Q.T == 0``, from column ``col``.
+
+    ``Q = e_col e_col^T`` keeps the unit vector ``e_col``, and ``P = I - c c^dag``
+    keeps ``c``, the normalized image ``amp[:, col]``, as its complement.
     """
-    d_b = amp.dims[1]
-    col = next((j for j in range(d_b) if np.linalg.norm(amp.matrix[:, j]) > tols.tol_rank), None)
-    if col is None:
-        col = int(np.argmax(np.linalg.norm(amp.matrix, axis=0)))
     image = amp.matrix[:, col]
     image = image / np.linalg.norm(image)
-    e_col = np.zeros((d_b, 1), dtype=complex)
+    e_col = np.zeros((amp.dims[1], 1), dtype=complex)
     e_col[col, 0] = 1.0
     return Property.from_basis(image[:, None], complement=True), Property.from_basis(e_col)
 

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: JSON reports, CSV scans, exit codes, replay."""
 
+import inspect
 import json
 import math
 import os
@@ -132,7 +133,7 @@ class TestCertify:
 
     def test_trivial_witness_factors_exit_3(self, capsys, monkeypatch):
         identity = Property.from_basis(np.zeros((2, 0)), complement=True)
-        monkeypatch.setattr(holism, "_exclusive_witness", lambda amp, tols: (identity, identity))
+        monkeypatch.setattr(holism, "_exclusive_witness", lambda amp, col: (identity, identity))
         code = cli.main(["certify", "--preset", "product2"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
@@ -171,7 +172,45 @@ class TestCertify:
             wit = verdict["lambda0_witness"]
             assert wit["replay_commutator_norm"] <= 1e-12
             assert wit["cooccurrence_weight"] <= 1e-12
-            assert wit["p"]["rank"] == 1 and wit["q"]["rank"] == 1
+            # the longest column; all tie, so the first
+            assert wit["recipe"] == {"kind": "column_image", "column": 0}
+
+    @pytest.mark.parametrize("d_a, d_b, rank", [
+        (4, 4, 2),  # square, rank-deficient
+        (4, 4, 4),  # square, full rank: holistic under both conventions
+        (2, 3, 2),  # full rank, wide: P = I under atleastone, holistic under both
+        (3, 2, 2),  # full rank, tall: Q = I under atleastone
+        (4, 5, 3),  # rank-deficient, wide
+        (5, 3, 2),  # rank-deficient, tall
+    ])
+    def test_bothreport_decides_both_conventions_from_one_svd(
+            self, tmp_path, capsys, monkeypatch, d_a, d_b, rank):
+        rng = np.random.default_rng([d_a, d_b, rank])
+        g = (rng.standard_normal((d_a, rank)) + 1j * rng.standard_normal((d_a, rank))) @ (
+            rng.standard_normal((rank, d_b)) + 1j * rng.standard_normal((rank, d_b)))
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps(matrix_to_json_dict(g)))
+        argv = ["certify", "--gamma", str(path)]
+        single = {conv: run_cli([*argv, "--convention", conv], capsys)[1]["results"]["verdicts"][conv]
+                  for conv in ("atleastone", "both")}
+        svd = np.linalg.svd
+        full_svds = []
+
+        def counted(a, *args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                full_svds.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        code, report = run_cli([*argv, "--convention", "bothreport"], capsys)
+        assert code == 0
+        verdicts = report["results"]["verdicts"]
+        assert list(verdicts) == ["atleastone", "both"]
+        for conv, verdict in verdicts.items():
+            assert json.dumps(verdict) == json.dumps(single[conv])
+        # the one full SVD builds the co-occurring witness, shared by both verdicts
+        assert full_svds == ([] if verdicts["atleastone"]["holistic"] else [(d_a, d_b)])
+        assert verdicts["atleastone"]["holistic"] is (rank == d_a == d_b)
 
 
 class TestSearch:
@@ -477,6 +516,19 @@ class TestDemo:
 
 
 class TestReportShape:
+    @pytest.mark.parametrize("argv, reads_tols", [
+        (["certify"], True),
+        (["density", "--dims", "2", "2"], True),
+        (["lattice", "--k", "1"], True),
+        (["demo"], True),
+        (["search"], False),
+        (["entropy"], False),
+    ])
+    def test_only_the_commands_that_take_tol_rank_read_tols(self, argv, reads_tols):
+        assert hasattr(cli.build_parser().parse_args(argv), "tol_rank") is reads_tols
+        params = list(inspect.signature(getattr(cli, f"cmd_{argv[0]}")).parameters)
+        assert params == (["args", "tols"] if reads_tols else ["args"])
+
     @pytest.mark.parametrize("argv", [
         ["certify", "--preset", "bell2", "--convention", "bothreport"],
         ["lattice", "--preset", "bell2", "--k", "4"],

@@ -217,6 +217,38 @@ class TestSingularSubspacesOnDemand:
             assert certify_rank1(amp, conv).lambda1_witness is not None
         assert calls == [dims] * 3
 
+    @pytest.mark.parametrize("dims, rank", [((2, 3), 2), ((3, 2), 2), ((4, 5), 3), ((3, 3), 2)])
+    def test_conventions_share_one_svd_and_one_replay_per_witness(self, dims, rank, monkeypatch):
+        amp = exact_rank_amp(np.random.default_rng(dims), *dims, rank)
+        alone = {conv: certify_rank1(amp, conv) for conv in (AT_LEAST_ONE, BOTH)}
+        calls = count_full_svds(monkeypatch)
+        replay = holism.product_commutator_norm
+        replays = []
+        monkeypatch.setattr(holism, "product_commutator_norm",
+                            lambda amp, p, q: replays.append(p) or replay(amp, p, q))
+        witnesses = holism.replayed_witnesses(amp, (AT_LEAST_ONE, BOTH))
+        assert calls == [dims] and len(replays) == 2
+        for conv, verdict in alone.items():
+            shared = certify_rank1(amp, conv, witnesses=witnesses)
+            assert (shared.holistic, shared.rank) == (verdict.holistic, verdict.rank)
+            for got, want in ((shared.lambda1_witness, verdict.lambda1_witness),
+                              (shared.lambda0_witness, verdict.lambda0_witness)):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.p.matrix.tobytes() == want.p.matrix.tobytes()
+                    assert got.q.matrix.tobytes() == want.q.matrix.tobytes()
+                    assert got[2:] == want[2:]
+        assert calls == [dims] and len(replays) == 2
+
+    def test_witnesses_must_be_built_for_the_convention(self):
+        # full rank 2x3: no co-occurring witness under both, P = I under atleastone
+        amp = random_amplitude(1, (2, 3))
+        witnesses = holism.replayed_witnesses(amp, (BOTH,))
+        assert witnesses.lambda1 is None
+        assert certify_rank1(amp, BOTH, witnesses=witnesses).holistic
+        with pytest.raises(ValueError, match="not built for atleastone"):
+            certify_rank1(amp, AT_LEAST_ONE, witnesses=witnesses)
+
 
 class TestRankRule:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 5), (5, 3)])
@@ -512,7 +544,7 @@ class TestCertifierInvariants:
     ], ids=["atleastone-one-identity", "both-one-identity", "atleastone-two-identities"])
     def test_trivial_factors_raise_per_convention(self, monkeypatch, pair, convention, nontrivial):
         # each pair commutes with the product dyad, so only the nontriviality check can fail
-        monkeypatch.setattr(holism, "_exclusive_witness", lambda amp, tols: pair)
+        monkeypatch.setattr(holism, "_exclusive_witness", lambda amp, col: pair)
         if nontrivial:
             witness = certify_rank1(PRODUCT, convention).lambda0_witness
             assert witness.p is IDENTITY and witness.q is E0

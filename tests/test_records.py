@@ -1,9 +1,12 @@
-"""Projector records: every printed witness and argmin rebuilds the matrix used.
+"""Witness and projector records: every printed witness and argmin rebuilds the matrix used.
 
-A record is ``{dim, rank, complement, basis}``: the projector is ``B B^dag``,
-or ``I - B B^dag`` when ``complement``.  The CLI cases parse a report, rebuild
-each record through ``Property.from_basis`` and compare it by ``tobytes()``
-with the matrix the library computed in process.
+A certify witness is printed as a recipe, which names the pair in terms of
+the input: the leading singular subspaces of one ``np.linalg.svd``, or the
+image of one column.  A search argmin, which no recipe fixes, is printed as
+projector records ``{dim, rank, complement, basis}``: the projector is
+``B B^dag``, or ``I - B B^dag`` when ``complement``.  The CLI cases parse a
+report, rebuild each pair with this file's own code and compare it by
+``tobytes()`` with the matrices the library computed in process.
 """
 
 import json
@@ -16,10 +19,12 @@ from hypothesis import strategies as st
 from mereo import (
     AmplitudeMatrix,
     NontrivialityConvention,
+    Property,
     SearchConfig,
     certify_rank1,
     cli,
     minimize,
+    product_commutator_norm,
     projector_from_coords,
     property_from_span,
 )
@@ -60,6 +65,31 @@ def gamma_of_rank(tmp_path, d_a, d_b, rank, seed):
     return str(path)
 
 
+def rebuilt_witness(amp, recipe):
+    """The pair a certify recipe names, rebuilt from ``amp`` as the README states."""
+    if recipe["kind"] == "leading_singular_subspaces":
+        u, _, vh = np.linalg.svd(amp.matrix)
+        return Property.from_unitary(u, recipe["rank"]), Property.from_unitary(vh.T, recipe["rank"])
+    assert recipe["kind"] == "column_image"
+    j = recipe["column"]
+    image = amp.matrix[:, j] / np.linalg.norm(amp.matrix[:, j])
+    e_j = np.zeros((amp.dims[1], 1), dtype=complex)
+    e_j[j, 0] = 1.0
+    return Property.from_basis(image[:, None], complement=True), Property.from_basis(e_j)
+
+
+def assert_recipe_rebuilds(amp, printed, witness):
+    """The printed recipe rebuilds the replayed pair bit for bit, and replays to the printed norm."""
+    p, q = rebuilt_witness(amp, printed["recipe"])
+    for back, used in ((p, witness.p), (q, witness.q)):
+        assert back.rank == used.rank and back.complement is used.complement
+        assert back.basis.tobytes() == used.basis.tobytes()
+        assert back.matrix.tobytes() == used.matrix.tobytes()
+    replay = product_commutator_norm(amp, p, q)
+    assert replay.commutator_norm == printed["replay_commutator_norm"] == witness.commutator_norm
+    assert replay.cooccurrence_weight == printed["cooccurrence_weight"]
+
+
 @pytest.mark.parametrize("d, rank, side_cols, complement", [
     (4, 1, 1, False),  # r <= d/2 keeps the range
     (4, 2, 2, False),  # the tie keeps the range
@@ -73,28 +103,28 @@ def test_certify_witnesses_rebuild_exactly(tmp_path, d, rank, side_cols, complem
         verdict = certify_rank1(amp, conv)
         printed = results["verdicts"][conv.value]
         lam1, lam0 = printed["lambda1_witness"], printed["lambda0_witness"]
-        for record in (lam1["p"], lam1["q"]):
-            assert record["basis"]["cols"] == side_cols and record["complement"] is complement
-        assert_same_bytes(lam1["p"], verdict.lambda1_witness.p)
-        assert_same_bytes(lam1["q"], verdict.lambda1_witness.q)
+        assert lam1["recipe"] == {"kind": "leading_singular_subspaces", "rank": rank}
+        for prop in (verdict.lambda1_witness.p, verdict.lambda1_witness.q):
+            assert prop.basis.shape[1] == side_cols and prop.complement is complement
+        assert_recipe_rebuilds(amp, lam1, verdict.lambda1_witness)
         # the exclusive witness: P off the image of one column, Q onto that column
-        assert lam0["p"]["complement"] is True and lam0["p"]["basis"]["cols"] == 1
-        assert lam0["q"]["complement"] is False and lam0["q"]["basis"]["cols"] == 1
-        assert_same_bytes(lam0["p"], verdict.lambda0_witness.p)
-        assert_same_bytes(lam0["q"], verdict.lambda0_witness.q)
-        assert lam1["replay_commutator_norm"] == verdict.lambda1_witness.commutator_norm
-        assert lam0["cooccurrence_weight"] == verdict.lambda0_witness.cooccurrence_weight
+        assert lam0["recipe"] == {"kind": "column_image", "column": 0}
+        assert_recipe_rebuilds(amp, lam0, verdict.lambda0_witness)
 
 
 def test_identity_factor_is_a_complement_with_zero_columns(tmp_path):
     # a full-rank 2x3 amplitude is not holistic under atleastone: P = I
     results = run_report(["certify", "--random-seed", "1", "--dims", "2", "3"], tmp_path)
-    record = results["verdicts"]["atleastone"]["lambda1_witness"]["p"]
+    printed = results["verdicts"]["atleastone"]["lambda1_witness"]
+    assert printed["recipe"] == {"kind": "leading_singular_subspaces", "rank": 2}
+    amp = random_amplitude(1, (2, 3))
+    witness = certify_rank1(amp).lambda1_witness
+    assert_recipe_rebuilds(amp, printed, witness)
+    record = json.loads(json.dumps(property_to_json_dict(witness.p)))
     assert record == {
         "dim": 2, "rank": 2, "complement": True,
         "basis": {"rows": 2, "cols": 0, "re": [], "im": []},
     }
-    witness = certify_rank1(random_amplitude(1, (2, 3))).lambda1_witness
     assert_same_bytes(record, witness.p)
     assert rebuilt(record).tobytes() == np.eye(2, dtype=complex).tobytes()
 
@@ -104,9 +134,11 @@ def test_signed_zeros_survive_the_record(tmp_path):
     path = tmp_path / "gamma.json"
     path.write_text(json.dumps(matrix_to_json_dict(np.array([[0.0, 1j], [0.0, 0.0]]))))
     results = run_report(["certify", "--gamma", str(path)], tmp_path)
-    record = results["verdicts"]["atleastone"]["lambda1_witness"]["q"]
+    amp = AmplitudeMatrix.normalized(load_matrix(path))
+    witness = certify_rank1(amp).lambda1_witness
+    assert_recipe_rebuilds(amp, results["verdicts"]["atleastone"]["lambda1_witness"], witness)
+    record = json.loads(json.dumps(property_to_json_dict(witness.q)))
     assert "-0.0" in json.dumps(record)
-    witness = certify_rank1(AmplitudeMatrix.normalized(load_matrix(path))).lambda1_witness
     assert_same_bytes(record, witness.q)
 
 
