@@ -8,7 +8,7 @@ commutant search, and verifies the bijection between projectors and
 repeatable atomic operations.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .config import InvariantViolation, Tolerances
 from .doubleket import AmplitudeMatrix, swap_operator

@@ -36,7 +36,6 @@ from .holism import (
 from .io import (
     PRESET_NAMES,
     load_matrix,
-    matrix_records,
     preset_amplitude,
     property_to_json_dict,
     random_amplitude,
@@ -211,8 +210,9 @@ def cmd_lattice(args, tols: Tolerances) -> dict:
     s = stacked_singular_values(members)
     ranks = schmidt_rank(s, tols)
     holistic = holistic_at_rank(ranks, amp.dims, conv)
-    # member i's projector is |v_i><v_i|, left to its amplitude.  With g_ij =
-    # <v_i, v_j>, ||P_i P_j|| = |g_ij| and ||[P_i, P_j]||^2 is the closed form in
+    # member i's projector is |v_i><v_i|; neither it nor v_i is printed, since
+    # gamma_source, k and seed fix the members.  With g_ij = <v_i, v_j>,
+    # ||P_i P_j|| = |g_ij| and ||[P_i, P_j]||^2 is the closed form in
     # n2 = |g_ij|^2, with n2 = 1 on the diagonal: a projector commutes with
     # itself.  The projectors sum to vecs^T conj(vecs)
     vecs = members.reshape(args.k, -1)
@@ -221,10 +221,8 @@ def cmd_lattice(args, tols: Tolerances) -> dict:
     np.fill_diagonal(n2, 1.0)
     comm = np.sqrt(commutator_norm_sq_from_n2(n2))
     member_records = [
-        {"amplitude": record, "rank": rank, "holistic": hol, "smallest_singular_value": smin}
-        for record, rank, hol, smin in zip(
-            matrix_records(members), ranks.tolist(), holistic.tolist(), s[:, -1].tolist()
-        )
+        {"rank": rank, "holistic": hol, "smallest_singular_value": smin}
+        for rank, hol, smin in zip(ranks.tolist(), holistic.tolist(), s[:, -1].tolist())
     ]
     return {
         "gamma_source": source,

@@ -15,9 +15,9 @@ the two readings part ways on rectangular amplitude matrices.
 
 The input and the Schmidt rank fix both witnesses, so each is named by a
 recipe: the leading singular subspaces of rank ``r``, or the image of
-column ``j``.  What does not depend on the convention (the rank, the one
-full SVD, both witnesses and their replays) is computed once per amplitude
-by :func:`replayed_witnesses`; each convention adds only its rank rule and
+column ``j``.  The rank, the one full SVD, both witnesses and their
+replays are computed once per amplitude by :func:`replayed_witnesses`, which
+also applies each convention's rank rule once; each convention adds only
 its check that the witness factors are nontrivial (:func:`certify_rank1`).
 
 Witnesses are replayed on the matrix side only, through
@@ -180,27 +180,30 @@ def holistic_at_rank(rank, dims, convention: NontrivialityConvention):
 
 
 class Witnesses(NamedTuple):
-    """The convention-independent part of a certification: the Schmidt rank and the replayed witnesses.
+    """What one certification decides for all its conventions: rank, verdicts and replayed witnesses.
 
-    ``lambda1`` is None when no convention it was built for admits a
-    co-occurring witness at ``rank``.
+    ``holistic`` maps each convention it was built for to its
+    :func:`holistic_at_rank` verdict; ``lambda1`` is None when all of them
+    are holistic.
     """
 
     rank: int
+    holistic: dict[NontrivialityConvention, bool]
     lambda1: Witness | None
     lambda0: Witness
 
 
 def replayed_witnesses(amp: AmplitudeMatrix, conventions, *, tols: Tolerances = Tolerances()) -> Witnesses:
-    """The rank and both witnesses of ``amp``, each built and replayed once for all ``conventions``.
+    """The rank, each convention's verdict and both witnesses of ``amp``, each decided once.
 
     The co-occurring witness projects onto the leading ``r`` singular
     subspaces, ``r = schmidt_rank(s)``: solutions of ``P @ amp @ Q.T == amp``
     contain the column and row spaces.  It is built, from the one full SVD
-    of ``amp``, only when some convention admits it (:func:`holistic_at_rank`
-    is false).  An exclusive witness always exists.  Each witness carries its
-    ``recipe``: ``leading_singular_subspaces`` of rank ``r``, or the
-    ``column_image`` of column ``j`` (:func:`_exclusive_witness`).
+    of ``amp``, only when some convention admits it (its
+    :func:`holistic_at_rank` verdict is false).  An exclusive witness always
+    exists.  Each witness carries its ``recipe``:
+    ``leading_singular_subspaces`` of rank ``r``, or the ``column_image`` of
+    column ``j`` (:func:`_exclusive_witness`).
 
     Every witness is replayed once through :func:`product_commutator_norm`;
     one whose replay exceeds ``tol_compat`` raises :class:`InvariantViolation`.
@@ -210,8 +213,9 @@ def replayed_witnesses(amp: AmplitudeMatrix, conventions, *, tols: Tolerances = 
     """
     s = amp.singular_values
     r = int(schmidt_rank(s, tols))
+    holistic = {conv: bool(holistic_at_rank(r, amp.dims, conv)) for conv in conventions}
     lambda1 = None
-    if not all(holistic_at_rank(r, amp.dims, conv) for conv in conventions):
+    if not all(holistic.values()):
         # Q = (V_r V_r^dag)^T projects onto the columns of conj(V_r) = vh.T
         u, _, vh = np.linalg.svd(amp.matrix)
         bound = tols.tol_compat + float(np.sqrt(2.0) * frob(s[r:]))
@@ -220,7 +224,7 @@ def replayed_witnesses(amp: AmplitudeMatrix, conventions, *, tols: Tolerances = 
     col = _exclusive_column(amp, tols)
     lambda0 = _replayed(amp, *_exclusive_witness(amp, col), tols.tol_compat,
                         {"kind": "column_image", "column": col})
-    return Witnesses(r, lambda1, lambda0)
+    return Witnesses(r, holistic, lambda1, lambda0)
 
 
 def _replayed(amp: AmplitudeMatrix, p: Property, q: Property, bound: float, recipe: dict) -> Witness:
@@ -241,19 +245,20 @@ def certify_rank1(
 ) -> HolismVerdict:
     """Decide whether the joint dyad commutes with any nontrivial pair.
 
-    The verdict is :func:`holistic_at_rank` at the Schmidt rank; when it is
-    not holistic, the co-occurring witness of :func:`replayed_witnesses`
-    settles it.  ``witnesses`` lets several conventions share one such call,
-    which must have been made for ``convention`` among others; by default it
-    is made for ``convention`` alone.  A witness whose factors are not
-    nontrivial under ``convention`` raises :class:`InvariantViolation`.
+    The verdict is :func:`holistic_at_rank` at the Schmidt rank, as
+    :func:`replayed_witnesses` decided it; when it is not holistic, the
+    co-occurring witness settles it.  ``witnesses`` lets several conventions
+    share one such call, which must have been made for ``convention`` among
+    others (else ``ValueError``); by default it is made for ``convention``
+    alone.  A witness whose factors are not nontrivial under ``convention``
+    raises :class:`InvariantViolation`.
     """
     if witnesses is None:
         witnesses = replayed_witnesses(amp, (convention,), tols=tols)
-    holistic = bool(holistic_at_rank(witnesses.rank, amp.dims, convention))
-    lambda1 = None if holistic else witnesses.lambda1
-    if lambda1 is None and not holistic:
+    if convention not in witnesses.holistic:
         raise ValueError(f"the witnesses were not built for {convention.value}")
+    holistic = witnesses.holistic[convention]
+    lambda1 = None if holistic else witnesses.lambda1
     for witness in filter(None, (lambda1, witnesses.lambda0)):
         p, q = witness.p, witness.q
         if not convention.admits(is_nontrivial(p), is_nontrivial(q)):

@@ -20,20 +20,10 @@ def matrix_to_json_dict(m) -> dict:
     return _record(as_matrix(m))
 
 
-def matrix_records(stack: np.ndarray) -> list[dict]:
-    """The ``{rows, cols, re, im}`` record of each matrix of a ``(n, rows, cols)`` complex stack.
-
-    Each record equals ``matrix_to_json_dict`` of its matrix; the stack is
-    not re-validated, so it must come from code that built it finite.
-    """
-    n, rows, cols = stack.shape
-    re = stack.real.reshape(n, rows * cols).tolist()
-    im = stack.imag.reshape(n, rows * cols).tolist()
-    return [{"rows": rows, "cols": cols, "re": r, "im": i} for r, i in zip(re, im)]
-
-
 def _record(m: np.ndarray) -> dict:
-    return matrix_records(m[np.newaxis])[0]
+    """The ``{rows, cols, re, im}`` record of a finite 2-D complex array, not re-validated."""
+    rows, cols = m.shape
+    return {"rows": rows, "cols": cols, "re": m.real.reshape(-1).tolist(), "im": m.imag.reshape(-1).tolist()}
 
 
 def _parse_record(data, *, min_cols: int) -> np.ndarray:

@@ -7,8 +7,10 @@ row-by-row form of the lattice report's commutator and product tables.
 ``gram_schmidt_hs`` and ``holistic_lattice`` are the general Gram-Schmidt and
 the d_a*d_b-square dyad lattice, which the command line does not use.
 ``lattice_results_loop`` is the ``lattice`` command's ``results`` built one
-``AmplitudeMatrix`` per member, each with its own SVD and record;
+``AmplitudeMatrix`` per member, each with its own SVD;
 ``rank2_3x3_matrix`` is a rank-deficient input for it.
+``lattice_from_report`` rebuilds a ``lattice`` report's members from its
+``gamma_source``, ``k`` and ``seed`` by the README's recipe, in plain numpy.
 """
 
 import warnings
@@ -25,7 +27,7 @@ from mereo.holism import (
     make_holistic,
     schmidt_rank,
 )
-from mereo.io import matrix_to_json_dict
+from mereo.io import load_matrix, preset_amplitude, random_amplitude
 from mereo.linalg import as_matrix
 
 
@@ -121,7 +123,6 @@ def lattice_results_loop(args, tols: Tolerances) -> dict:
     comm = np.sqrt(commutator_norm_sq_from_n2(n2))
     member_records = [
         {
-            "amplitude": matrix_to_json_dict(m.matrix),
             "rank": int(rank),
             "holistic": bool(hol),
             "smallest_singular_value": float(m.singular_values[-1]),
@@ -138,3 +139,39 @@ def lattice_results_loop(args, tols: Tolerances) -> dict:
         "pairwise_product_norms": prod.tolist(),
         "completeness_deviation": frob(vecs.T @ vecs.conj() - np.eye(vecs.shape[1])),
     }
+
+
+def lattice_from_report(report: dict) -> tuple[np.ndarray, int]:
+    """The members of a ``lattice`` report, rebuilt by the README's recipe, and the draws it skipped.
+
+    Draw ``j`` is the ``j``-th ``(2, d_a d_b)`` block of standard normals of
+    ``default_rng(seed)``, ``(re + 1j im) / sqrt(2)``.  Draws are taken in
+    stream order; one whose ``|R_jj|`` in the QR of the columns kept so far
+    and itself is at or below ``LATTICE_REDRAW_NORM`` is skipped.  The
+    members are the columns of ``Q`` from one QR of ``[vec(amp), kept]``,
+    each times the phase ``R_jj / |R_jj|``, with member 0 the input.
+    """
+    source, echo = report["results"]["gamma_source"], report["config_echo"]
+    if source["kind"] == "preset":
+        amp = preset_amplitude(source["name"]).matrix
+    elif source["kind"] == "random":
+        amp = random_amplitude(source["seed"], SystemDims(*source["dims"])).matrix
+    else:
+        amp = load_matrix(source["path"])
+        amp = amp / np.linalg.norm(amp)
+    k, (d_a, d_b) = echo["k"], amp.shape
+    rng = np.random.default_rng(echo["seed"])
+    columns, skipped = [amp.reshape(-1)], 0
+    while len(columns) < k:
+        block = rng.standard_normal((2, d_a * d_b))
+        draw = (block[0] + 1j * block[1]) / np.sqrt(2.0)
+        r = np.linalg.qr(np.column_stack([*columns, draw]))[1]
+        if abs(r[-1, -1]) <= LATTICE_REDRAW_NORM:
+            skipped += 1
+        else:
+            columns.append(draw)
+    q, r = np.linalg.qr(np.column_stack(columns))
+    diag = np.diagonal(r)
+    members = (q * (diag / np.abs(diag))).T.reshape(k, d_a, d_b)
+    members[0] = amp
+    return members, skipped

@@ -27,7 +27,7 @@ from mereo import (
 )
 from mereo.io import matrix_to_json_dict, random_amplitude
 
-from holism_reference import lattice_results_loop, pairwise_tables_loop, rank2_3x3_matrix
+from holism_reference import lattice_from_report, lattice_results_loop, pairwise_tables_loop, rank2_3x3_matrix
 
 
 def run_cli(args, capsys):
@@ -435,19 +435,30 @@ class TestLattice:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
-    def test_members_round_trip_exactly(self, capsys):
-        # a member's projector is outer(v, conj(v)) of its amplitude, so only
-        # the amplitude is printed, and it must rebuild the member exactly
-        code, report = run_cli(
-            ["lattice", "--random-seed", "2", "--dims", "3", "3", "--k", "9"], capsys
-        )
+    @pytest.mark.parametrize("argv, skipped", [
+        (["--random-seed", "2", "--dims", "3", "3", "--k", "9"], 0),
+        # --seed defaults to 0, the stream of --random-seed 0: the first draw is the input
+        (["--random-seed", "0", "--dims", "3", "3", "--k", "9"], 1),
+        (["--preset", "maxent3", "--k", "5", "--seed", "4"], 0),
+        (["--gamma", "rank2.json", "--k", "7", "--seed", "6"], 0),
+    ])
+    def test_members_round_trip_exactly(self, argv, skipped, tmp_path, monkeypatch, capsys):
+        # no member is printed: gamma_source, k and seed rebuild each exactly
+        monkeypatch.chdir(tmp_path)
+        Path("rank2.json").write_text(json.dumps(matrix_to_json_dict(3.0 * rank2_3x3_matrix())))
+        argv = ["lattice", *argv]
+        code, report = run_cli(argv, capsys)
         assert code == 0
-        members = lattice_amplitudes(random_amplitude(2, SystemDims(3, 3)), 9, 0)
+        members, draws_skipped = lattice_from_report(report)
+        assert draws_skipped == skipped
+        amp, _ = cli._resolve_amplitude(cli.build_parser().parse_args(argv))
+        expected = lattice_amplitudes(amp, members.shape[0], report["config_echo"]["seed"])
+        assert members.tobytes() == expected.tobytes()
+        assert members[0].tobytes() == amp.matrix.tobytes()
         records = report["results"]["members"]
         assert len(records) == len(members)
-        for record, member in zip(records, members):
-            assert "projector" not in record
-            assert parsed_matrix(record["amplitude"]).tobytes() == member.tobytes()
+        for record in records:
+            assert record.keys() == {"rank", "holistic", "smallest_singular_value"}
 
     def test_seed_collision_is_redrawn(self, capsys):
         # --seed defaults to 0, and random_amplitude(0) draws from the same
@@ -475,8 +486,7 @@ class TestLattice:
 
     @pytest.mark.parametrize("argv", LATTICE_CASES, ids=" ".join)
     def test_results_match_member_loop(self, argv, capsys):
-        # one stacked SVD and one record pass give the bytes that one
-        # AmplitudeMatrix per member gave
+        # one stacked SVD gives the bytes that one AmplitudeMatrix per member gave
         self.assert_results_match_member_loop(["lattice", *argv], capsys)
 
     @pytest.mark.parametrize("k", [9, 4])

@@ -35,8 +35,8 @@ from mereo import (
 )
 from mereo import cli
 from mereo.holism import commutator_norm_sq, make_holistic
-from mereo.io import matrix_from_json_dict
 from mereo.search import EXCLUDE_FLOOR
+from holism_reference import lattice_from_report
 from search_reference import (
     _objective_terms,
     bloch_projectors,
@@ -103,8 +103,10 @@ def test_general_form_holds_for_hermitian_pairs(dims):
 def test_lattice_tables_match_projector_products(argv, tmp_path):
     out = tmp_path / "lattice.json"
     assert cli.main(["lattice", *argv, "--out", str(out)]) == 0
-    results = json.loads(out.read_text())["results"]
-    vecs = [matrix_from_json_dict(m["amplitude"]).reshape(-1) for m in results["members"]]
+    report = json.loads(out.read_text())
+    results = report["results"]
+    vecs = [m.reshape(-1) for m in lattice_from_report(report)[0]]
+    assert len(vecs) == len(results["members"])
     props = [np.outer(v, v.conj()) for v in vecs]
     k = len(props)
     comm = np.array(results["pairwise_commutator_norms"])
@@ -125,8 +127,10 @@ def test_lattice_tables_match_projector_products(argv, tmp_path):
 def test_completeness_deviation_matches_sum_of_member_projectors(argv, tmp_path):
     out = tmp_path / "lattice.json"
     assert cli.main(["lattice", *argv, "--out", str(out)]) == 0
-    results = json.loads(out.read_text())["results"]
-    vecs = [matrix_from_json_dict(m["amplitude"]).reshape(-1) for m in results["members"]]
+    report = json.loads(out.read_text())
+    results = report["results"]
+    vecs = [m.reshape(-1) for m in lattice_from_report(report)[0]]
+    assert len(vecs) == len(results["members"])
     total = sum(np.outer(v, v.conj()) for v in vecs)
     reference = frob(total - np.eye(total.shape[0]))
     assert abs(results["completeness_deviation"] - reference) <= 1e-15

@@ -226,8 +226,12 @@ class TestSingularSubspacesOnDemand:
         replays = []
         monkeypatch.setattr(holism, "product_commutator_norm",
                             lambda amp, p, q: replays.append(p) or replay(amp, p, q))
+        rule = holism.holistic_at_rank
+        rules = []
+        monkeypatch.setattr(holism, "holistic_at_rank",
+                            lambda rank, dims, conv: rules.append(conv) or rule(rank, dims, conv))
         witnesses = holism.replayed_witnesses(amp, (AT_LEAST_ONE, BOTH))
-        assert calls == [dims] and len(replays) == 2
+        assert calls == [dims] and len(replays) == 2 and rules == [AT_LEAST_ONE, BOTH]
         for conv, verdict in alone.items():
             shared = certify_rank1(amp, conv, witnesses=witnesses)
             assert (shared.holistic, shared.rank) == (verdict.holistic, verdict.rank)
@@ -238,7 +242,8 @@ class TestSingularSubspacesOnDemand:
                     assert got.p.matrix.tobytes() == want.p.matrix.tobytes()
                     assert got.q.matrix.tobytes() == want.q.matrix.tobytes()
                     assert got[2:] == want[2:]
-        assert calls == [dims] and len(replays) == 2
+        # each convention's rank rule ran once, in replayed_witnesses
+        assert calls == [dims] and len(replays) == 2 and rules == [AT_LEAST_ONE, BOTH]
 
     def test_witnesses_must_be_built_for_the_convention(self):
         # full rank 2x3: no co-occurring witness under both, P = I under atleastone
