@@ -30,7 +30,6 @@ from .properties import (
     has_property,
     is_nontrivial,
     mutually_exclusive,
-    product_if_property,
     property_from_span,
     symmetric_projector,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "objective_value_and_grad",
     "partial_trace",
     "product_commutator_norm",
-    "product_if_property",
     "projector_from_coords",
     "property_from_span",
     "swap_operator",

@@ -25,12 +25,11 @@ from .holism import (
     HolismVerdict,
     NontrivialityConvention,
     Witness,
-    certify_rank1,
+    certify,
     commutator_norm_sq_from_n2,
     holistic_at_rank,
     lattice_amplitudes,
     marginal_entropy,
-    replayed_witnesses,
     schmidt_rank,
 )
 from .io import (
@@ -126,11 +125,9 @@ def _conventions_for_flag(flag: str) -> list[NontrivialityConvention]:
 
 def cmd_certify(args, tols: Tolerances) -> dict:
     amp, source = _resolve_amplitude(args)
-    conventions = _conventions_for_flag(args.convention)
-    witnesses = replayed_witnesses(amp, conventions, tols=tols)
     verdicts = {
-        conv.value: _verdict_dict(certify_rank1(amp, conv, tols=tols, witnesses=witnesses))
-        for conv in conventions
+        verdict.convention.value: _verdict_dict(verdict)
+        for verdict in certify(amp, _conventions_for_flag(args.convention), tols=tols)
     }
     return {
         "gamma_source": source,

@@ -15,10 +15,10 @@ the two readings part ways on rectangular amplitude matrices.
 
 The input and the Schmidt rank fix both witnesses, so each is named by a
 recipe: the leading singular subspaces of rank ``r``, or the image of
-column ``j``.  The rank, the one full SVD, both witnesses and their
-replays are computed once per amplitude by :func:`replayed_witnesses`, which
-also applies each convention's rank rule once; each convention adds only
-its check that the witness factors are nontrivial (:func:`certify_rank1`).
+column ``j``.  :func:`certify` computes the rank, the one full SVD, both
+witnesses and their replays once per amplitude, and decides every
+convention asked of it from them: each convention adds only its rank rule
+and its check that the witness factors are nontrivial.
 
 Witnesses are replayed on the matrix side only, through
 ``(P (x) Q) vec(amp) == vec(P @ amp @ Q.T)``; no operator on the joint space
@@ -53,7 +53,7 @@ class NontrivialityConvention(Enum):
     """Which factors of a witness pair must be nontrivial projectors.
 
     :meth:`admits` is the one definition of the rule: the rank rule of
-    :func:`holistic_at_rank` and the witness check of :func:`certify_rank1`
+    :func:`holistic_at_rank` and the witness check of :func:`certify`
     both call it.
     """
 
@@ -74,7 +74,7 @@ class Witness(NamedTuple):
     dyad and ``cooccurrence_weight`` is ``||p @ amp @ q.T||_F``, both from
     the one product of :func:`product_commutator_norm`.  ``recipe`` is the
     JSON record that names how a certifier witness is rebuilt from ``amp``
-    (see :func:`replayed_witnesses`); it is None for a pair that no recipe
+    (see :func:`certify`); it is None for a pair that no recipe
     fixes, such as a search argmin.
     """
 
@@ -179,43 +179,30 @@ def holistic_at_rank(rank, dims, convention: NontrivialityConvention):
     return ~convention.admits(rank < d_a, rank < d_b)
 
 
-class Witnesses(NamedTuple):
-    """What one certification decides for all its conventions: rank, verdicts and replayed witnesses.
+def certify(amp: AmplitudeMatrix, conventions, *, tols: Tolerances = Tolerances()) -> tuple[HolismVerdict, ...]:
+    """One :class:`HolismVerdict` per convention, in order, from one rank and one replay per witness.
 
-    ``holistic`` maps each convention it was built for to its
-    :func:`holistic_at_rank` verdict; ``lambda1`` is None when all of them
-    are holistic.
-    """
-
-    rank: int
-    holistic: dict[NontrivialityConvention, bool]
-    lambda1: Witness | None
-    lambda0: Witness
-
-
-def replayed_witnesses(amp: AmplitudeMatrix, conventions, *, tols: Tolerances = Tolerances()) -> Witnesses:
-    """The rank, each convention's verdict and both witnesses of ``amp``, each decided once.
-
-    The co-occurring witness projects onto the leading ``r`` singular
-    subspaces, ``r = schmidt_rank(s)``: solutions of ``P @ amp @ Q.T == amp``
-    contain the column and row spaces.  It is built, from the one full SVD
-    of ``amp``, only when some convention admits it (its
-    :func:`holistic_at_rank` verdict is false).  An exclusive witness always
-    exists.  Each witness carries its ``recipe``:
-    ``leading_singular_subspaces`` of rank ``r``, or the ``column_image`` of
-    column ``j`` (:func:`_exclusive_witness`).
+    Each verdict is :func:`holistic_at_rank` at the Schmidt rank ``r =
+    schmidt_rank(s)``; when it is not holistic, the co-occurring witness
+    settles it.  That witness projects onto the leading ``r`` singular
+    subspaces: solutions of ``P @ amp @ Q.T == amp`` contain the column and
+    row spaces.  It is built, from the one full SVD of ``amp``, only when
+    some convention admits it.  An exclusive witness always exists.  Each
+    witness carries its ``recipe``: ``leading_singular_subspaces`` of rank
+    ``r``, or the ``column_image`` of column ``j`` (:func:`_exclusive_witness`).
 
     Every witness is replayed once through :func:`product_commutator_norm`;
     one whose replay exceeds ``tol_compat`` raises :class:`InvariantViolation`.
     The co-occurring bound adds ``sqrt(2) ||s[r:]||``, since truncating
     ``s[r:]`` leaves the residual ``sqrt(2 delta (1 - delta))``, ``delta =
-    ||s[r:]||^2``.
+    ||s[r:]||^2``.  A reported witness whose factors are not nontrivial
+    under its convention raises :class:`InvariantViolation`.
     """
     s = amp.singular_values
     r = int(schmidt_rank(s, tols))
-    holistic = {conv: bool(holistic_at_rank(r, amp.dims, conv)) for conv in conventions}
+    holistic = [bool(holistic_at_rank(r, amp.dims, conv)) for conv in conventions]
     lambda1 = None
-    if not all(holistic.values()):
+    if not all(holistic):
         # Q = (V_r V_r^dag)^T projects onto the columns of conj(V_r) = vh.T
         u, _, vh = np.linalg.svd(amp.matrix)
         bound = tols.tol_compat + float(np.sqrt(2.0) * frob(s[r:]))
@@ -224,7 +211,25 @@ def replayed_witnesses(amp: AmplitudeMatrix, conventions, *, tols: Tolerances = 
     col = _exclusive_column(amp, tols)
     lambda0 = _replayed(amp, *_exclusive_witness(amp, col), tols.tol_compat,
                         {"kind": "column_image", "column": col})
-    return Witnesses(r, holistic, lambda1, lambda0)
+    verdicts = []
+    for conv, conv_holistic in zip(conventions, holistic):
+        conv_lambda1 = None if conv_holistic else lambda1
+        for witness in filter(None, (conv_lambda1, lambda0)):
+            p, q = witness.p, witness.q
+            if not conv.admits(is_nontrivial(p), is_nontrivial(q)):
+                raise InvariantViolation(
+                    f"witness factors of ranks ({p.rank}, {q.rank}) in dims ({p.dim}, {q.dim}) "
+                    f"are not nontrivial under {conv.value}"
+                )
+        verdicts.append(HolismVerdict(
+            lambda1_witness=conv_lambda1,
+            lambda0_witness=lambda0,
+            holistic=conv_holistic,
+            rank=r,
+            dims=amp.dims,
+            convention=conv,
+        ))
+    return tuple(verdicts)
 
 
 def _replayed(amp: AmplitudeMatrix, p: Property, q: Property, bound: float, recipe: dict) -> Witness:
@@ -241,39 +246,9 @@ def certify_rank1(
     convention: NontrivialityConvention = NontrivialityConvention.AT_LEAST_ONE,
     *,
     tols: Tolerances = Tolerances(),
-    witnesses: Witnesses | None = None,
 ) -> HolismVerdict:
-    """Decide whether the joint dyad commutes with any nontrivial pair.
-
-    The verdict is :func:`holistic_at_rank` at the Schmidt rank, as
-    :func:`replayed_witnesses` decided it; when it is not holistic, the
-    co-occurring witness settles it.  ``witnesses`` lets several conventions
-    share one such call, which must have been made for ``convention`` among
-    others (else ``ValueError``); by default it is made for ``convention``
-    alone.  A witness whose factors are not nontrivial under ``convention``
-    raises :class:`InvariantViolation`.
-    """
-    if witnesses is None:
-        witnesses = replayed_witnesses(amp, (convention,), tols=tols)
-    if convention not in witnesses.holistic:
-        raise ValueError(f"the witnesses were not built for {convention.value}")
-    holistic = witnesses.holistic[convention]
-    lambda1 = None if holistic else witnesses.lambda1
-    for witness in filter(None, (lambda1, witnesses.lambda0)):
-        p, q = witness.p, witness.q
-        if not convention.admits(is_nontrivial(p), is_nontrivial(q)):
-            raise InvariantViolation(
-                f"witness factors of ranks ({p.rank}, {q.rank}) in dims ({p.dim}, {q.dim}) "
-                f"are not nontrivial under {convention.value}"
-            )
-    return HolismVerdict(
-        lambda1_witness=lambda1,
-        lambda0_witness=witnesses.lambda0,
-        holistic=holistic,
-        rank=witnesses.rank,
-        dims=amp.dims,
-        convention=convention,
-    )
+    """Whether the joint dyad commutes with any nontrivial pair: :func:`certify` under one convention."""
+    return certify(amp, (convention,), tols=tols)[0]
 
 
 def _exclusive_column(amp: AmplitudeMatrix, tols: Tolerances) -> int:

@@ -53,10 +53,6 @@ def _parse_record(data, *, min_cols: int) -> np.ndarray:
     return m.reshape(rows, cols)
 
 
-def matrix_from_json_dict(data) -> np.ndarray:
-    return _parse_record(data, min_cols=1)
-
-
 def property_to_json_dict(p: Property) -> dict:
     """Serialize a projector built by ``Property.from_basis`` as ``{dim, rank, complement, basis}``.
 
@@ -93,23 +89,19 @@ def load_matrix(path) -> np.ndarray:
         data = json.loads(text)
     except RecursionError as exc:  # the parser recurses once per nesting level
         raise ValueError(f"{path}: JSON nested too deeply") from exc
-    return matrix_from_json_dict(data)
-
-
-def preset_matrix(name: str) -> np.ndarray:
-    if name == "bell2":
-        return np.eye(2, dtype=complex) / np.sqrt(2.0)
-    if name == "product2":
-        m = np.zeros((2, 2), dtype=complex)
-        m[0, 0] = 1.0
-        return m
-    if name == "maxent3":
-        return np.eye(3, dtype=complex) / np.sqrt(3.0)
-    raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    return _parse_record(data, min_cols=1)
 
 
 def preset_amplitude(name: str) -> AmplitudeMatrix:
-    return AmplitudeMatrix(preset_matrix(name))
+    if name == "bell2":
+        return AmplitudeMatrix(np.eye(2, dtype=complex) / np.sqrt(2.0))
+    if name == "product2":
+        m = np.zeros((2, 2), dtype=complex)
+        m[0, 0] = 1.0
+        return AmplitudeMatrix(m)
+    if name == "maxent3":
+        return AmplitudeMatrix(np.eye(3, dtype=complex) / np.sqrt(3.0))
+    raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
 
 
 def random_amplitude(seed: int, dims: SystemDims) -> AmplitudeMatrix:

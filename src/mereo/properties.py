@@ -170,14 +170,6 @@ def compatible(p: Property, q: Property) -> tuple[bool, float]:
     return norm <= Tolerances.tol_compat, norm
 
 
-def product_if_property(p: Property, q: Property, *, tols: Tolerances = Tolerances()) -> Property | None:
-    """The product PQ, when the two commute (and PQ is itself a property)."""
-    ok, _ = compatible(p, q)
-    if not ok:
-        return None
-    return Property(p.matrix @ q.matrix, tols=tols)
-
-
 def mutually_exclusive(p: Property, q: Property) -> bool:
     """True when PQ = QP = 0, a special case of compatibility."""
     _check_same_dim(p, q)

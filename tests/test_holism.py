@@ -230,29 +230,38 @@ class TestSingularSubspacesOnDemand:
         rules = []
         monkeypatch.setattr(holism, "holistic_at_rank",
                             lambda rank, dims, conv: rules.append(conv) or rule(rank, dims, conv))
-        witnesses = holism.replayed_witnesses(amp, (AT_LEAST_ONE, BOTH))
-        assert calls == [dims] and len(replays) == 2 and rules == [AT_LEAST_ONE, BOTH]
-        for conv, verdict in alone.items():
-            shared = certify_rank1(amp, conv, witnesses=witnesses)
-            assert (shared.holistic, shared.rank) == (verdict.holistic, verdict.rank)
-            for got, want in ((shared.lambda1_witness, verdict.lambda1_witness),
-                              (shared.lambda0_witness, verdict.lambda0_witness)):
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert got.p.matrix.tobytes() == want.p.matrix.tobytes()
-                    assert got.q.matrix.tobytes() == want.q.matrix.tobytes()
-                    assert got[2:] == want[2:]
-        # each convention's rank rule ran once, in replayed_witnesses
-        assert calls == [dims] and len(replays) == 2 and rules == [AT_LEAST_ONE, BOTH]
+        for conventions in ((AT_LEAST_ONE, BOTH), (BOTH, AT_LEAST_ONE)):
+            for log in (calls, replays, rules):
+                log.clear()
+            verdicts = holism.certify(amp, conventions)
+            # one full SVD, one replay per witness and each convention's rank rule once
+            assert calls == [dims] and len(replays) == 2 and rules == list(conventions)
+            assert [verdict.convention for verdict in verdicts] == list(conventions)
+            for shared in verdicts:
+                verdict = alone[shared.convention]
+                assert (shared.holistic, shared.rank) == (verdict.holistic, verdict.rank)
+                for got, want in ((shared.lambda1_witness, verdict.lambda1_witness),
+                                  (shared.lambda0_witness, verdict.lambda0_witness)):
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert got.p.matrix.tobytes() == want.p.matrix.tobytes()
+                        assert got.q.matrix.tobytes() == want.q.matrix.tobytes()
+                        assert got[2:] == want[2:]
 
-    def test_witnesses_must_be_built_for_the_convention(self):
-        # full rank 2x3: no co-occurring witness under both, P = I under atleastone
+    def test_conventions_part_ways_in_one_call(self, monkeypatch):
+        # full rank 2x3: both has no co-occurring witness, atleastone takes P = I
         amp = random_amplitude(1, (2, 3))
-        witnesses = holism.replayed_witnesses(amp, (BOTH,))
-        assert witnesses.lambda1 is None
-        assert certify_rank1(amp, BOTH, witnesses=witnesses).holistic
-        with pytest.raises(ValueError, match="not built for atleastone"):
-            certify_rank1(amp, AT_LEAST_ONE, witnesses=witnesses)
+        calls = count_full_svds(monkeypatch)
+        assert holism.certify(amp, (BOTH,))[0].holistic
+        assert calls == []
+        both, at_least_one = holism.certify(amp, (BOTH, AT_LEAST_ONE))
+        assert calls == [(2, 3)]
+        assert both.holistic and both.lambda1_witness is None
+        assert not at_least_one.holistic
+        witness = at_least_one.lambda1_witness
+        assert witness.recipe == {"kind": "leading_singular_subspaces", "rank": 2}
+        assert (witness.p.rank, witness.q.rank) == (2, 2)
+        assert both.lambda0_witness is at_least_one.lambda0_witness
 
 
 class TestRankRule:

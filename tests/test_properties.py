@@ -12,7 +12,6 @@ from mereo import (
     has_property,
     is_nontrivial,
     mutually_exclusive,
-    product_if_property,
     property_from_span,
     symmetric_projector,
 )
@@ -141,33 +140,36 @@ class TestCompatibility:
         p = Property(q_mat[:, :2] @ q_mat[:, :2].conj().T)
         q = Property(q_mat[:, 1:3] @ q_mat[:, 1:3].conj().T)
         assert compatible(p, q)[0] == compatible(q, p)[0]
-        assert product_if_property(p, q) is not None
+        # the product of commuting projectors is a projector (Property checks idempotency)
+        assert compatible(p, q)[0]
+        Property(p.matrix @ q.matrix)
         # non-commuting pair
         a = random_projector(rng, 4, 2)
         b = random_projector(rng, 4, 2)
         assert compatible(a, b)[0] == compatible(b, a)[0]
-        if not compatible(a, b)[0]:
-            assert product_if_property(a, b) is None
 
 
 class TestProductIfProperty:
     def test_commuting_diagonals(self):
         p = Property(np.diag([1.0, 1.0, 0.0, 0.0]))
         q = Property(np.diag([1.0, 0.0, 1.0, 0.0]))
-        out = product_if_property(p, q)
-        assert out is not None
+        assert compatible(p, q)[0]
+        out = Property(p.matrix @ q.matrix)
         assert np.allclose(out.matrix, np.diag([1.0, 0.0, 0.0, 0.0]))
 
-    def test_incompatible_pair_gives_none(self):
+    def test_incompatible_pair_product_is_not_a_property(self):
         up = Property(np.diag([1.0, 0.0]))
         side = Property((np.eye(2) + PAULI_X) / 2)
-        assert product_if_property(up, side) is None
+        assert not compatible(up, side)[0]
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Property(up.matrix @ side.matrix)
 
     def test_identity_absorbs(self):
         rng = np.random.default_rng(4)
         p = random_projector(rng, 3, 1)
-        out = product_if_property(p, Property(np.eye(3)))
-        assert out is not None
+        identity = Property(np.eye(3))
+        assert compatible(p, identity)[0]
+        out = Property(p.matrix @ identity.matrix)
         assert frob(out.matrix - p.matrix) <= 1e-12
 
 
