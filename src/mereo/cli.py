@@ -261,14 +261,14 @@ def _demo_membership_items(tols: Tolerances) -> list[dict]:
             (0.25 * np.outer(basis4[0], basis4[0]) + 0.75 * np.outer(basis4[2], basis4[2]), Verdict.HAS),
             (np.outer(sup, sup), Verdict.HAS),
         ]),
-        ("symmetric_subspace_membership", symmetric_projector(2, tols=tols), [
+        ("symmetric_subspace_membership", symmetric_projector(2), [
             (np.outer(basis4[0], basis4[0]), Verdict.HAS),
             (np.outer(singlet, singlet), Verdict.HAS_NOT),
         ]),
     ]
     items = []
     for name, prop, cases in table:
-        verdicts = [has_property(State(rho, tols=tols), prop).verdict for rho, _ in cases]
+        verdicts = [has_property(State(rho), prop).verdict for rho, _ in cases]
         items.append({
             "name": name,
             "passed": verdicts == [expected for _, expected in cases],
@@ -286,7 +286,7 @@ def cmd_demo(args, tols: Tolerances) -> dict:
         rng = np.random.default_rng([20260809, i])
         rank = 1 + i % (d - 1)
         proj = projector_from_coords(rng.normal(size=2 * d * smaller_side(d, rank)[0]), d, rank)
-        recovered = extract_property(from_property(proj), tols=tols)
+        recovered = extract_property(from_property(proj))
         worst = max(worst, frob(recovered.matrix - proj.matrix))
     items.append({
         "name": "projector_transformation_roundtrip",

@@ -2,9 +2,9 @@
 
 All discrete verdicts in the library are thresholded against one
 :class:`Tolerances` record, so reports can quote it.  Its one settable field,
-``tol_rank``, decides ranks: calls that reach a rank take the record as
-``tols`` (default ``Tolerances()``), and the CLI's ``--tol-rank`` sets it.  The
-residual checks test identities that hold exactly, so their thresholds are fixed.
+``tol_rank``, only cuts ranks: the calls that cut one take the record as ``tols``
+(default ``Tolerances()``), and the CLI's ``--tol-rank`` sets it.  The residual
+checks test identities that hold exactly, so they read fixed class attributes.
 """
 
 from __future__ import annotations

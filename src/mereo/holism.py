@@ -104,10 +104,10 @@ class HolismVerdict:
     convention: NontrivialityConvention
 
 
-def make_holistic(amp: AmplitudeMatrix, *, tols: Tolerances = Tolerances()) -> Property:
+def make_holistic(amp: AmplitudeMatrix) -> Property:
     """Rank-1 projector onto the row-major vectorized amplitude matrix."""
     v = amp.matrix.reshape(-1)
-    return Property(np.outer(v, v.conj()), tols=tols)
+    return Property(np.outer(v, v.conj()))
 
 
 def commutator_norm_sq(amp: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -205,11 +205,11 @@ def certify(amp: AmplitudeMatrix, conventions, *, tols: Tolerances = Tolerances(
     if not all(holistic):
         # Q = (V_r V_r^dag)^T projects onto the columns of conj(V_r) = vh.T
         u, _, vh = np.linalg.svd(amp.matrix)
-        bound = tols.tol_compat + float(np.sqrt(2.0) * frob(s[r:]))
+        bound = Tolerances.tol_compat + float(np.sqrt(2.0) * frob(s[r:]))
         lambda1 = _replayed(amp, Property.from_unitary(u, r), Property.from_unitary(vh.T, r), bound,
                             {"kind": "leading_singular_subspaces", "rank": r})
     col = _exclusive_column(amp, tols)
-    lambda0 = _replayed(amp, *_exclusive_witness(amp, col), tols.tol_compat,
+    lambda0 = _replayed(amp, *_exclusive_witness(amp, col), Tolerances.tol_compat,
                         {"kind": "column_image", "column": col})
     verdicts = []
     for conv, conv_holistic in zip(conventions, holistic):

@@ -23,6 +23,10 @@ from .config import Tolerances
 # ``Tolerances``: built in floating point such a quantity lands within
 # ~1e-15 of 1, and this still admits entries written to about nine digits.
 UNIT_SLACK = 1e-9
+# Slack of the positivity checks of a state and a Choi matrix, also fixed:
+# their zero eigenvalues come out of eigvalsh near -1e-16, and this still
+# admits entries written to about seven digits.
+PSD_SLACK = 1e-7
 
 
 class SystemDims(NamedTuple):
@@ -97,7 +101,8 @@ def stacked_singular_values(stack) -> np.ndarray:
     """Singular values of each matrix of a ``(..., m, n)`` stack, descending.
 
     The values-only LAPACK route: it gives each matrix the same bits in a
-    stack as alone, and every singular value of the library comes from it.
+    stack as alone.  Every Schmidt coefficient of the library comes from it;
+    ``properties.property_from_span`` cuts its span rank on a thin SVD's.
     """
     return np.linalg.svd(stack, compute_uv=False)
 

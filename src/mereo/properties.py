@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import Tolerances
 from .doubleket import swap_operator
-from .linalg import UNIT_SLACK, frob, hermitian
+from .linalg import PSD_SLACK, UNIT_SLACK, frob, hermitian
 
 
 class Verdict(Enum):
@@ -55,17 +55,17 @@ class Property:
 
     A projector from :meth:`from_basis` also keeps the orthonormal columns
     ``basis`` it was built from: it is ``B B^dag``, or ``I - B B^dag`` when
-    ``complement``.  A validated matrix has ``basis`` None.
+    ``complement``.  A matrix, checked Hermitian and idempotent against the
+    fixed ``tol_herm`` and ``tol_recon``, has ``basis`` None.
     """
 
     __slots__ = ("matrix", "rank", "basis", "complement")
 
-    def __init__(self, matrix, *, tols: Tolerances = Tolerances()):
+    def __init__(self, matrix):
         m, w = hermitian(matrix, name="property matrix")
-        if frob(m @ m - m) > tols.tol_recon:
+        # idempotency bounds each eigenvalue's distance to {0, 1} by 2 (tol_recon + 2 tol_herm)
+        if frob(m @ m - m) > Tolerances.tol_recon:
             raise ValueError("property matrix is not idempotent within tolerance")
-        if np.any(np.minimum(np.abs(w), np.abs(w - 1.0)) > tols.tol_rank):
-            raise ValueError("property eigenvalues are not all in {0, 1}")
         self.matrix = m
         self.rank = int(np.sum(w > 0.5))
         self.basis = None
@@ -76,8 +76,8 @@ class Property:
         """Projector ``B B^dag``, or ``I - B B^dag`` with ``complement``, from orthonormal columns ``B``.
 
         ``B`` is a ``(dim, cols)`` array with ``cols <= dim``.  Trusted: the
-        columns come from an SVD or a unitary, so the Hermiticity,
-        idempotency and spectrum checks are skipped (witnesses built this way
+        columns come from an SVD or a unitary, so the Hermiticity and
+        idempotency checks are skipped (witnesses built this way
         are replayed instead).  ``B`` may have zero columns: the zero
         projector, or the identity with ``complement``.  Equal ``B`` give equal
         matrices bit for bit, so a printed basis rebuilds the projector used.
@@ -110,13 +110,13 @@ class Property:
 
 
 class State:
-    """Density matrix: Hermitian, positive semidefinite, unit trace."""
+    """Density matrix: Hermitian, positive semidefinite (within ``PSD_SLACK``), unit trace."""
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, *, tols: Tolerances = Tolerances()):
+    def __init__(self, matrix):
         m, w = hermitian(matrix, name="state matrix")
-        if np.any(w < -tols.tol_rank):
+        if np.any(w < -PSD_SLACK):
             raise ValueError("state matrix is not positive semidefinite")
         tr = float(np.real(np.trace(m)))
         if abs(tr - 1.0) > UNIT_SLACK:
@@ -198,7 +198,7 @@ def has_property(rho: State, p: Property) -> PropertyCheck:
     return PropertyCheck(Verdict.MEANINGLESS, overlap)
 
 
-def symmetric_projector(d: int, *, tols: Tolerances = Tolerances()) -> Property:
+def symmetric_projector(d: int) -> Property:
     """Projector onto the swap-invariant subspace of ``H_d (x) H_d``.
 
     Rank is ``d (d + 1) / 2``; idempotency follows from the swap operator
@@ -207,4 +207,4 @@ def symmetric_projector(d: int, *, tols: Tolerances = Tolerances()) -> Property:
     if d < 2:
         raise ValueError("symmetric projector needs dimension >= 2")
     e = swap_operator(d)
-    return Property((np.eye(d * d, dtype=complex) + e) / 2.0, tols=tols)
+    return Property((np.eye(d * d, dtype=complex) + e) / 2.0)

@@ -529,9 +529,9 @@ def brute_force_grid_d2(
     return best_comm, angles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityReport:
-    """Monte Carlo scan of how often random amplitudes certify holistic."""
+    """Monte Carlo scan of how often random amplitudes certify holistic; ``==`` is identity (array fields)."""
 
     dims: SystemDims
     samples: int

@@ -4,18 +4,17 @@ A repeatable atomic operation (single Kraus element, idempotent as a map)
 is the operational face of a projector: conjugation by the projector on one
 side, and extraction by acting on one leg of the swap operator and tracing
 the other on the way back.  Map equality is always decided on Choi
-matrices, which is exactly input-independent equality.
+matrices, which is exactly input-independent equality.  No call here takes
+``tols``: every check is fixed (``Tolerances.tol_compat``, ``linalg.PSD_SLACK``).
 """
 
 from __future__ import annotations
-
-from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .config import Tolerances
 from .doubleket import swap_operator
-from .linalg import UNIT_SLACK, SystemDims, as_matrix, frob, hermitian, partial_trace
+from .linalg import PSD_SLACK, UNIT_SLACK, SystemDims, as_matrix, frob, hermitian, partial_trace
 from .properties import Property
 
 
@@ -43,32 +42,28 @@ class QuantumTransformation:
         self.atomic = len(mats) == 1
 
 
-@dataclass(frozen=True)
 class ChoiMatrix:
-    """Canonical map representation ``sum_K vec(K) vec(K)^dag`` (row-major vec)."""
+    """Canonical map representation ``sum_K vec(K) vec(K)^dag`` (row-major vec), PSD within ``PSD_SLACK``."""
 
-    matrix: np.ndarray
-    d_in: int
-    d_out: int
-    tols: InitVar[Tolerances] = Tolerances()
+    __slots__ = ("matrix", "d_in", "d_out")
 
-    def __post_init__(self, tols: Tolerances):
-        m, w = hermitian(self.matrix, name="Choi matrix")
-        n = self.d_in * self.d_out
+    def __init__(self, matrix, d_in: int, d_out: int):
+        m, w = hermitian(matrix, name="Choi matrix")
+        n = d_in * d_out
         if m.shape != (n, n):
             raise ValueError(f"Choi matrix must be {n}x{n}, got {m.shape}")
-        if np.any(w < -tols.tol_rank):
+        if np.any(w < -PSD_SLACK):
             raise ValueError("Choi matrix is not positive semidefinite")
-        object.__setattr__(self, "matrix", m)
+        self.matrix, self.d_in, self.d_out = m, d_in, d_out
 
 
-def choi(t: QuantumTransformation, *, tols: Tolerances = Tolerances()) -> ChoiMatrix:
+def choi(t: QuantumTransformation) -> ChoiMatrix:
     n = t.d_out * t.d_in
     total = np.zeros((n, n), dtype=complex)
     for k in t.kraus:
         v = k.reshape(-1)
         total += np.outer(v, v.conj())
-    return ChoiMatrix(total, d_in=t.d_in, d_out=t.d_out, tols=tols)
+    return ChoiMatrix(total, d_in=t.d_in, d_out=t.d_out)
 
 
 def compose(t1: QuantumTransformation, t2: QuantumTransformation) -> QuantumTransformation:
@@ -80,12 +75,12 @@ def compose(t1: QuantumTransformation, t2: QuantumTransformation) -> QuantumTran
     return QuantumTransformation([k1 @ k2 for k1 in t1.kraus for k2 in t2.kraus])
 
 
-def is_repeatable(t: QuantumTransformation, *, tols: Tolerances = Tolerances()) -> bool:
+def is_repeatable(t: QuantumTransformation) -> bool:
     """True when applying the map twice equals applying it once (Choi distance)."""
     if t.d_in != t.d_out:
         raise ValueError("repeatability is only defined for square maps")
     twice = compose(t, t)
-    return frob(choi(twice, tols=tols).matrix - choi(t, tols=tols).matrix) <= tols.tol_compat
+    return frob(choi(twice).matrix - choi(t).matrix) <= Tolerances.tol_compat
 
 
 def from_property(p: Property) -> QuantumTransformation:
@@ -93,7 +88,7 @@ def from_property(p: Property) -> QuantumTransformation:
     return QuantumTransformation([p.matrix])
 
 
-def extract_property(t: QuantumTransformation, *, tols: Tolerances = Tolerances()) -> Property:
+def extract_property(t: QuantumTransformation) -> Property:
     """Recover the projector of a repeatable atomic operation.
 
     Acts with the map on the first leg of the swap operator and traces that
@@ -104,7 +99,7 @@ def extract_property(t: QuantumTransformation, *, tols: Tolerances = Tolerances(
         raise ValueError("property extraction needs an atomic (single-Kraus) transformation")
     if t.d_in != t.d_out:
         raise ValueError("property extraction needs a square map")
-    if not is_repeatable(t, tols=tols):
+    if not is_repeatable(t):
         raise ValueError("transformation is not repeatable")
     d = t.d_in
     e = swap_operator(d)
@@ -112,6 +107,6 @@ def extract_property(t: QuantumTransformation, *, tols: Tolerances = Tolerances(
     acted = k_big @ e @ k_big.conj().T
     candidate = partial_trace(acted, SystemDims(d, d), "first")
     try:
-        return Property(candidate, tols=tols)
+        return Property(candidate)
     except ValueError as exc:
         raise ValueError(f"not a property-type transformation: {exc}") from exc

@@ -87,11 +87,9 @@ def rank2_3x3_matrix() -> np.ndarray:
     return u[:, :2] @ np.diag([0.8, 0.6]) @ v[:, :2].conj().T
 
 
-def holistic_lattice(
-    amp: AmplitudeMatrix, k: int, rng_seed: int, *, tols: Tolerances = Tolerances()
-) -> list[Property]:
+def holistic_lattice(amp: AmplitudeMatrix, k: int, rng_seed: int) -> list[Property]:
     """``k`` pairwise mutually exclusive rank-1 joint properties seeded by ``amp``."""
-    return [make_holistic(AmplitudeMatrix(m), tols=tols) for m in lattice_amplitudes(amp, k, rng_seed)]
+    return [make_holistic(AmplitudeMatrix(m)) for m in lattice_amplitudes(amp, k, rng_seed)]
 
 
 def pairwise_tables_loop(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

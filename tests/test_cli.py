@@ -524,6 +524,13 @@ class TestDemo:
         assert "two_level_membership" in names
         assert "projector_transformation_roundtrip" in names
 
+    @pytest.mark.parametrize("tol_rank", ["1e-17", "1e-15", "1e-12", "1e-7", "0.5"])
+    def test_tol_rank_only_cuts_ranks(self, capsys, tol_rank):
+        # the demo's own projectors, states and Choi matrices pass their fixed checks at any cut
+        code, report = run_cli(["demo", "--tol-rank", tol_rank], capsys)
+        assert code == 0
+        assert report["results"]["all_passed"] is True
+
 
 class TestReportShape:
     @pytest.mark.parametrize("argv, reads_tols", [

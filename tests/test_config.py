@@ -1,6 +1,7 @@
 """Central tolerance configuration, which no library call reads from the environment."""
 
 import dataclasses
+import inspect
 import json
 from dataclasses import fields
 
@@ -21,6 +22,7 @@ from mereo import (
     has_property,
     property_from_span,
 )
+from mereo import config, doubleket, holism, io, linalg, properties, search, transform
 from mereo.io import property_from_json_dict
 
 
@@ -77,6 +79,19 @@ class TestValidation:
         with pytest.raises(TypeError):
             Tolerances(**{field: 1e-3})
         assert getattr(Tolerances(tol_rank=0.5), field) == getattr(Tolerances, field) == 1e-9
+
+    def test_only_rank_cuts_take_tols(self):
+        # every other check is fixed, so tol_rank cannot make the library reject what it built
+        takes = set()
+        for module in (config, doubleket, holism, io, linalg, properties, search, transform):
+            for name, obj in vars(module).items():
+                defined_here = getattr(obj, "__module__", None) == module.__name__
+                # an exception class has no signature to read
+                if defined_here and callable(obj) and obj is not config.InvariantViolation:
+                    if "tols" in inspect.signature(obj).parameters:
+                        takes.add(name)
+        assert takes == {"schmidt_rank", "certify", "certify_rank1", "_exclusive_column",
+                         "property_from_span", "density_scan"}
 
     def test_as_dict_keeps_field_order(self):
         # config_echo prints the record in this order

@@ -158,6 +158,14 @@ class TestCheckedArrays:
             assert a.tobytes() == b.tobytes()
         assert not any(a.flags.writeable for a in after)
 
+    @pytest.mark.parametrize("name", CHECKED_TYPES)
+    def test_equality_is_identity_and_hash_works(self, name):
+        # an == comparing the arrays would raise, so equal inputs give unequal objects
+        source, build, _ = CHECKED_TYPES[name]
+        obj = build(source)
+        assert obj == obj and obj != build(source)
+        assert hash(obj) == hash(obj)
+
     @pytest.mark.parametrize("name, label", [
         ("Property", "property matrix"), ("State", "state matrix"), ("ChoiMatrix", "Choi matrix"),
     ])

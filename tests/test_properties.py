@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mereo import (
     Property,
     State,
+    SystemDims,
+    Tolerances,
     Verdict,
     compatible,
     frob,
+    ginibre,
     has_property,
     is_nontrivial,
     mutually_exclusive,
@@ -58,6 +63,39 @@ class TestPropertyType:
                 w = np.linalg.eigvalsh(p.matrix)
                 assert np.all(np.minimum(np.abs(w), np.abs(w - 1)) <= 1e-7)
                 assert p.rank == rank
+
+
+# Property checks Hermiticity and idempotency, not the spectrum.  With H the
+# Hermitian part and A = M - H (||A|| <= tol_herm / 2, ||H|| below 1.01),
+# |w^2 - w| <= ||H^2 - H|| <= tol_recon + (2 ||H|| + 1 + ||A||) ||A||, under
+# tol_recon + 2 tol_herm; a distance delta <= 1/2 to {0, 1} has |w^2 - w| >= delta / 2.
+ACCEPTED_EIGENVALUE_BOUND = 2 * (Tolerances.tol_recon + 2 * Tolerances.tol_herm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d))),
+    st.floats(0.0, 1e-9),
+    st.floats(0.0, Tolerances.tol_herm / 2),
+    st.integers(0, 2**32 - 1),
+)
+def test_accepted_matrices_have_eigenvalues_near_zero_or_one(dim_rank, shift_norm, skew_norm, seed):
+    # a projector with its eigenvalues moved by shift_norm and a skew part of norm skew_norm added
+    d, rank = dim_rank
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(ginibre(SystemDims(d, d), rng))[0]
+    shift = rng.standard_normal(d)
+    skew = ginibre(SystemDims(d, d), rng)
+    skew = skew - skew.conj().T
+    m = (u * (np.arange(d) < rank) + u * (shift_norm * shift / np.linalg.norm(shift))) @ u.conj().T
+    m = m + skew_norm * skew / np.linalg.norm(skew)
+    try:
+        p = Property(m)
+    except ValueError:
+        assume(False)
+    w = np.linalg.eigvalsh((p.matrix + p.matrix.conj().T) / 2.0)
+    assert np.all(np.minimum(np.abs(w), np.abs(w - 1.0)) <= ACCEPTED_EIGENVALUE_BOUND)
+    assert p.rank == rank
 
 
 class TestSmallerSide:

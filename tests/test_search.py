@@ -651,6 +651,8 @@ class TestDensityScan:
         b = density_scan(SystemDims(2, 2), 50, rng_seed=3)
         assert np.array_equal(a.smallest_singular_values, b.smallest_singular_values)
         assert np.array_equal(a.holistic_both, b.holistic_both)
+        # == is identity: a field-by-field == would compare the arrays and raise
+        assert a == a and a != b and hash(a) == hash(a)
 
     def test_histogram_covers_samples(self):
         report = density_scan(SystemDims(2, 2), 100, rng_seed=1)

@@ -7,8 +7,8 @@ from mereo import (
     ChoiMatrix,
     Property,
     QuantumTransformation,
+    State,
     SystemDims,
-    Tolerances,
     choi,
     compose,
     extract_property,
@@ -19,6 +19,7 @@ from mereo import (
     partial_trace,
     swap_operator,
 )
+from mereo.linalg import PSD_SLACK
 from doubleket_reference import kron
 from search_reference import parametrize_projector
 
@@ -62,19 +63,21 @@ class TestChoi:
         assert frob(choi(t1).matrix - choi(t2).matrix) <= 1e-12
         assert frob(choi(t1).matrix - choi(t3).matrix) > 1e-3
 
-    def test_psd_check_uses_callers_tolerances(self):
-        slightly_negative = np.diag([1.0, -1e-8, 0.0, 0.0])
-        ChoiMatrix(slightly_negative, d_in=2, d_out=2, tols=Tolerances())
+    @pytest.mark.parametrize("build", [State, lambda m: ChoiMatrix(m, d_in=2, d_out=2)],
+                             ids=["State", "ChoiMatrix"])
+    def test_psd_checks_use_the_fixed_slack(self, build):
+        # unit trace, so only positivity is at stake for State
+        build(np.diag([1.0 + PSD_SLACK / 2, -PSD_SLACK / 2, 0.0, 0.0]))
         with pytest.raises(ValueError, match="positive semidefinite"):
-            ChoiMatrix(slightly_negative, d_in=2, d_out=2, tols=Tolerances(tol_rank=1e-9))
+            build(np.diag([1.0 + 2 * PSD_SLACK, -2 * PSD_SLACK, 0.0, 0.0]))
 
-    def test_callers_tolerances_skip_the_environment(self, monkeypatch):
+    def test_calls_without_tols_skip_the_environment(self, monkeypatch):
+        # the variable the CLI of mereo 0.2 read its tolerances from
         monkeypatch.setenv("MEREO_TOL_OVERRIDE", "{bad")
-        tols = Tolerances()
-        p = Property(np.diag([1.0, 0.0]), tols=tols)
+        p = Property(np.diag([1.0, 0.0]))
         t = from_property(p)
-        assert is_repeatable(t, tols=tols)
-        assert frob(extract_property(t, tols=tols).matrix - p.matrix) <= 1e-12
+        assert is_repeatable(t)
+        assert frob(extract_property(t).matrix - p.matrix) <= 1e-12
 
 
 class TestCompose:
