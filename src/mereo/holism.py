@@ -85,9 +85,9 @@ class Witness(NamedTuple):
     recipe: dict | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HolismVerdict:
-    """Result of the analytic certifier for one amplitude matrix.
+    """Result of the analytic certifier for one amplitude matrix; ``==`` is identity.
 
     ``holistic`` is True exactly when no co-occurring witness exists under
     the declared convention.  An exclusive witness always exists for factor

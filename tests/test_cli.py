@@ -12,6 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mereo import (
     Property,
@@ -858,3 +861,83 @@ class TestRepeatedCalls:
                 cli.main(["--version"])
             assert shown.value.code == 0
             assert capsys.readouterr().out == f"mereo {__version__}\n"
+
+
+def recorded_dumps(monkeypatch):
+    """Swap ``cli.json`` for a module whose ``dumps`` records each call, as a tracer does."""
+    calls = []
+
+    def dumps(obj, *args, **kwargs):
+        text = json.dumps(obj, *args, **kwargs)
+        calls.append((obj, text))
+        return text
+
+    proxy = types.ModuleType("json")
+    proxy.__dict__.update(vars(json))
+    proxy.dumps = dumps
+    monkeypatch.setattr(cli, "json", proxy)
+    return calls
+
+
+# repeated values, signed zeros, subnormals, the rounding noise of a lattice
+# table, and the non-finite values json.dumps prints by name
+TABLE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.1e-17, -3.3e-17, 1.0,
+                math.inf, -math.inf, math.nan, -math.nan,
+                float(np.array(0x7FF0000000000001).view(np.float64))]
+TABLES = ("pairwise_commutator_norms", "pairwise_product_norms")
+
+
+class TestReportEncoder:
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7),
+                  elements=st.sampled_from(TABLE_FLOATS) | st.floats()))
+    @settings(max_examples=300, deadline=None)
+    def test_tables_print_as_json_dumps_of_their_lists(self, table):
+        assert json.dumps(table, cls=cli._ReportEncoder) == json.dumps(table.tolist())
+        # in a report, next to strings and numbers, and as a strided view
+        report = {"s": "\\u0000", "t": [table, table.T], "x": -0.0}
+        listed = {"s": "\\u0000", "t": [table.tolist(), table.T.tolist()], "x": -0.0}
+        assert json.dumps(report, cls=cli._ReportEncoder) == json.dumps(listed)
+
+    @pytest.mark.parametrize("value", [
+        object(), {1, 2}, np.zeros(3), np.zeros((2, 2, 2)), np.zeros((2, 2), dtype=np.float32),
+        np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2), dtype=">f8"),
+        np.ma.zeros((2, 2)),
+    ])
+    def test_other_objects_raise_json_dumps_type_error(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps({"results": [value]})
+        with pytest.raises(TypeError) as raised:
+            json.dumps({"results": [value]}, cls=cli._ReportEncoder)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("argv", [
+        *(["--random-seed", str(d), "--dims", str(d), str(d), "--k", str(d * d), "--seed", "1"]
+          for d in (2, 3, 5, 7)),
+        ["--preset", "bell2", "--k", "4", "--seed", "3"],
+    ], ids=" ".join)
+    def test_lattice_report_prints_as_json_dumps_with_listed_tables(self, argv, monkeypatch, capsys):
+        calls = recorded_dumps(monkeypatch)
+        assert cli.main(["lattice", *argv]) == 0
+        out = capsys.readouterr().out
+        (report, _), = calls
+        results = report["results"]
+        assert all(isinstance(results[key], np.ndarray) for key in TABLES)
+        listed = {**report, "results": {**results, **{key: results[key].tolist() for key in TABLES}}}
+        assert out == json.dumps(listed) + "\n"
+        assert out == json.dumps(json.loads(out)) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "--preset", "bell2", "--k", "4"],
+        ["lattice", "--random-seed", "3", "--dims", "3", "3", "--k", "9"],
+        ["certify", "--preset", "bell2", "--convention", "bothreport"],
+        ["certify", "--random-seed", "2", "--dims", "3", "5"],
+    ])
+    def test_one_dumps_call_prints_each_report(self, argv, monkeypatch, capsys):
+        # a tracer that wraps json.dumps times and counts the whole report, table text included
+        calls = recorded_dumps(monkeypatch)
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        (report, text), = calls
+        assert list(report) == ["command", "version", "config_echo", "results", "timings"]
+        assert report["command"] == argv[0] and isinstance(report.get("timings"), dict)
+        assert out == text + "\n"

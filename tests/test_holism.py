@@ -25,7 +25,7 @@ from mereo import (
 from mereo import holism
 from mereo.holism import holistic_at_rank, make_holistic, schmidt_rank
 from mereo.linalg import stacked_singular_values
-from mereo.io import random_amplitude
+from mereo.io import preset_amplitude, random_amplitude
 
 from doubleket_reference import hs_inner
 from holism_reference import gram_schmidt_hs, holistic_lattice, mgs_lattice, rank2_3x3_matrix
@@ -120,6 +120,13 @@ class TestCertifyRank1:
         assert np.allclose(wit.p.matrix, np.diag([0.0, 1.0]))
         assert np.allclose(wit.q.matrix, np.diag([1.0, 0.0]))
         assert product_commutator_norm(BELL, wit.p, wit.q).commutator_norm <= 1e-12
+
+    def test_verdicts_compare_by_identity_and_hash(self):
+        # a verdict holds witnesses, whose projectors compare by identity, so
+        # its == is identity too; a field-wise hash would fail on the recipe dict
+        first, second = (certify_rank1(preset_amplitude("bell2"), AT_LEAST_ONE) for _ in range(2))
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
 
     def test_product_state_has_cooccurring_witness(self):
         verdict = certify_rank1(PRODUCT, AT_LEAST_ONE)
