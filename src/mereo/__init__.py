@@ -8,7 +8,7 @@ commutant search, and verifies the bijection between projectors and
 repeatable atomic operations.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .config import InvariantViolation, Tolerances
 from .doubleket import AmplitudeMatrix, swap_operator

@@ -246,10 +246,9 @@ def cmd_density(args, tols: Tolerances) -> dict:
 def cmd_lattice(args, tols: Tolerances) -> dict:
     amp, source = _resolve_amplitude(args)
     members = lattice_amplitudes(amp, args.k, args.seed)
-    conv = NontrivialityConvention(args.convention)
     s = stacked_singular_values(members)
     ranks = schmidt_rank(s, tols)
-    holistic = holistic_at_rank(ranks, amp.dims, conv)
+    hol_one, hol_both = holistic_at_rank(ranks, amp.dims)
     # member i's projector is |v_i><v_i|; neither it nor v_i is printed, since
     # gamma_source, k and seed fix the members.  With g_ij = <v_i, v_j>,
     # ||P_i P_j|| = |g_ij| and ||[P_i, P_j]||^2 is the closed form in
@@ -261,14 +260,13 @@ def cmd_lattice(args, tols: Tolerances) -> dict:
     np.fill_diagonal(n2, 1.0)
     comm = np.sqrt(commutator_norm_sq_from_n2(n2))
     member_records = [
-        {"rank": rank, "holistic": hol, "smallest_singular_value": smin}
-        for rank, hol, smin in zip(ranks.tolist(), holistic.tolist(), s[:, -1].tolist())
+        {"rank": rank, "holistic_atleastone": one, "holistic_both": both, "smallest_singular_value": smin}
+        for rank, one, both, smin in zip(ranks.tolist(), hol_one.tolist(), hol_both.tolist(), s[:, -1].tolist())
     ]
     return {
         "gamma_source": source,
         "dims": list(amp.dims),
         "k": args.k,
-        "convention": conv.value,
         "members": member_records,
         # float64 tables, which main prints with _ReportEncoder
         "pairwise_commutator_norms": comm,
@@ -433,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gamma_source(p_lattice)
     p_lattice.add_argument("--k", type=int, required=True)
     p_lattice.add_argument("--seed", type=int, default=0)
-    p_lattice.add_argument("--convention", choices=["atleastone", "both"], default="atleastone")
     common(p_lattice)
 
     p_entropy = sub.add_parser("entropy", help="joint vs marginal entropy")

@@ -114,11 +114,11 @@ def commutator_norm_sq(amp: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``||[X, dyad]||_F^2``, ``X`` Hermitian, from ``vec(W) = X vec(amp)``, over ``w``'s leading axes.
 
     For a pair, ``X = P (x) Q`` and ``W = P @ amp @ Q.T``.  With ``a =
-    vec(amp)`` (unit norm), ``c = <a, vec(W)>`` and ``r = vec(W) - c a``,
-    orthogonal to ``a``, ``a^dag X = vec(W)^dag`` gives ``[X, a a^dag] =
-    2i (Im c) a a^dag + r a^dag - a r^dag``: three HS-orthogonal terms, so
+    vec(amp)`` (unit norm), ``c = <a, vec(W)> = a^dag X a`` is real and ``r =
+    vec(W) - c a`` is orthogonal to ``a``, so ``a^dag X = vec(W)^dag`` gives
+    ``[X, a a^dag] = r a^dag - a r^dag``: two HS-orthogonal terms, and
 
-        ||[X, a a^dag]||_F^2 = 2 ||W - c amp||_F^2 + 4 (Im c)^2.
+        ||[X, a a^dag]||_F^2 = 2 ||W - c amp||_F^2.
 
     No idempotency is assumed, and nothing cancels: a small norm comes from
     a small residual.  Each row is computed alone (``np.vecdot``).
@@ -127,7 +127,7 @@ def commutator_norm_sq(amp: np.ndarray, w: np.ndarray) -> np.ndarray:
     x = w.reshape(w.shape[:-2] + (-1,))
     c = np.vecdot(a, x)
     r = x - c[..., None] * a
-    return 2.0 * np.vecdot(r, r).real + 4.0 * c.imag * c.imag
+    return 2.0 * np.vecdot(r, r).real
 
 
 def commutator_norm_sq_from_n2(n2):
@@ -162,12 +162,13 @@ def schmidt_rank(s, tols: Tolerances):
     return np.sum(np.asarray(s) > tols.tol_rank, axis=-1)
 
 
-def holistic_at_rank(rank, dims, convention: NontrivialityConvention):
-    """Whether no co-occurring witness exists at Schmidt rank ``rank``, elementwise.
+def holistic_at_rank(rank, dims) -> tuple:
+    """Whether no co-occurring witness exists at Schmidt rank ``rank``, elementwise, per convention.
 
     The witness on the leading ``r`` singular subspaces has a nontrivial
     factor on a side iff ``r`` is below that side's dimension, so one exists
-    iff ``convention`` admits ``(r < d_a, r < d_b)``.  Rank 0 and factor
+    iff a convention admits ``(r < d_a, r < d_b)``.  Returns one reading per
+    :class:`NontrivialityConvention`, in its order.  Rank 0 and factor
     dimensions below 2 are input errors.
     """
     d_a, d_b = as_sizes(dims)
@@ -176,20 +177,21 @@ def holistic_at_rank(rank, dims, convention: NontrivialityConvention):
     rank = np.asarray(rank)
     if np.any(rank < 1):
         raise ValueError("no singular value above tol_rank: the amplitude has rank 0 at this tolerance")
-    return ~convention.admits(rank < d_a, rank < d_b)
+    return tuple(~conv.admits(rank < d_a, rank < d_b) for conv in NontrivialityConvention)
 
 
 def certify(amp: AmplitudeMatrix, conventions, *, tols: Tolerances = Tolerances()) -> tuple[HolismVerdict, ...]:
     """One :class:`HolismVerdict` per convention, in order, from one rank and one replay per witness.
 
-    Each verdict is :func:`holistic_at_rank` at the Schmidt rank ``r =
-    schmidt_rank(s)``; when it is not holistic, the co-occurring witness
-    settles it.  That witness projects onto the leading ``r`` singular
-    subspaces: solutions of ``P @ amp @ Q.T == amp`` contain the column and
-    row spaces.  It is built, from the one full SVD of ``amp``, only when
-    some convention admits it.  An exclusive witness always exists.  Each
-    witness carries its ``recipe``: ``leading_singular_subspaces`` of rank
-    ``r``, or the ``column_image`` of column ``j`` (:func:`_exclusive_witness`).
+    Each verdict is its convention's reading of :func:`holistic_at_rank` at
+    the Schmidt rank ``r = schmidt_rank(s)``; when it is not holistic, the
+    co-occurring witness settles it.  That witness projects onto the leading
+    ``r`` singular subspaces: solutions of ``P @ amp @ Q.T == amp`` contain
+    the column and row spaces.  It is built, from the one full SVD of
+    ``amp``, only when some convention admits it.  An exclusive witness
+    always exists.  Each witness carries its ``recipe``:
+    ``leading_singular_subspaces`` of rank ``r``, or the ``column_image`` of
+    column ``j`` (:func:`_exclusive_witness`).
 
     Every witness is replayed once through :func:`product_commutator_norm`;
     one whose replay exceeds ``tol_compat`` raises :class:`InvariantViolation`.
@@ -200,7 +202,8 @@ def certify(amp: AmplitudeMatrix, conventions, *, tols: Tolerances = Tolerances(
     """
     s = amp.singular_values
     r = int(schmidt_rank(s, tols))
-    holistic = [bool(holistic_at_rank(r, amp.dims, conv)) for conv in conventions]
+    readings = dict(zip(NontrivialityConvention, holistic_at_rank(r, amp.dims)))
+    holistic = [bool(readings[conv]) for conv in conventions]
     lambda1 = None
     if not all(holistic):
         # Q = (V_r V_r^dag)^T projects onto the columns of conj(V_r) = vh.T

@@ -83,7 +83,6 @@ import numpy as np
 from .config import Tolerances
 from .doubleket import AmplitudeMatrix
 from .holism import (
-    NontrivialityConvention,
     Witness,
     commutator_norm_sq,
     commutator_norm_sq_from_n2,
@@ -569,8 +568,7 @@ def density_scan(
     stack /= np.linalg.norm(stack, axis=(-2, -1), keepdims=True)
     s = stacked_singular_values(stack)
     rank = schmidt_rank(s, tols)
-    hol_one = holistic_at_rank(rank, dims, NontrivialityConvention.AT_LEAST_ONE)
-    hol_both = holistic_at_rank(rank, dims, NontrivialityConvention.BOTH)
+    hol_one, hol_both = holistic_at_rank(rank, dims)
     smin = s[:, -1]
     counts, edges = np.histogram(smin, bins=20, range=(0.0, 1.0))
     near = (smin >= tols.tol_rank / NEAR_RANK_TOL_FACTOR) & (smin <= NEAR_RANK_TOL_FACTOR * tols.tol_rank)

@@ -2,10 +2,10 @@
 
 A repeatable atomic operation (single Kraus element, idempotent as a map)
 is the operational face of a projector: conjugation by the projector on one
-side, and extraction by acting on one leg of the swap operator and tracing
-the other on the way back.  Map equality is always decided on Choi
-matrices, which is exactly input-independent equality.  No call here takes
-``tols``: every check is fixed (``Tolerances.tol_compat``, ``linalg.PSD_SLACK``).
+side, and its effect ``K^dag K`` on the way back.  Map equality is always
+decided on Choi matrices, which is exactly input-independent equality.  No
+call here takes ``tols``: every check is fixed (``Tolerances.tol_compat``,
+``linalg.PSD_SLACK``).
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import Tolerances
-from .doubleket import swap_operator
-from .linalg import PSD_SLACK, UNIT_SLACK, SystemDims, as_matrix, frob, hermitian, partial_trace
+from .linalg import PSD_SLACK, UNIT_SLACK, as_matrix, frob, hermitian
 from .properties import Property
 
 
@@ -89,11 +88,12 @@ def from_property(p: Property) -> QuantumTransformation:
 
 
 def extract_property(t: QuantumTransformation) -> Property:
-    """Recover the projector of a repeatable atomic operation.
+    """Recover the projector of a repeatable atomic operation: the effect ``K^dag K`` of its Kraus operator.
 
-    Acts with the map on the first leg of the swap operator and traces that
-    leg out.  A global phase on the Kraus operator cancels under
-    conjugation, so no phase fixing is needed.
+    This is what acting with the map on the first leg of the swap operator
+    and tracing that leg out gives, ``Tr_1[(K (x) I) E (K (x) I)^dag] = K^dag K``,
+    without the ``d^2``-square operators.  A global phase on ``K`` cancels,
+    so no phase fixing is needed.
     """
     if not t.atomic:
         raise ValueError("property extraction needs an atomic (single-Kraus) transformation")
@@ -101,12 +101,8 @@ def extract_property(t: QuantumTransformation) -> Property:
         raise ValueError("property extraction needs a square map")
     if not is_repeatable(t):
         raise ValueError("transformation is not repeatable")
-    d = t.d_in
-    e = swap_operator(d)
-    k_big = np.kron(t.kraus[0], np.eye(d, dtype=complex))
-    acted = k_big @ e @ k_big.conj().T
-    candidate = partial_trace(acted, SystemDims(d, d), "first")
+    k = t.kraus[0]
     try:
-        return Property(candidate)
+        return Property(k.conj().T @ k)
     except ValueError as exc:
         raise ValueError(f"not a property-type transformation: {exc}") from exc

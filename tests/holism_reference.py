@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from mereo import AmplitudeMatrix, Property, SystemDims, Tolerances, frob, ginibre
-from mereo import NontrivialityConvention, lattice_amplitudes
+from mereo import lattice_amplitudes
 from mereo.cli import _resolve_amplitude
 from mereo.holism import (
     LATTICE_REDRAW_NORM,
@@ -111,9 +111,8 @@ def lattice_results_loop(args, tols: Tolerances) -> dict:
     """``results`` of ``mereo lattice`` for parsed ``args``, member by member."""
     amp, source = _resolve_amplitude(args)
     members = [AmplitudeMatrix(m) for m in lattice_amplitudes(amp, args.k, args.seed)]
-    conv = NontrivialityConvention(args.convention)
     ranks = schmidt_rank(np.array([m.singular_values for m in members]), tols)
-    holistic = holistic_at_rank(ranks, amp.dims, conv)
+    hol_one, hol_both = holistic_at_rank(ranks, amp.dims)
     vecs = np.array([m.matrix.reshape(-1) for m in members])
     prod = np.abs(vecs.conj() @ vecs.T)
     n2 = prod * prod
@@ -122,16 +121,16 @@ def lattice_results_loop(args, tols: Tolerances) -> dict:
     member_records = [
         {
             "rank": int(rank),
-            "holistic": bool(hol),
+            "holistic_atleastone": bool(one),
+            "holistic_both": bool(both),
             "smallest_singular_value": float(m.singular_values[-1]),
         }
-        for m, rank, hol in zip(members, ranks, holistic)
+        for m, rank, one, both in zip(members, ranks, hol_one, hol_both)
     ]
     return {
         "gamma_source": source,
         "dims": list(amp.dims),
         "k": args.k,
-        "convention": conv.value,
         "members": member_records,
         "pairwise_commutator_norms": comm.tolist(),
         "pairwise_product_norms": prod.tolist(),

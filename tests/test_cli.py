@@ -381,19 +381,21 @@ class TestDensity:
 
 
 LATTICE_DIMS = [(2, 2), (2, 3), (3, 3), (3, 5), (4, 4), (4, 6), (5, 5), (6, 6), (7, 7)]
-# k full and half, both conventions; presets; a --random-seed equal to --seed,
-# whose first completion draw is parallel to the amplitude and is redrawn
+# k full and half, at the default tol_rank and at one that cuts members'
+# ranks (below 1/sqrt(7), so every unit-norm member keeps rank >= 1); presets;
+# a --random-seed equal to --seed, whose first completion draw is parallel to
+# the amplitude and is redrawn
+LATTICE_TOL_RANKS = ([], ["--tol-rank", "0.3"])
 LATTICE_CASES = [
-    ["--random-seed", str(i), "--dims", str(a), str(b), "--k", str(k), "--seed", str(40 + i),
-     "--convention", conv]
+    ["--random-seed", str(i), "--dims", str(a), str(b), "--k", str(k), "--seed", str(40 + i), *tol]
     for i, (a, b) in enumerate(LATTICE_DIMS)
     for k in (a * b, a * b // 2)
-    for conv in ("atleastone", "both")
+    for tol in LATTICE_TOL_RANKS
 ] + [
-    ["--preset", preset, "--k", str(k), "--seed", "3", "--convention", conv]
+    ["--preset", preset, "--k", str(k), "--seed", "3", *tol]
     for preset in ("bell2", "product2")
     for k in (4, 2)
-    for conv in ("atleastone", "both")
+    for tol in LATTICE_TOL_RANKS
 ] + [
     ["--random-seed", str(n), "--dims", str(a), str(b), "--k", str(a * b), "--seed", str(n)]
     for n, (a, b) in ((0, (3, 3)), (5, (4, 6)), (7, (7, 7)))
@@ -416,7 +418,7 @@ class TestLattice:
         assert len(results["members"]) == 4
         for member in results["members"]:
             if member["smallest_singular_value"] > 1e-7:
-                assert member["holistic"] is True
+                assert member["holistic_atleastone"] is member["holistic_both"] is True
 
     def test_singleton(self, capsys):
         code, report = run_cli(["lattice", "--preset", "bell2", "--k", "1"], capsys)
@@ -427,16 +429,18 @@ class TestLattice:
         code, _ = run_cli(["lattice", "--preset", "bell2", "--k", "5"], capsys)
         assert code == 2
 
-    def test_convention_is_reported_as_requested(self, capsys):
-        code, report = run_cli(
-            ["lattice", "--preset", "bell2", "--k", "2", "--convention", "both"], capsys
-        )
+    def test_both_readings_without_a_convention_flag(self, capsys):
+        # a full-rank 2x3 member is holistic under both, not under atleastone
+        code, report = run_cli(["lattice", "--random-seed", "1", "--dims", "2", "3", "--k", "6"], capsys)
         assert code == 0
-        assert report["results"]["convention"] == "both"
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["lattice", "--preset", "bell2", "--k", "2", "--convention", "bothreport"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        assert "convention" not in report["results"] and "convention" not in report["config_echo"]
+        readings = {(m["holistic_atleastone"], m["holistic_both"]) for m in report["results"]["members"]}
+        assert readings == {(False, True)}
+        for conv in ("atleastone", "both"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["lattice", "--preset", "bell2", "--k", "2", "--convention", conv])
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv, skipped", [
         (["--random-seed", "2", "--dims", "3", "3", "--k", "9"], 0),
@@ -461,7 +465,7 @@ class TestLattice:
         records = report["results"]["members"]
         assert len(records) == len(members)
         for record in records:
-            assert record.keys() == {"rank", "holistic", "smallest_singular_value"}
+            assert record.keys() == {"rank", "holistic_atleastone", "holistic_both", "smallest_singular_value"}
 
     def test_seed_collision_is_redrawn(self, capsys):
         # --seed defaults to 0, and random_amplitude(0) draws from the same
@@ -502,7 +506,9 @@ class TestLattice:
     def assert_results_match_member_loop(argv, capsys):
         code, report = run_cli(argv, capsys)
         assert code == 0
-        expected = lattice_results_loop(cli.build_parser().parse_args(argv), Tolerances())
+        args = cli.build_parser().parse_args(argv)
+        tols = Tolerances() if args.tol_rank is None else Tolerances(tol_rank=args.tol_rank)
+        expected = lattice_results_loop(args, tols)
         assert json.dumps(report["results"]) == json.dumps(expected)
 
 

@@ -121,6 +121,15 @@ class TestCertifyRank1:
         assert np.allclose(wit.q.matrix, np.diag([1.0, 0.0]))
         assert product_commutator_norm(BELL, wit.p, wit.q).commutator_norm <= 1e-12
 
+    def test_exclusive_column_skips_columns_at_tol_rank(self):
+        # column 0 is nonzero but not above tol_rank, so the recipe names column 1
+        eps = 0.5 * Tolerances().tol_rank
+        amp = AmplitudeMatrix.normalized(np.array([[eps, 1.0], [0.0, 0.0]]))
+        assert 0.0 < np.linalg.norm(amp.matrix[:, 0]) <= Tolerances().tol_rank
+        wit = certify_rank1(amp).lambda0_witness
+        assert wit.recipe == {"kind": "column_image", "column": 1}
+        assert wit.commutator_norm <= Tolerances.tol_compat
+
     def test_verdicts_compare_by_identity_and_hash(self):
         # a verdict holds witnesses, whose projectors compare by identity, so
         # its == is identity too; a field-wise hash would fail on the recipe dict
@@ -206,7 +215,7 @@ def count_full_svds(monkeypatch) -> list:
 
 
 class TestSingularSubspacesOnDemand:
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (5, 5)])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4), (5, 5)])
     def test_full_rank_certify_computes_no_subspaces(self, dims, monkeypatch):
         calls = count_full_svds(monkeypatch)
         amp = random_amp(np.random.default_rng(dims), *dims)
@@ -236,13 +245,13 @@ class TestSingularSubspacesOnDemand:
         rule = holism.holistic_at_rank
         rules = []
         monkeypatch.setattr(holism, "holistic_at_rank",
-                            lambda rank, dims, conv: rules.append(conv) or rule(rank, dims, conv))
+                            lambda rank, dims: rules.append(rank) or rule(rank, dims))
         for conventions in ((AT_LEAST_ONE, BOTH), (BOTH, AT_LEAST_ONE)):
             for log in (calls, replays, rules):
                 log.clear()
             verdicts = holism.certify(amp, conventions)
-            # one full SVD, one replay per witness and each convention's rank rule once
-            assert calls == [dims] and len(replays) == 2 and rules == list(conventions)
+            # one full SVD, one replay per witness and one rank-rule call for both readings
+            assert calls == [dims] and len(replays) == 2 and rules == [rank]
             assert [verdict.convention for verdict in verdicts] == list(conventions)
             for shared in verdicts:
                 verdict = alone[shared.convention]
@@ -279,10 +288,11 @@ class TestRankRule:
         for rank in range(1, min(dims) + 1):
             amp = exact_rank_amp(rng, *dims, rank)
             assert schmidt_rank(amp.singular_values, tols) == rank
+            readings = dict(zip(NontrivialityConvention, holistic_at_rank(rank, dims)))
             for conv in (AT_LEAST_ONE, BOTH):
                 verdict = certify_rank1(amp, conv, tols=tols)
                 assert verdict.rank == rank
-                assert holistic_at_rank(rank, dims, conv) == verdict.holistic
+                assert readings[conv] == verdict.holistic
                 assert (verdict.lambda1_witness is None) == verdict.holistic
 
     @pytest.mark.parametrize("convention, table", [
@@ -297,13 +307,28 @@ class TestRankRule:
             for q in (False, True):
                 assert convention.admits(p, q) is table[p][q]
 
-    @pytest.mark.parametrize("convention", [AT_LEAST_ONE, BOTH])
-    def test_rule_is_elementwise(self, convention):
+    @pytest.mark.parametrize("reading", [0, 1])
+    def test_rule_is_elementwise(self, reading):
         ranks = np.array([[1, 2, 3], [3, 2, 1]])
-        out = holistic_at_rank(ranks, (3, 4), convention)
+        out = holistic_at_rank(ranks, (3, 4))[reading]
         assert out.shape == ranks.shape
         for r, h in zip(ranks.ravel(), out.ravel()):
-            assert h == holistic_at_rank(int(r), (3, 4), convention)
+            assert h == holistic_at_rank(int(r), (3, 4))[reading]
+
+    def test_readings_come_in_convention_order(self):
+        # a full-rank 3x4 amplitude keeps P = I, Q nontrivial: not holistic under atleastone only
+        assert [conv.value for conv in NontrivialityConvention] == ["atleastone", "both"]
+        assert [bool(h) for h in holistic_at_rank(3, (3, 4))] == [False, True]
+        assert [bool(h) for h in holistic_at_rank(4, (4, 4))] == [True, True]
+        assert [bool(h) for h in holistic_at_rank(2, (3, 4))] == [False, False]
+
+    def test_singular_value_at_tol_rank_is_not_counted(self):
+        # the rank counts values strictly above tol_rank, and this one is tol_rank exactly
+        t = Tolerances().tol_rank
+        amp = AmplitudeMatrix(np.diag([np.sqrt(1.0 - t * t), t]))
+        assert amp.singular_values[1] == t
+        assert schmidt_rank(amp.singular_values, Tolerances()) == 1
+        assert certify_rank1(amp).rank == 1
 
     def test_rank_counts_along_last_axis(self):
         s = np.array([[0.9, 0.4, 1e-8], [0.8, 0.6, 0.2]])
@@ -312,13 +337,13 @@ class TestRankRule:
 
     def test_rank_zero_is_input_error(self):
         with pytest.raises(ValueError, match="rank 0"):
-            holistic_at_rank(np.array([1, 0]), (2, 2), BOTH)
+            holistic_at_rank(np.array([1, 0]), (2, 2))
         with pytest.raises(ValueError, match="rank 0"):
             certify_rank1(BELL, BOTH, tols=Tolerances(tol_rank=0.9))
 
     def test_rejects_trivial_factor_dimensions(self):
         with pytest.raises(ValueError, match="dimensions"):
-            holistic_at_rank(1, (1, 3), AT_LEAST_ONE)
+            holistic_at_rank(1, (1, 3))
 
 
 class TestCommutationCharacterization:
@@ -523,6 +548,14 @@ class TestMarginalEntropy:
         flat = AmplitudeMatrix(np.ones((2, 3)) / np.sqrt(6))
         assert marginal_entropy(flat)[1] <= np.log(2) + 1e-12
 
+    def test_small_weight_counts(self):
+        # a Schmidt weight of 1e-13 adds -w ln w = 3.0e-12; the other weight's
+        # term, 1e-13, carries the rounding of 1 - w (an ulp of 1 in the log)
+        w = 1e-13
+        amp = AmplitudeMatrix(np.diag([np.sqrt(1.0 - w), np.sqrt(w)]))
+        expected = -w * np.log(w) - (1.0 - w) * np.log1p(-w)
+        assert abs(marginal_entropy(amp)[1] - expected) <= 1e-15
+
     @pytest.mark.parametrize("amp", [
         PRODUCT,
         AmplitudeMatrix(np.outer([1.0, 2.0, 2.0], [0.0, 0.0, 1.0, 0.0]) / 3.0),
@@ -587,6 +620,6 @@ def test_certifier_follows_the_rank_rule(dims_rank, seed, conv):
     amp = exact_rank_amp(np.random.default_rng(seed), d_a, d_b, rank)
     verdict = certify_rank1(amp, conv)
     assert verdict.rank == rank
-    rule = holistic_at_rank(schmidt_rank(amp.singular_values, Tolerances()), (d_a, d_b), conv)
-    assert verdict.holistic == bool(rule)
+    readings = holistic_at_rank(schmidt_rank(amp.singular_values, Tolerances()), (d_a, d_b))
+    assert verdict.holistic == bool(dict(zip(NontrivialityConvention, readings))[conv])
     assert (verdict.lambda1_witness is None) == verdict.holistic

@@ -6,7 +6,6 @@ import pytest
 from mereo import (
     AmplitudeMatrix,
     ChoiMatrix,
-    NontrivialityConvention,
     Property,
     QuantumTransformation,
     SearchConfig,
@@ -206,7 +205,7 @@ class TestSizes:
     @pytest.mark.parametrize("call", [
         lambda: density_scan((2.5, 2), 5, 0),
         lambda: random_amplitude(1, (2.7, 3)),
-        lambda: holistic_at_rank(2, (2.9, 3.2), NontrivialityConvention.BOTH),
+        lambda: holistic_at_rank(2, (2.9, 3.2)),
         lambda: random_amplitude(1, (True, 3)),
         lambda: density_scan((2, True), 5, 0),
         lambda: ginibre((3, True), np.random.default_rng(0)),

@@ -690,6 +690,15 @@ class TestDensityScan:
             assert np.array_equal(short.holistic_at_least_one, long.holistic_at_least_one[:100])
             assert np.array_equal(short.holistic_both, long.holistic_both[:100])
 
+    def test_near_rank_tol_band_holds_its_lower_edge(self):
+        # tol_rank = 10 s puts the smallest sample s exactly on the band's lower edge
+        dims = SystemDims(3, 3)
+        smin = density_scan(dims, 300, rng_seed=1).smallest_singular_values
+        s = min(v for v in smin.tolist() if (10.0 * v) / 10.0 == v)
+        assert s == smin.min()
+        report = density_scan(dims, 300, rng_seed=1, tols=Tolerances(tol_rank=10.0 * s))
+        assert report.near_rank_tol_count == 300
+
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_near_rank_tol_count(self, dims):
         # the band [tol / 10, 10 tol] holds nearly every sample at 0.3 and splits the cohort at 0.03
