@@ -59,6 +59,8 @@ product and a row sum take two.  Each restart reports how many candidates
 it rejected.  The stack is compacted: it holds the live restarts only, the
 accepted rows move to their candidates in place, and a restart that stops
 has its final state written out and its row dropped in that iteration.
+When every live row accepts, the candidates become the state as they are,
+with no copy and no rejection or stall bookkeeping.
 
 Start bases are orthonormal: each side of a raw normal row is replaced by
 the ``Q`` factor of its QR, which spans the same subspace; at ``k = 1``
@@ -303,12 +305,13 @@ def objective_value_and_grad(
     (:func:`_matrix_terms`), which form ``W`` and its general-form norm.
     """
     side_p, side_q, n = _layout(amp.dims, cfg)
-    cols_p, _, k_a, comp_p = side_p
-    cols_q, _, k_b, comp_q = side_q
+    cols_p, d_a, k_a, comp_p = side_p
+    cols_q, d_b, k_b, comp_q = side_q
     params = np.asarray(params, dtype=float)
     if params.ndim == 0 or params.shape[-1] != n:
         raise ValueError(f"expected {n} parameters, got {params.shape[-1:] or 1}")
     x = np.ascontiguousarray(params).reshape(-1, n)
+    rows = len(x)
     am = amp.matrix
     if k_a == k_b == 1 and not comp_p and not comp_q:
         f, n2, dir_p, dir_q = _rank_one_terms(am, x[:, cols_p], x[:, cols_q])
@@ -319,16 +322,23 @@ def objective_value_and_grad(
     if cfg.exclude_exclusive:
         nw = np.sqrt(n2)
         f, gap = _add_hinge(f, nw)
-        scale -= np.divide(2.0 * gap, nw, out=np.zeros_like(nw), where=nw > HINGE_NORM_MIN)
+        if nw.size and nw.min() > HINGE_NORM_MIN:  # no row needs the guard: the same quotients, unmasked
+            scale -= 2.0 * gap / nw
+        else:
+            scale -= np.divide(2.0 * gap, nw, out=np.zeros_like(nw), where=nw > HINGE_NORM_MIN)
     scale = scale[:, None]
     # P's coordinates, then Q's: each side's complex entries as (re, im)
-    # pairs, written through the complex view of one buffer
-    grad = np.empty((len(x), n))
-    grad_c = grad.view(complex)
-    for (cols, d, k, comp), dr in ((side_p, dir_p), (side_q, dir_q)):
-        out = grad_c[:, cols.start // 2 : cols.stop // 2]
-        np.multiply(dr.reshape(len(x), d * k), -scale if comp else scale, out=out)
-    grad = grad.reshape(params.shape)
+    # pairs, in one complex buffer.  Sides of one sign take one product over
+    # the joined directions; sides of opposite signs are written one by one
+    if comp_p == comp_q:
+        grad_c = np.concatenate((dir_p.reshape(rows, d_a * k_a), dir_q.reshape(rows, d_b * k_b)), axis=1)
+        grad_c *= -scale if comp_p else scale
+    else:
+        grad_c = np.empty((rows, n // 2), dtype=complex)
+        for (cols, d, k, comp), dr in ((side_p, dir_p), (side_q, dir_q)):
+            out = grad_c[:, cols.start // 2 : cols.stop // 2]
+            np.multiply(dr.reshape(rows, d * k), -scale if comp else scale, out=out)
+    grad = grad_c.view(float).reshape(params.shape)
     if params.ndim == 1:
         return float(f[0]), grad
     return f.reshape(params.shape[:-1]), grad
@@ -343,7 +353,7 @@ def _descend(
     iterations (the loop counter when it stopped), its rejected candidates
     and its stop reason.
     """
-    x = np.array(x, dtype=float)  # updated in place below
+    x = np.array(x, dtype=float)  # updated in place below, or replaced by the candidates
     f, grad = objective_value_and_grad(amp, x, cfg)
     step = np.full(x.shape[0], STEP_INIT)
     rej = np.zeros(x.shape[0], dtype=int)
@@ -378,6 +388,12 @@ def _descend(
         s, y = cand - x, grad_cand - grad
         sy = np.vecdot(s, y)
         bb = np.divide(sy, np.vecdot(y, y), out=1.5 * step, where=sy > 0.0)
+        if better.all():
+            # every row accepts: the candidates become the state, and no row
+            # is rejected or can stall
+            step = np.minimum(bb, STEP_MAX)
+            x, f, grad = cand, f_cand, grad_cand
+            continue
         step = np.where(better, np.minimum(bb, STEP_MAX), 0.5 * step)
         # the accepted rows move to their candidates in place
         np.copyto(x, cand, where=better[:, None])

@@ -67,6 +67,14 @@ MUTANTS = (
            "np.sum(np.asarray(s) > tols.tol_rank, axis=-1)",
            "np.sum(np.asarray(s) >= tols.tol_rank, axis=-1)",
            ("tests/test_holism.py",)),
+    Mutant("hinge_shortcut_at_zero_norm", SEARCH,
+           "nw.min() > HINGE_NORM_MIN",
+           "nw.min() >= 0.0",
+           ("tests/test_search.py",)),
+    Mutant("descent_all_accept_on_any", SEARCH,
+           "if better.all():",
+           "if better.any():",
+           ("tests/test_search.py",)),
     Mutant("near_band_open_lower_edge", SEARCH,
            "(smin >= tols.tol_rank / NEAR_RANK_TOL_FACTOR)",
            "(smin > tols.tol_rank / NEAR_RANK_TOL_FACTOR)",

@@ -197,6 +197,22 @@ class TestGradient:
             assert np.array_equal(sub_values, values[subset])
             assert np.array_equal(sub_grads, grads[subset])
 
+    def test_hinge_guard_at_an_exactly_exclusive_row(self):
+        # y = e_1 and u = e_0 give W = P amp Q^T = 0 exactly on bell2, where the
+        # hinge's direction W / ||W|| is undefined: HINGE_NORM_MIN drops its
+        # gradient there.  The stack holds that row, so it takes the guarded
+        # quotient; each other row alone takes the unguarded one, with the same bits
+        cfg = SearchConfig(exclude_exclusive=True)
+        params = np.random.default_rng(4).standard_normal((5, 8))
+        params[2] = [0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+        values, grads = objective_value_and_grad(BELL, params, cfg)
+        assert values[2] == EXCLUDE_FLOOR**2
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
+        assert not grads[2].any()
+        for r in range(5):
+            value, grad = objective_value_and_grad(BELL, params[r], cfg)
+            assert value == values[r] and np.array_equal(grad, grads[r])
+
     def test_wrong_param_count(self):
         with pytest.raises(ValueError):
             objective_value_and_grad(BELL, np.zeros((3, 7)), SearchConfig())
