@@ -20,7 +20,9 @@ conj(M_p) dQ]``; the basis pullback then gives
 
 with ``h = 2 (EXCLUDE_FLOOR - sqrt(n2)) / sqrt(n2)`` where the hinge is
 active, else 0, and the sign negative on the complement side, where
-``(I - Pi_P) M_q = W`` (else ``M_q - W``).  ``grad_Q`` is the same with
+``(I - Pi_P) M_q = W`` (else ``M_q - W``); the kernel keeps that sign in
+the side's direction, ``-W`` there, and scales both sides by one factor per
+row.  ``grad_Q`` is the same with
 ``(I - Pi_Q) M_p^T`` and ``conj(M_p) Z_Q``.  Every product has a ``d x k``
 factor, O(d^2 k) a pair, and no ``d x d`` projector is formed.  At
 ``k = 1`` (ranks 1 and ``d - 1``) the Gram matrix is the scalar
@@ -56,9 +58,10 @@ of gradient) where ``s.y > 0``, else 1.5 times the last, capped at
 That sum and ``s.y``, ``y.y`` are ``np.vecdot`` calls: one BLAS dot per
 row, so a row's sums do not depend on the stack, in one call where a
 product and a row sum take two.  Each restart reports how many candidates
-it rejected.  The stack is compacted: it holds the live restarts only, the
-accepted rows move to their candidates in place, and a restart that stops
-has its final state written out and its row dropped in that iteration.
+it rejected, counted in its row of the full-size output.  The rest of the
+stack is compacted: it holds the live restarts only, the accepted rows move
+to their candidates in place, and a restart that stops has its final state
+and stop reason written out and its row dropped in that iteration.
 When every live row accepts, the candidates become the state as they are,
 with no copy and no rejection or stall bookkeeping.
 
@@ -236,8 +239,8 @@ def _matrix_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(comm2, n2, dir_P, dir_Q)`` from products with the ``d x k`` bases, at any ranks.
 
-    ``dir = (I - Pi) M (M^dag Z)`` of the module docstring, unsigned, one
-    ``(rows, d, k)`` stack per side.
+    ``dir = +-(I - Pi) M (M^dag Z)`` of the module docstring, negative on a
+    complement side, one ``(rows, d, k)`` stack per side.
     """
     y_p, z_p = _side(x, side_p)
     y_q, z_q = _side(x, side_q)
@@ -253,8 +256,8 @@ def _matrix_terms(
     if comp_p:
         w, m_p = m_q - w, am - m_p
     n2 = np.einsum("...ik,...ik->...", w.conj(), w).real
-    dir_p = (w if comp_p else m_q - w) @ (_adj(m_q) @ z_p)
-    dir_q = (w if comp_q else m_p - w).swapaxes(-1, -2) @ (m_p.conj() @ z_q)
+    dir_p = (-w if comp_p else m_q - w) @ (_adj(m_q) @ z_p)
+    dir_q = (-w if comp_q else m_p - w).swapaxes(-1, -2) @ (m_p.conj() @ z_q)
     return commutator_norm_sq(am, w), n2, dir_p, dir_q
 
 
@@ -317,7 +320,7 @@ def objective_value_and_grad(
         f, n2, dir_p, dir_q = _rank_one_terms(am, x[:, cols_p], x[:, cols_q])
     else:
         f, n2, dir_p, dir_q = _matrix_terms(am, x, side_p, side_q)
-    # the gradient of the module docstring, +-(4 - 8 n2 - h) dir
+    # the gradient of the module docstring, (4 - 8 n2 - h) dir with the sign in dir
     scale = 4.0 - 8.0 * n2
     if cfg.exclude_exclusive:
         nw = np.sqrt(n2)
@@ -326,18 +329,10 @@ def objective_value_and_grad(
             scale -= 2.0 * gap / nw
         else:
             scale -= np.divide(2.0 * gap, nw, out=np.zeros_like(nw), where=nw > HINGE_NORM_MIN)
-    scale = scale[:, None]
     # P's coordinates, then Q's: each side's complex entries as (re, im)
-    # pairs, in one complex buffer.  Sides of one sign take one product over
-    # the joined directions; sides of opposite signs are written one by one
-    if comp_p == comp_q:
-        grad_c = np.concatenate((dir_p.reshape(rows, d_a * k_a), dir_q.reshape(rows, d_b * k_b)), axis=1)
-        grad_c *= -scale if comp_p else scale
-    else:
-        grad_c = np.empty((rows, n // 2), dtype=complex)
-        for (cols, d, k, comp), dr in ((side_p, dir_p), (side_q, dir_q)):
-            out = grad_c[:, cols.start // 2 : cols.stop // 2]
-            np.multiply(dr.reshape(rows, d * k), -scale if comp else scale, out=out)
+    # pairs, in one complex buffer
+    grad_c = np.concatenate((dir_p.reshape(rows, d_a * k_a), dir_q.reshape(rows, d_b * k_b)), axis=1)
+    grad_c *= scale[:, None]
     grad = grad_c.view(float).reshape(params.shape)
     if params.ndim == 1:
         return float(f[0]), grad
@@ -351,33 +346,31 @@ def _descend(
 
     Returns, one row per restart, its final coordinates and objective, its
     iterations (the loop counter when it stopped), its rejected candidates
-    and its stop reason.
+    and, as a list, its stop reason.
     """
     x = np.array(x, dtype=float)  # updated in place below, or replaced by the candidates
     f, grad = objective_value_and_grad(amp, x, cfg)
     step = np.full(x.shape[0], STEP_INIT)
-    rej = np.zeros(x.shape[0], dtype=int)
-    # x, f, grad, step and rej hold the live restarts only, row i for restart
+    # x, f, grad and step hold the live restarts only, row i for restart
     # live[i]; a restart's final state goes to the full-size outputs below
-    # when it stops, and its row is dropped
+    # when it stops, and its row is dropped.  Rejections are counted in
+    # their output from the start
     live = np.arange(x.shape[0])
     x_out, f_out = np.empty_like(x), np.empty_like(f)
-    iters, rejected = np.empty_like(rej), np.empty_like(rej)
-    reason = [""] * x.shape[0]
+    iters, rejected = np.empty(live.size, dtype=int), np.zeros(live.size, dtype=int)
+    reason = np.empty(live.size, dtype=object)
 
     def retire(stopped: np.ndarray, it: int, why: str) -> tuple[np.ndarray, ...]:
         """Write the stopped rows to the outputs; the live state without them."""
         rows = live[stopped]
-        x_out[rows], f_out[rows], rejected[rows], iters[rows] = x[stopped], f[stopped], rej[stopped], it
-        for r in rows.tolist():
-            reason[r] = why
+        x_out[rows], f_out[rows], iters[rows], reason[rows] = x[stopped], f[stopped], it, why
         keep = ~stopped
-        return live[keep], x[keep], f[keep], grad[keep], step[keep], rej[keep]
+        return live[keep], x[keep], f[keep], grad[keep], step[keep]
 
     for it in range(1, MAX_ITERS + 1):
         done = np.vecdot(grad, grad) <= GRAD_TOL * GRAD_TOL
         if done.any():
-            live, x, f, grad, step, rej = retire(done, it, "grad_tol")
+            live, x, f, grad, step = retire(done, it, "grad_tol")
         if not live.size:  # after either retirement, this one or last iteration's stall
             break
         cand = x - step[:, None] * grad
@@ -400,12 +393,12 @@ def _descend(
         np.copyto(f, f_cand, where=better)
         np.copyto(grad, grad_cand, where=better[:, None])
         worse = ~better
-        rej += worse
+        rejected[live] += worse
         stalled = worse & (step < STEP_MIN)
         if stalled.any():
-            live, x, f, grad, step, rej = retire(stalled, it, "step_underflow")
+            live, x, f, grad, step = retire(stalled, it, "step_underflow")
     retire(np.ones(live.size, dtype=bool), MAX_ITERS, "max_iters")
-    return x_out, f_out, iters, rejected, reason
+    return x_out, f_out, iters, rejected, reason.tolist()
 
 
 def _start_rows(dims: SystemDims, cfg: SearchConfig) -> np.ndarray:

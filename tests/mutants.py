@@ -75,6 +75,18 @@ MUTANTS = (
            "if better.all():",
            "if better.any():",
            ("tests/test_search.py",)),
+    Mutant("complement_p_direction_unsigned", SEARCH,
+           "-w if comp_p",
+           "w if comp_p",
+           ("tests/test_search.py", "tests/test_conformance.py")),
+    Mutant("complement_q_direction_unsigned", SEARCH,
+           "-w if comp_q",
+           "w if comp_q",
+           ("tests/test_search.py", "tests/test_conformance.py")),
+    Mutant("descent_counts_accepted_as_rejected", SEARCH,
+           "rejected[live] += worse",
+           "rejected[live] += better",
+           ("tests/test_search.py", "tests/test_conformance.py")),
     Mutant("near_band_open_lower_edge", SEARCH,
            "(smin >= tols.tol_rank / NEAR_RANK_TOL_FACTOR)",
            "(smin > tols.tol_rank / NEAR_RANK_TOL_FACTOR)",

@@ -158,13 +158,17 @@ class TestObjective:
 
 
 class TestGradient:
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
-    def test_against_central_differences(self, dims):
+    # ranks (1, 1) take the rank-one route; at 3x4 a complement side carries
+    # the gradient's sign in its direction, on one side or on both
+    @pytest.mark.parametrize("dims, ranks", [
+        ((2, 2), (1, 1)), ((3, 3), (1, 1)), ((3, 4), (2, 1)), ((3, 4), (1, 3)), ((3, 4), (2, 3)),
+    ])
+    def test_against_central_differences(self, dims, ranks):
         rng = np.random.default_rng(1)
         amp = random_amp(rng, *dims)
-        n = n_coords(dims[0], 1) + n_coords(dims[1], 1)
+        n = n_coords(dims[0], ranks[0]) + n_coords(dims[1], ranks[1])
         for trial in range(10):
-            cfg = SearchConfig(rank_p=1, rank_q=1, exclude_exclusive=bool(trial % 2))
+            cfg = SearchConfig(rank_p=ranks[0], rank_q=ranks[1], exclude_exclusive=bool(trial % 2))
             params = rng.normal(size=n)
             _, grad = objective_value_and_grad(amp, params, cfg)
             fd = fd_gradient(amp, params, cfg)
@@ -365,18 +369,19 @@ class TestMinimize:
         (random_amplitude(3, SystemDims(6, 6)), (1, 1), True, 3, None),
         (random_amplitude(3, SystemDims(4, 4)), (3, 3), False, 3, None),  # complement sides
         (random_amplitude(3, SystemDims(5, 5)), (2, 2), False, 3, None),  # k = 2: the inverted Gram matrix
+        (random_amplitude(3, SystemDims(4, 5)), (1, 4), True, 3, None),  # one plain side, one complement
         # grad_tol, step_underflow and max_iters in one stack
         (preset_amplitude("product2"), (1, 1), False, 0, 200),
-    ], ids=["rank1-hinge", "complement", "k2", "three-stops"])
+    ], ids=["rank1-hinge", "complement", "k2", "mixed-sign-hinge", "three-stops"])
     def test_stacked_descent_replays_one_restart_at_a_time(
         self, amp, ranks, exclude, seed, max_iters, monkeypatch
     ):
         if max_iters is not None:
             monkeypatch.setattr(search, "MAX_ITERS", max_iters)
-        d = amp.dims[0]
-        cfg = SearchConfig(rank_p=ranks[0], rank_q=ranks[1], restarts=16,
-                           exclude_exclusive=exclude, rng_seed=seed)
-        starts = np.random.default_rng(cfg.rng_seed).standard_normal((16, n_coords(d, ranks[0]) * 2))
+        (d_a, d_b), (r_p, r_q) = amp.dims, ranks
+        cfg = SearchConfig(rank_p=r_p, rank_q=r_q, restarts=16, exclude_exclusive=exclude, rng_seed=seed)
+        n = n_coords(d_a, r_p) + n_coords(d_b, r_q)
+        starts = np.random.default_rng(cfg.rng_seed).standard_normal((16, n))
         expected = descend_one_by_one(amp, starts, cfg)
         x, f, iters, rejected, reason = search._descend(amp, starts.copy(), cfg)
         for r, (x_r, f_r, iters_r, reason_r, rejected_r) in enumerate(expected):
